@@ -52,21 +52,15 @@ from typing import Callable, Sequence
 from . import __version__
 from . import closedforms
 from . import verify as verify_mod
-from .distributions import (
-    DEEP_CENSUS_CAP,
-    DEFAULT_CENSUS_CAP,
-    STAT_NAMES,
-    canonical_class,
-    dist_from_enumeration,
-    render_table,
-)
+from .distributions import STAT_NAMES, dist_from_enumeration, render_table
 from .enumeration import (
-    FILTER_CAP,
-    HARD_CAP,
+    CLASS_ALIASES,
+    canonical_class,
+    class_part,
     enumerate_filter,
     iter_separable_bytes,
 )
-from .permutations import Permutation
+from .permutations import Permutation, is_irreducible
 from .series import (
     ENGINE_VERSION,
     TruncSeries,
@@ -77,7 +71,7 @@ from .series import (
     solve_fixpoint,
 )
 
-_CLASS_CHOICES = ("all", "irreducible", "reducible", "irr", "red")
+_CLASS_CHOICES = tuple(CLASS_ALIASES)
 
 
 # ---------------------------------------------------------------------------
@@ -86,26 +80,19 @@ _CLASS_CHOICES = ("all", "irreducible", "reducible", "irr", "red")
 
 
 def _build_counting(order: int, perm_class: str) -> TruncSeries:
-    cls = canonical_class(perm_class)
-    if cls == "all":
-        return closedforms.schroeder_gf(order)
-    if cls == "irreducible":
-        return closedforms.little_schroeder_gf(order)
-    return closedforms.schroeder_gf(order) - closedforms.little_schroeder_gf(order)
+    return class_part(
+        perm_class,
+        closedforms.schroeder_gf(order),
+        closedforms.little_schroeder_gf(order),
+    )
 
 
 def _build_asc_des(order: int, perm_class: str) -> TruncSeries:
-    s, i = solve_fixpoint(order, ("p", "q"))
-    return {"all": s, "irreducible": i, "reducible": s - i}[
-        canonical_class(perm_class)
-    ]
+    return class_part(perm_class, *solve_fixpoint(order, ("p", "q")))
 
 
 def _build_joint(order: int, perm_class: str) -> TruncSeries:
-    s, i = solve_fixpoint(order, VARIABLES)
-    return {"all": s, "irreducible": i, "reducible": s - i}[
-        canonical_class(perm_class)
-    ]
+    return class_part(perm_class, *solve_fixpoint(order, VARIABLES))
 
 
 def _stat_builder(stats: tuple[str, ...]) -> Callable[[int, str], TruncSeries]:
@@ -142,34 +129,15 @@ _DEFAULT_ORDER = {"joint": 12}
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if args.method == "filter":
-        if not 1 <= n <= FILTER_CAP:
-            print(
-                f"error: the filter method is capped at n <= {FILTER_CAP} "
-                f"(got n={n}); use --method structural",
-                file=sys.stderr,
-            )
-            return 2
         perms = enumerate_filter(n)
-        if args.perm_class != "all":
-            cls = canonical_class(args.perm_class)
-            from .permutations import is_irreducible
-
+        cls = canonical_class(args.perm_class)
+        if cls != "all":
             want_irr = cls == "irreducible"
             perms = (p for p in perms if is_irreducible(p) == want_irr)
     else:
-        if not 1 <= n <= HARD_CAP:
-            print(
-                f"error: structural enumeration is capped at n <= {HARD_CAP} "
-                f"(got n={n})",
-                file=sys.stderr,
-            )
-            return 2
-        stream_cls = {"all": "all", "irreducible": "irr", "reducible": "red"}[
-            canonical_class(args.perm_class)
-        ]
         perms = (
             Permutation(tuple(word))
-            for word in iter_separable_bytes(n, stream_cls)
+            for word in iter_separable_bytes(n, args.perm_class)
         )
 
     if args.count:
@@ -198,15 +166,7 @@ def _parse_stats(text: str) -> tuple[str, ...]:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    if not 1 <= args.n <= DEEP_CENSUS_CAP:
-        print(
-            f"error: the census is capped at n <= {DEEP_CENSUS_CAP} (got n={args.n})",
-            file=sys.stderr,
-        )
-        return 2
-    table = dist_from_enumeration(
-        args.n, args.perm_class, args.stats, deep=args.n > DEFAULT_CENSUS_CAP
-    )
+    table = dist_from_enumeration(args.n, args.perm_class, args.stats)
     if args.format == "json":
         print(table.to_json())
     elif args.format == "csv":
@@ -242,9 +202,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
     name = args.name
     builder = SERIES_REGISTRY[name]
     order = args.order if args.order is not None else _DEFAULT_ORDER.get(name, 16)
-    if order < 0:
-        print("error: --order must be nonnegative", file=sys.stderr)
-        return 2
     cls = canonical_class(args.perm_class)
     doc_name = f"{name}[{cls}]"
 
@@ -256,20 +213,29 @@ def _cmd_series(args: argparse.Namespace) -> int:
             cache_dir / f"{name}-{cls}-order{order}-v{ENGINE_VERSION}.json"
         )
         if cache_file.is_file():
-            doc = json.loads(cache_file.read_text(encoding="utf-8"))
-            if (
-                doc.get("engine") == ENGINE_VERSION
-                and doc.get("name") == doc_name
-                and doc.get("order") == order
-            ):
-                series = document_to_series(doc)
+            # A file that does not decode to a series document is a miss.
+            try:
+                doc = json.loads(cache_file.read_text(encoding="utf-8"))
+                key = (doc["engine"], doc["name"], doc["order"])
+                if key == (ENGINE_VERSION, doc_name, order):
+                    series = document_to_series(doc)
+            except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+                print(
+                    f"note: recomputing unreadable cache file {cache_file} "
+                    f"({type(exc).__name__}: {exc})",
+                    file=sys.stderr,
+                )
 
     if series is None:
         series = builder(order, cls)
         if cache_file is not None:
             cache_file.parent.mkdir(parents=True, exist_ok=True)
             doc = series_to_document(doc_name, series)
-            cache_file.write_text(canonical_json(doc), encoding="utf-8")
+            # Write beside the target under a name that is not *.json, then
+            # rename: readers never see a torn file.
+            tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+            tmp.write_text(canonical_json(doc), encoding="utf-8")
+            os.replace(tmp, cache_file)
 
     if args.format == "json":
         print(canonical_json(series_to_document(doc_name, series)))
@@ -285,11 +251,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(check)
         return 0
     selection = args.checks or None
-    try:
-        reports = verify_mod.run_all(selection, conjecture_n=args.max_n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    reports = verify_mod.run_all(selection, conjecture_n=args.max_n)
     if args.json:
         print(json.dumps([r.to_jsonable() for r in reports], indent=2))
     else:
@@ -304,7 +266,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjectures(args: argparse.Namespace) -> int:
-    status = 0
+    reports = verify_mod.check_conjectures(args.max_n)
     for check_id, spec in verify_mod._CONJECTURES.items():
         rows = verify_mod.conjecture_rows(
             spec["perm_class"], spec["stat"], args.max_n
@@ -315,11 +277,9 @@ def _cmd_conjectures(args: argparse.Namespace) -> int:
                 str(rows[n].get(k, 0)) for k in range(1, max(rows[n], default=0) + 1)
             )
             print(f"  n={n:2d}: {counts}")
-    for report in verify_mod.check_conjectures(args.max_n):
+    for report in reports:
         print(report.line())
-        if report.verdict != "pass":
-            status = 1
-    return status
+    return 1 if any(r.verdict != "pass" for r in reports) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="K",
-        help="reserved for parallel execution; accepted but execution is "
-        "sequential at current problem sizes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -459,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads != 1:
-        print(
-            "note: --threads is accepted for compatibility; execution "
-            "is sequential",
-            file=sys.stderr,
-        )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # Invalid input rejected by the library; anything else is a bug and
+        # keeps its traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,8 +27,9 @@ import functools
 from fractions import Fraction
 from typing import Sequence
 
-from .distributions import STAT_TO_VARIABLE, counts_by_variable
-from .series import MultiPoly, TruncSeries, solve_fixpoint
+from .distributions import STAT_TO_VARIABLE
+from .enumeration import canonical_class
+from .series import MultiPoly, TruncSeries, check_order, solve_fixpoint
 
 __all__ = [
     "SET2_PAIRS",
@@ -75,15 +76,6 @@ TRIPLES: tuple[tuple[str, str, str], ...] = (
     ("rmax", "rmin", "lmax"),
 )
 _TRIPLES_RMAX_LMIN_TAIL = {("lmax", "rmax", "lmin"), ("rmin", "rmax", "lmin")}
-_TRIPLES_RMIN_LMAX_TAIL = {("lmin", "rmin", "lmax"), ("rmax", "rmin", "lmax")}
-
-_CLASSES = ("all", "irreducible", "reducible")
-
-
-def _check_class(perm_class: str) -> str:
-    from .distributions import canonical_class
-
-    return canonical_class(perm_class)
 
 
 def _lane(stat: str) -> str:
@@ -98,7 +90,12 @@ def _lane(stat: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def discriminant_root(order: int) -> TruncSeries:
-    """sqrt(1 - 6t + t^2), the radical shared by all closed forms."""
+    """sqrt(1 - 6t + t^2), the radical shared by all closed forms.
+
+    Every closed form builds on it, at one order above its own where a
+    division cancels a power of t, so this is where their order is checked.
+    """
+    check_order(order)
     t = TruncSeries.t(order)
     return (1 - 6 * t + t * t).sqrt()
 
@@ -220,7 +217,7 @@ def closed_form_pair_set2(
     >>> c3 == parse_poly("x^3y + 2x^2y^2 + xy^3 + x^2y + xy^2")
     True
     """
-    cls = _check_class(perm_class)
+    cls = canonical_class(perm_class)
     if tuple(pair) not in SET2_PAIRS:
         raise ValueError(f"pair {pair} is not one of {SET2_PAIRS}")
     lane1, lane2 = _lane(pair[0]), _lane(pair[1])
@@ -255,7 +252,7 @@ def closed_form_pair_set1(
     >>> sum(c for _, c in c4.terms())
     11
     """
-    cls = _check_class(perm_class)
+    cls = canonical_class(perm_class)
     pair = tuple(pair)
     if pair not in SET1_PAIRS:
         raise ValueError(f"pair {pair} is not one of {SET1_PAIRS}")
@@ -310,7 +307,7 @@ def closed_form_triple(
     E - z1 z2 z3 t; for the (., rmin, lmax)-tailed ones the irreducible
     part is E; the remaining parts share one bracket expression.
     """
-    cls = _check_class(perm_class)
+    cls = canonical_class(perm_class)
     triple = tuple(triple)
     if triple not in TRIPLES:
         raise ValueError(f"triple {triple} is not one of {TRIPLES}")
@@ -354,7 +351,7 @@ def closed_form_quad(order: int, perm_class: str = "all") -> TruncSeries:
     >>> c1 == MultiPoly.from_exponents({(0, 0, 1, 1, 1, 1): 1})
     True
     """
-    cls = _check_class(perm_class)
+    cls = canonical_class(perm_class)
     xyuvt = TruncSeries.term(
         order,
         1,
@@ -382,7 +379,7 @@ def closed_form(
     """Dispatch to the closed form for a 1-, 2-, 3-, or 4-statistic tuple."""
     stats = tuple(stats)
     if len(stats) == 1:
-        cls = _check_class(perm_class)
+        cls = canonical_class(perm_class)
         if cls == "all":
             return closed_form_S_single(order, stats[0])
         if cls == "irreducible":
@@ -443,12 +440,3 @@ def des_cubic_residual(order: int) -> TruncSeries:
     t = TruncSeries.t(order)
     q = MultiPoly.variable("q")
     return q * (s * s * s) + q * (t * s * s) + (t * (q + 1) - 1) * s + t
-
-
-def single_stat_table_row(order: int, stat: str, perm_class: str, n: int) -> dict[int, int]:
-    """Distribution row at length n read off the single-statistic closed
-    form — the series-side source for the printed tables and conjectures."""
-    series = closed_form(order, (stat,), perm_class)
-    if n > series.order:
-        raise ValueError(f"row {n} beyond computed order {series.order}")
-    return counts_by_variable(series.coefficient(n), STAT_TO_VARIABLE[stat])

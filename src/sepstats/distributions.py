@@ -22,9 +22,12 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .enumeration import (
+    HARD_CAP,
+    canonical_class,
+    class_part,
     count_irreducible,
     count_separable,
     iter_separable_bytes,
@@ -35,9 +38,6 @@ from .series import MultiPoly, TruncSeries
 __all__ = [
     "STAT_NAMES",
     "STAT_TO_VARIABLE",
-    "VARIABLE_TO_STAT",
-    "DEFAULT_CENSUS_CAP",
-    "DEEP_CENSUS_CAP",
     "DistTable",
     "dist_from_enumeration",
     "series_from_enumeration",
@@ -58,50 +58,11 @@ STAT_TO_VARIABLE: dict[str, str] = {
     "lmin": "u",
     "rmin": "v",
 }
-VARIABLE_TO_STAT: dict[str, str] = {v: k for k, v in STAT_TO_VARIABLE.items()}
-
-#: Census sizes: up to 12 routinely, up to 14 only on request (deep=True).
-DEFAULT_CENSUS_CAP = 12
-DEEP_CENSUS_CAP = 14
-
-_CLASS_CANON = {
-    "all": "all",
-    "irreducible": "irreducible",
-    "irr": "irreducible",
-    "reducible": "reducible",
-    "red": "reducible",
-}
-_CLASS_TO_STREAM = {"all": "all", "irreducible": "irr", "reducible": "red"}
-
-
-def canonical_class(perm_class: str) -> str:
-    """Normalize a permutation-class name ('irr' -> 'irreducible', ...)."""
-    try:
-        return _CLASS_CANON[perm_class]
-    except KeyError:
-        raise ValueError(
-            f"unknown permutation class {perm_class!r}; "
-            f"expected one of {sorted(set(_CLASS_CANON))}"
-        ) from None
 
 
 def class_count(perm_class: str, n: int) -> int:
     """Number of length-n permutations in the given class."""
-    cls = canonical_class(perm_class)
-    if cls == "all":
-        return count_separable(n)
-    if cls == "irreducible":
-        return count_irreducible(n)
-    return count_separable(n) - count_irreducible(n)
-
-
-def _check_cap(n: int, deep: bool, what: str) -> None:
-    cap = DEEP_CENSUS_CAP if deep else DEFAULT_CENSUS_CAP
-    if n < 1:
-        raise ValueError(f"{what} needs n >= 1, got {n}")
-    if n > cap:
-        hint = "" if deep else " (pass deep=True to allow up to 14)"
-        raise ValueError(f"{what} capped at n <= {cap}, got {n}{hint}")
+    return class_part(perm_class, count_separable(n), count_irreducible(n))
 
 
 def _stat_indices(stats: Sequence[str]) -> tuple[int, ...]:
@@ -183,8 +144,6 @@ def dist_from_enumeration(
     n: int,
     perm_class: str = "all",
     stats: Sequence[str] = STAT_NAMES,
-    *,
-    deep: bool = False,
 ) -> DistTable:
     """Exact census distribution of ``stats`` on the class at length ``n``.
 
@@ -192,10 +151,9 @@ def dist_from_enumeration(
     {1: 1}
     """
     cls = canonical_class(perm_class)
-    _check_cap(n, deep, "dist_from_enumeration")
     indices = _stat_indices(stats)
     counts: dict[tuple[int, ...], int] = {}
-    for word in iter_separable_bytes(n, _CLASS_TO_STREAM[cls]):
+    for word in iter_separable_bytes(n, cls):
         profile = _stats_of_sequence(word).monomial()
         key = tuple(profile[i] for i in indices)
         counts[key] = counts.get(key, 0) + 1
@@ -205,9 +163,7 @@ def dist_from_enumeration(
 
 
 @functools.lru_cache(maxsize=None)
-def series_from_enumeration(
-    order: int, perm_class: str = "all", *, deep: bool = False
-) -> TruncSeries:
+def series_from_enumeration(order: int, perm_class: str = "all") -> TruncSeries:
     """The six-variable joint distribution series built by direct census.
 
     The coefficient of t^n is the sum over class permutations of length n
@@ -220,12 +176,14 @@ def series_from_enumeration(
     'x*y*u*v'
     """
     cls = canonical_class(perm_class)
-    _check_cap(order, deep, "series_from_enumeration")
-    stream_cls = _CLASS_TO_STREAM[cls]
+    if not 1 <= order <= HARD_CAP:
+        raise ValueError(
+            f"the census is capped at 1 <= order <= {HARD_CAP}, got {order}"
+        )
     coeffs: list[MultiPoly] = [MultiPoly.zero()]
     for n in range(1, order + 1):
         counts: dict[tuple[int, ...], int] = {}
-        for word in iter_separable_bytes(n, stream_cls):
+        for word in iter_separable_bytes(n, cls):
             key = _stats_of_sequence(word).monomial()
             counts[key] = counts.get(key, 0) + 1
         poly = MultiPoly.from_exponents(counts)

@@ -32,13 +32,17 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from typing import Iterator
+from typing import Iterator, TypeVar
 
 from .permutations import Permutation, is_separable
 
 __all__ = [
     "HARD_CAP",
     "FILTER_CAP",
+    "CLASSES",
+    "CLASS_ALIASES",
+    "canonical_class",
+    "class_part",
     "enumerate_filter",
     "enumerate_structural",
     "iter_separable_bytes",
@@ -54,6 +58,48 @@ FILTER_CAP = 9
 _MEMO_CAP = 11
 
 _ONE = bytes((1,))
+
+#: The permutation classes, by canonical name.
+CLASSES: tuple[str, ...] = ("all", "irreducible", "reducible")
+#: Accepted permutation-class spellings -> canonical class name.
+CLASS_ALIASES: dict[str, str] = {
+    **{cls: cls for cls in CLASSES},
+    "irr": "irreducible",
+    "red": "reducible",
+}
+
+
+def canonical_class(perm_class: str) -> str:
+    """Normalize a permutation-class name ('irr' -> 'irreducible', ...).
+
+    >>> canonical_class("red")
+    'reducible'
+    """
+    try:
+        return CLASS_ALIASES[perm_class]
+    except KeyError:
+        raise ValueError(
+            f"unknown permutation class {perm_class!r}; "
+            f"expected one of {sorted(CLASS_ALIASES)}"
+        ) from None
+
+
+_T = TypeVar("_T")
+
+
+def class_part(perm_class: str, whole: _T, irreducible: _T) -> _T:
+    """Select the class's share from the whole and irreducible quantities
+    (counts, series, ...): the reducible share is their difference.
+
+    >>> class_part("red", 22, 11)
+    11
+    """
+    cls = canonical_class(perm_class)
+    if cls == "all":
+        return whole
+    if cls == "irreducible":
+        return irreducible
+    return whole - irreducible
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,30 +192,30 @@ def _skew_decomposables(n: int) -> Iterator[bytes]:
 def _check_structural_n(n: int) -> None:
     if not 1 <= n <= HARD_CAP:
         raise ValueError(
-            f"structural enumeration supports 1 <= n <= {HARD_CAP}, got {n}"
+            f"structural enumeration is capped at 1 <= n <= {HARD_CAP}, got {n}"
         )
 
 
 def iter_separable_bytes(n: int, cls: str = "all") -> Iterator[bytes]:
     """Low-level stream of separable permutations as bytes, lex order.
 
-    ``cls`` selects the permutation class: ``"all"``, ``"irr"`` (irreducible,
-    i.e. sum-indecomposable), or ``"red"`` (reducible).  For n = 1 the
+    ``cls`` selects the permutation class in any spelling that
+    :func:`canonical_class` accepts: ``"all"``, ``"irreducible"``/``"irr"``
+    (sum-indecomposable), or ``"reducible"``/``"red"``.  For n = 1 the
     reducible class is empty.
 
     >>> [list(b) for b in iter_separable_bytes(3, "irr")]
     [[2, 3, 1], [3, 1, 2], [3, 2, 1]]
     """
     _check_structural_n(n)
+    cls = canonical_class(cls)
     if cls == "all":
         return _all_stream(n)
-    if cls == "irr":
+    if cls == "irreducible":
         return _sum_indec_stream(n)
-    if cls == "red":
-        if n == 1:
-            return iter(())
-        return _sum_decomposables(n)
-    raise ValueError(f"unknown class {cls!r}; expected 'all', 'irr', or 'red'")
+    if n == 1:
+        return iter(())
+    return _sum_decomposables(n)
 
 
 def enumerate_structural(n: int) -> Iterator[Permutation]:
@@ -199,7 +245,7 @@ def enumerate_filter(n: int) -> Iterator[Permutation]:
     """
     if not 1 <= n <= FILTER_CAP:
         raise ValueError(
-            f"filter enumeration supports 1 <= n <= {FILTER_CAP}, got {n}"
+            f"filter enumeration is capped at 1 <= n <= {FILTER_CAP}, got {n}"
         )
     return (
         pi

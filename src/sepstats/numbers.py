@@ -21,7 +21,6 @@ an independent oracle for the summation identities.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 __all__ = [
     "binomial",
@@ -253,12 +252,3 @@ def rising_factorial_coeffs(n: int) -> dict[int, int]:
             nxt[e] = nxt.get(e, 0) + c * a
         poly = nxt
     return dict(sorted(poly.items()))
-
-
-def as_fraction(value: int | Fraction) -> Fraction:
-    """Coerce an exact coefficient to a Fraction (helper for serialization).
-
-    >>> as_fraction(3)
-    Fraction(3, 1)
-    """
-    return value if isinstance(value, Fraction) else Fraction(value)

@@ -37,6 +37,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "VARIABLES",
     "ENGINE_VERSION",
+    "MAX_ORDER",
+    "check_order",
     "MultiPoly",
     "TruncSeries",
     "parse_poly",
@@ -55,6 +57,12 @@ VARIABLES: tuple[str, ...] = ("p", "q", "x", "y", "u", "v")
 #: Bumped whenever the serialized format or the solver semantics change;
 #: part of every cache key.
 ENGINE_VERSION = 1
+
+#: Bits per variable in a packed monomial key.
+LANE_BITS = 8
+#: Largest truncation order the series roots accept.  A coefficient of t^n
+#: has no exponent above n, so this is the largest exponent a lane holds.
+MAX_ORDER = (1 << LANE_BITS) - 1
 
 _SHIFT: dict[str, int] = {name: 8 * i for i, name in enumerate(VARIABLES)}
 _LANE: dict[str, int] = {name: 0xFF << s for name, s in _SHIFT.items()}
@@ -76,6 +84,15 @@ def _unpack(key: int) -> Exponents:
     return tuple((key >> s) & 0xFF for s in (0, 8, 16, 24, 32, 40))  # type: ignore[return-value]
 
 
+def check_order(order: int) -> None:
+    """Reject a truncation order whose exponents could overflow a lane."""
+    if order > MAX_ORDER:
+        raise ValueError(
+            f"series order {order} exceeds {MAX_ORDER}, the largest exponent "
+            f"one {LANE_BITS}-bit lane holds"
+        )
+
+
 def _normalize_coeff(c: Coeff) -> Coeff:
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
@@ -88,6 +105,12 @@ class MultiPoly:
     Instances are immutable by convention; all operations return fresh
     objects.  The raw constructor trusts its dict (packed keys, no zero
     coefficients) — use the classmethod constructors for external data.
+
+    Each exponent lives in a ``LANE_BITS``-wide lane, so no exponent may
+    exceed ``MAX_ORDER`` (255).  Constructors check this; products do not,
+    for speed: an exponent sum past 255 carries into the next variable.
+    Series code stays inside the limit because :func:`solve_fixpoint` and
+    the closed forms' radical reject orders above ``MAX_ORDER``.
 
     >>> f = MultiPoly.variable("x") + 2 * MultiPoly.variable("y")
     >>> str(f * f)
@@ -423,18 +446,6 @@ class TruncSeries:
             coeffs[power] = poly
         return cls(coeffs)
 
-    @classmethod
-    def from_coefficients(
-        cls, order: int, data: Mapping[int, MultiPoly | Coeff]
-    ) -> "TruncSeries":
-        coeffs = [MultiPoly.zero()] * (order + 1)
-        for power, poly in data.items():
-            if isinstance(poly, (int, Fraction)):
-                poly = MultiPoly.constant(poly)
-            if 0 <= power <= order:
-                coeffs[power] = coeffs[power] + poly
-        return cls(coeffs)
-
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, n: int) -> MultiPoly:
@@ -466,13 +477,6 @@ class TruncSeries:
                 f"cannot extend a series of order {self.order} to {order}"
             )
         return TruncSeries(self._coeffs[: order + 1])
-
-    def agrees_with(self, other: "TruncSeries", through: int | None = None) -> bool:
-        """Exact coefficient agreement up to min(orders, ``through``)."""
-        limit = min(self.order, other.order)
-        if through is not None:
-            limit = min(limit, through)
-        return all(self._coeffs[n] == other._coeffs[n] for n in range(limit + 1))
 
     def first_difference(
         self, other: "TruncSeries", through: int | None = None
@@ -538,14 +542,6 @@ class TruncSeries:
         return TruncSeries(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "TruncSeries":
-        if exponent < 0:
-            raise ValueError("negative powers are not supported; use invert()")
-        result = TruncSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; requires an invertible constant term.
@@ -631,12 +627,6 @@ class TruncSeries:
         """Substitute ``value`` (default 1) for ``var`` in every coefficient."""
         return TruncSeries([c.specialize(var, value) for c in self._coeffs])
 
-    def specialize_all(self, names: Iterable[str]) -> "TruncSeries":
-        out = self
-        for name in names:
-            out = out.specialize(name)
-        return out
-
     def map_variables(self, mapping: Mapping[str, str]) -> "TruncSeries":
         """Rename variable lanes in every coefficient."""
         return TruncSeries([c.map_variables(mapping) for c in self._coeffs])
@@ -704,6 +694,7 @@ def _solve_fixpoint_cached(
 ) -> tuple[TruncSeries, TruncSeries]:
     if order < 1:
         raise ValueError(f"fixpoint order must be >= 1, got {order}")
+    check_order(order)
     present = set(active)
 
     def var_or_one(name: str) -> MultiPoly:

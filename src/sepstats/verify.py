@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -36,9 +36,10 @@ from .distributions import (
     series_from_enumeration,
 )
 from .enumeration import (
+    CLASSES,
+    class_part,
     count_irreducible,
     count_separable,
-    enumerate_structural,
     iter_separable_bytes,
 )
 from .permutations import (
@@ -346,83 +347,83 @@ def verify_asc_des(order: int = 20) -> CheckReport:
 # Closed forms vs. fixpoint and census
 # ---------------------------------------------------------------------------
 
-_CLASSES = ("all", "irreducible", "reducible")
-
-
 def _master(order: int) -> dict[str, TruncSeries]:
     s, i = solve_fixpoint(order, VARIABLES)
-    return {"all": s, "irreducible": i, "reducible": s - i}
+    return {cls: class_part(cls, s, i) for cls in CLASSES}
 
 
 def _census(order: int) -> dict[str, TruncSeries]:
     s = series_from_enumeration(order, "all")
     i = series_from_enumeration(order, "irreducible")
-    return {"all": s, "irreducible": i, "reducible": s - i}
+    return {cls: class_part(cls, s, i) for cls in CLASSES}
 
 
-def _check_closed_family(
-    label: str,
-    builders: Mapping[str, dict[str, TruncSeries]],
-    lanes_of: Mapping[str, tuple[str, ...]],
-    order: int,
-    census_order: int,
-) -> str:
-    master = _master(order)
-    census = _census(census_order)
-    for name, by_class in builders.items():
-        for cls, closed in by_class.items():
-            want_fix = _keep_only(master[cls], lanes_of[name])
-            _expect_agree(closed, want_fix, order, f"{label} {name} {cls} vs fixpoint")
-            want_cen = _keep_only(census[cls], lanes_of[name])
-            _expect_agree(
-                closed, want_cen, census_order, f"{label} {name} {cls} vs census"
-            )
-    n_variants = sum(len(v) for v in builders.values())
-    return (
-        f"{n_variants} series match fixpoint to order {order} "
-        f"and census to order {census_order}"
-    )
+def _exchange_identity(order: int) -> str:
+    s_y, i_y = solve_fixpoint(order, ("y",))
+    s_u, i_u = solve_fixpoint(order, ("u",))
+    _expect_zero(s_u * i_y - i_u * s_y, "S/I exchange identity")
+    return "; exchange identity holds"
+
+
+#: Closed-form check id -> (witness label, statistic tuples, extra step).
+#: Every tuple's closed form is checked in every class against the fixpoint
+#: and the census; the extra step, if any, adds to the report's detail.
+_CLOSED_FORM_CHECKS: dict[
+    str,
+    tuple[str, Sequence[tuple[str, ...]], Callable[[int], str] | None],
+] = {
+    "single-stat-closed-forms": (
+        "single",
+        [("lmax",), ("rmax",), ("lmin",), ("rmin",)],
+        None,
+    ),
+    "pair-set2-closed-forms": ("pair", cf.SET2_PAIRS, None),
+    "pair-set1-closed-forms": ("pair", cf.SET1_PAIRS, _exchange_identity),
+    "triple-closed-forms": ("triple", cf.TRIPLES, None),
+    "quad-closed-form": ("quad", [("lmax", "rmax", "lmin", "rmin")], None),
+}
+
+
+def _check_closed_forms(check_id: str, order: int, census_order: int) -> CheckReport:
+    label, tuples, extra = _CLOSED_FORM_CHECKS[check_id]
+
+    def body() -> str:
+        master = _master(order)
+        census = _census(census_order)
+        for stats_tuple in tuples:
+            name = "-".join(stats_tuple)
+            lanes = _lanes(stats_tuple)
+            for cls in CLASSES:
+                closed = cf.closed_form(order, stats_tuple, cls)
+                want_fix = _keep_only(master[cls], lanes)
+                _expect_agree(
+                    closed, want_fix, order, f"{label} {name} {cls} vs fixpoint"
+                )
+                want_cen = _keep_only(census[cls], lanes)
+                _expect_agree(
+                    closed, want_cen, census_order, f"{label} {name} {cls} vs census"
+                )
+        detail = (
+            f"{len(tuples) * len(CLASSES)} series match fixpoint to order "
+            f"{order} and census to order {census_order}"
+        )
+        return detail + extra(order) if extra else detail
+
+    return _report(check_id, body)
 
 
 def verify_single_stat_closed_forms(
     order: int = 12, census_order: int = 9
 ) -> CheckReport:
     """Two-radical S(t,z) and its irreducible/reducible split, per statistic."""
-
-    def body() -> str:
-        builders: dict[str, dict[str, TruncSeries]] = {}
-        lanes_of: dict[str, tuple[str, ...]] = {}
-        for stat in ("lmax", "rmax", "lmin", "rmin"):
-            builders[stat] = {
-                "all": cf.closed_form_S_single(order, stat),
-                "irreducible": cf.closed_form_I_single(order, stat),
-                "reducible": cf.closed_form_R_single(order, stat),
-            }
-            lanes_of[stat] = _lanes((stat,))
-        return _check_closed_family(
-            "single", builders, lanes_of, order, census_order
-        )
-
-    return _report("single-stat-closed-forms", body)
+    return _check_closed_forms("single-stat-closed-forms", order, census_order)
 
 
 def verify_pair_set2_closed_forms(
     order: int = 12, census_order: int = 9
 ) -> CheckReport:
     """Product-style pair closed forms, all four ordered pairs, all classes."""
-
-    def body() -> str:
-        builders = {}
-        lanes_of = {}
-        for pair in cf.SET2_PAIRS:
-            name = "-".join(pair)
-            builders[name] = {
-                c: cf.closed_form_pair_set2(order, pair, c) for c in _CLASSES
-            }
-            lanes_of[name] = _lanes(pair)
-        return _check_closed_family("pair", builders, lanes_of, order, census_order)
-
-    return _report("pair-set2-closed-forms", body)
+    return _check_closed_forms("pair-set2-closed-forms", order, census_order)
 
 
 def verify_pair_set1_closed_forms(
@@ -430,61 +431,19 @@ def verify_pair_set1_closed_forms(
 ) -> CheckReport:
     """Composite pair closed forms plus the S(t,a)I(t,b) = I(t,a)S(t,b)
     exchange identity they rely on."""
-
-    def body() -> str:
-        builders = {}
-        lanes_of = {}
-        for pair in cf.SET1_PAIRS:
-            name = "-".join(pair)
-            builders[name] = {
-                c: cf.closed_form_pair_set1(order, pair, c) for c in _CLASSES
-            }
-            lanes_of[name] = _lanes(pair)
-        detail = _check_closed_family(
-            "pair", builders, lanes_of, order, census_order
-        )
-        s_y, i_y = solve_fixpoint(order, ("y",))
-        s_u, i_u = solve_fixpoint(order, ("u",))
-        _expect_zero(s_u * i_y - i_u * s_y, "S/I exchange identity")
-        return detail + "; exchange identity holds"
-
-    return _report("pair-set1-closed-forms", body)
+    return _check_closed_forms("pair-set1-closed-forms", order, census_order)
 
 
 def verify_triple_closed_forms(
     order: int = 12, census_order: int = 9
 ) -> CheckReport:
     """Triple closed forms (E- and A-function based), all four triples."""
-
-    def body() -> str:
-        builders = {}
-        lanes_of = {}
-        for triple in cf.TRIPLES:
-            name = "-".join(triple)
-            builders[name] = {
-                c: cf.closed_form_triple(order, triple, c) for c in _CLASSES
-            }
-            lanes_of[name] = _lanes(triple)
-        return _check_closed_family(
-            "triple", builders, lanes_of, order, census_order
-        )
-
-    return _report("triple-closed-forms", body)
+    return _check_closed_forms("triple-closed-forms", order, census_order)
 
 
 def verify_quad_closed_form(order: int = 12, census_order: int = 9) -> CheckReport:
     """The four-statistic closed form and its class split."""
-
-    def body() -> str:
-        builders = {
-            "lmax-rmax-lmin-rmin": {
-                c: cf.closed_form_quad(order, c) for c in _CLASSES
-            }
-        }
-        lanes_of = {"lmax-rmax-lmin-rmin": ("x", "y", "u", "v")}
-        return _check_closed_family("quad", builders, lanes_of, order, census_order)
-
-    return _report("quad-closed-form", body)
+    return _check_closed_forms("quad-closed-form", order, census_order)
 
 
 def verify_e_function_identities(order: int = 12) -> CheckReport:
@@ -522,13 +481,6 @@ def verify_e_function_identities(order: int = 12) -> CheckReport:
 
 _SINGLE_SET = ("lmax", "rmax", "lmin", "rmin")
 _SET2 = (("lmax", "rmax"), ("lmin", "rmin"), ("lmin", "lmax"), ("rmin", "rmax"))
-_SET1 = (("rmax", "lmin"), ("lmax", "rmin"))
-_TRIPLE_SET = (
-    ("lmax", "rmax", "lmin"),
-    ("lmin", "rmin", "lmax"),
-    ("rmin", "rmax", "lmin"),
-    ("rmax", "rmin", "lmax"),
-)
 
 
 def verify_equidistribution(max_n: int = 8) -> CheckReport:
@@ -540,8 +492,8 @@ def verify_equidistribution(max_n: int = 8) -> CheckReport:
             for family in (
                 tuple((s,) for s in _SINGLE_SET),
                 _SET2,
-                _SET1,
-                _TRIPLE_SET,
+                cf.SET1_PAIRS,
+                cf.TRIPLES,
             ):
                 reference = None
                 ref_name = family[0]
@@ -1026,6 +978,15 @@ _CONJECTURES = {
         "from_n": 1,
     },
 }
+#: Smallest evidence depth that reaches every conjecture's stated range.
+_MIN_CONJECTURE_N = max(spec["from_n"] for spec in _CONJECTURES.values())
+
+
+def _check_conjecture_n(max_n: int) -> None:
+    if max_n < _MIN_CONJECTURE_N:
+        raise ValueError(
+            f"conjecture evidence needs max_n >= {_MIN_CONJECTURE_N}, got {max_n}"
+        )
 
 
 def conjecture_rows(
@@ -1036,7 +997,7 @@ def conjecture_rows(
     other checks)."""
     lane = STAT_TO_VARIABLE[stat]
     s, i = solve_fixpoint(max_n, (lane,))
-    series = {"all": s, "irreducible": i, "reducible": s - i}[perm_class]
+    series = class_part(perm_class, s, i)
     return {
         n: counts_by_variable(series.coefficient(n), lane)
         for n in range(1, max_n + 1)
@@ -1049,6 +1010,7 @@ def check_conjectures(max_n: int = 12) -> list[CheckReport]:
     A pass certifies the claim over n <= max_n only; these are open
     conjectures and the reports are explicit about the finite range.
     """
+    _check_conjecture_n(max_n)
     reports = []
     for check_id, spec in _CONJECTURES.items():
         def body(spec=spec) -> str:
@@ -1181,6 +1143,8 @@ def run_all(
             raise ValueError(
                 f"unknown checks {unknown}; available: {sorted(ALL_CHECKS)}"
             )
+    if "conjectures" in names:
+        _check_conjecture_n(conjecture_n)
     reports: list[CheckReport] = []
     for name in names:
         if name == "conjectures":

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from sepstats.cli import SERIES_REGISTRY, build_parser, main
+from sepstats.series import ENGINE_VERSION
 
 
 def run(capsys, *argv):
@@ -163,6 +164,31 @@ def test_series_cache_round_trip(tmp_path, capsys):
     assert cached[0].read_bytes() == before  # cache reused, not rewritten
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda good: good[: len(good) // 2],  # truncated by a crash
+        lambda good: json.dumps({**json.loads(good), "coefficients": {}}),
+        lambda good: "[]",
+    ],
+    ids=["truncated", "missing-coefficients", "not-a-document"],
+)
+def test_series_bad_cache_file_is_recomputed(tmp_path, capsys, damage):
+    args = ("series", "rmax", "--class", "irr", "--order", "5")
+    name = f"rmax-irreducible-order5-v{ENGINE_VERSION}.json"
+    clean_dir, bad_dir = tmp_path / "clean", tmp_path / "bad"
+    _, clean_out, _ = run(capsys, *args, "--cache-dir", str(clean_dir))
+    good = (clean_dir / name).read_text()
+    bad_dir.mkdir()
+    (bad_dir / name).write_text(damage(good))
+    code, out, err = run(capsys, *args, "--cache-dir", str(bad_dir))
+    assert code == 0
+    assert out == clean_out
+    assert err.startswith("note:") and err.count("\n") == 1
+    assert [p.name for p in bad_dir.iterdir()] == [name]  # no temporary left
+    assert (bad_dir / name).read_text() == good
+
+
 def test_series_registry_covers_all_closed_forms():
     assert {"counting", "asc-des", "joint", "rmax", "lmax-rmax",
             "rmax-lmin", "lmax-rmax-lmin", "lmax-rmax-lmin-rmin"} <= set(
@@ -211,14 +237,36 @@ def test_conjectures_output(capsys):
     assert out.count("PASS") == 3
 
 
-# -- global flags -----------------------------------------------------------
+# -- errors and global flags ------------------------------------------------
 
 
-def test_threads_flag_accepted_with_note(capsys):
-    code, out, err = run(capsys, "--threads", "8", "enumerate", "3", "--count")
-    assert code == 0
-    assert out.strip() == "6"
-    assert "sequential" in err
+@pytest.mark.parametrize(
+    "argv, starts",
+    [
+        ("series joint --order 0", "error:"),
+        ("series asc-des --order 0", "error:"),
+        ("series rmax --order 300", "error:"),
+        ("conjectures --max-n 0", "error:"),
+        ("conjectures --max-n 300", "error:"),
+        ("verify --max-n 2 conjectures", "error:"),
+        ("dist 0", "error:"),
+        ("enumerate 0", "error:"),
+        ("--threads 2 enumerate 3", "usage:"),  # the flag is gone
+    ],
+)
+def test_bad_input_exits_2_without_traceback(
+    capsys, monkeypatch, tmp_path, argv, starts
+):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # argparse rejects the command line itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(starts)
+    assert "Traceback" not in captured.err
 
 
 def test_version_flag(capsys):

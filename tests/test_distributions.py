@@ -6,7 +6,6 @@ import pytest
 
 from sepstats.closedforms import SET2_PAIRS, closed_form_pair_set2
 from sepstats.distributions import (
-    DEFAULT_CENSUS_CAP,
     STAT_NAMES,
     STAT_TO_VARIABLE,
     canonical_class,
@@ -17,7 +16,7 @@ from sepstats.distributions import (
     render_table,
     series_from_enumeration,
 )
-from sepstats.enumeration import count_irreducible, count_separable
+from sepstats.enumeration import HARD_CAP, count_irreducible, count_separable
 from sepstats.series import VARIABLES, parse_poly
 
 
@@ -85,9 +84,11 @@ def test_series_from_enumeration_matches_dist():
 
 def test_series_from_enumeration_cap():
     with pytest.raises(ValueError):
-        series_from_enumeration(DEFAULT_CENSUS_CAP + 1)
+        series_from_enumeration(HARD_CAP + 1)
     with pytest.raises(ValueError):
-        dist_from_enumeration(DEFAULT_CENSUS_CAP + 1, "all", ("rmax",))
+        series_from_enumeration(0)
+    with pytest.raises(ValueError):
+        dist_from_enumeration(HARD_CAP + 1, "all", ("rmax",))
 
 
 def test_counts_by_variable():

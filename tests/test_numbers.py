@@ -1,12 +1,10 @@
 """Cross-checks between independent routes to the classical numbers."""
 
 import math
-from fractions import Fraction
 
 import pytest
 
 from sepstats.numbers import (
-    as_fraction,
     binomial,
     catalan,
     catalan_bruteforce,
@@ -100,12 +98,6 @@ def test_rising_factorial_coeffs_expand_the_product():
             poly = nxt
         poly = {e: c for e, c in poly.items() if c}
         assert rising_factorial_coeffs(n) == poly
-
-
-def test_as_fraction():
-    assert as_fraction(3) == Fraction(3)
-    assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
-    assert isinstance(as_fraction(3), Fraction)
 
 
 def test_negative_arguments_rejected():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sepstats.series import (
+    MAX_ORDER,
     MultiPoly,
     TruncSeries,
     VARIABLES,
@@ -114,7 +115,7 @@ def test_series_specialize_and_agreement():
     s_y = s.specialize("x")
     s_plain = solve_fixpoint(6, ("y",))[0]
     assert s_y == s_plain
-    assert s_y.agrees_with(s_plain, through=6)
+    assert s_y.first_difference(s_plain, through=6) is None
     assert s_y.first_difference(s) is not None  # different variable sets
 
 
@@ -128,6 +129,29 @@ def test_fixpoint_counting_specialization():
     for n in range(1, 11):
         assert s.coefficient(n).constant_term() == sep[n - 1]
         assert i.coefficient(n).constant_term() == irr[n - 1]
+
+
+def test_series_roots_enforce_the_lane_width():
+    from sepstats.closedforms import (
+        closed_form_S_single,
+        discriminant_root,
+        schroeder_gf,
+    )
+
+    # the largest accepted order at both roots, which agree there
+    s, _ = solve_fixpoint(MAX_ORDER, ())
+    assert MAX_ORDER == 255
+    assert s.coefficient(MAX_ORDER) == schroeder_gf(MAX_ORDER).coefficient(MAX_ORDER)
+    assert discriminant_root(MAX_ORDER).order == MAX_ORDER
+    # the first rejected order, before any work is done; a closed form of
+    # order n takes the radical at order n + 1
+    for root, order in (
+        (lambda n: solve_fixpoint(n, ("y",)), MAX_ORDER + 1),
+        (discriminant_root, MAX_ORDER + 1),
+        (closed_form_S_single, MAX_ORDER),
+    ):
+        with pytest.raises(ValueError, match="exceeds 255"):
+            root(order)
 
 
 def test_fixpoint_known_low_order_coefficients():

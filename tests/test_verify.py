@@ -3,6 +3,7 @@
 import pytest
 
 from sepstats import closedforms, verify
+from sepstats.distributions import STAT_TO_VARIABLE
 from sepstats.series import MultiPoly, TruncSeries
 
 # -- report plumbing --------------------------------------------------------
@@ -94,6 +95,35 @@ def test_corrupted_closed_form_fails_with_witness(monkeypatch):
     assert report.verdict == "fail"
     assert report.first_fail == 5
     assert "t^5" in report.witness
+
+
+@pytest.mark.parametrize(
+    "check_id",
+    [
+        "single-stat-closed-forms",
+        "pair-set2-closed-forms",
+        "pair-set1-closed-forms",
+        "triple-closed-forms",
+        "quad-closed-form",
+    ],
+)
+def test_every_closed_form_check_fails_on_a_bumped_coefficient(
+    monkeypatch, check_id
+):
+    real = closedforms.closed_form
+    k = 4
+
+    def tampered(order, stats, perm_class="all"):
+        lane = STAT_TO_VARIABLE[stats[0]]
+        return real(order, stats, perm_class) + TruncSeries.term(
+            order, k, MultiPoly.variable(lane)
+        )
+
+    monkeypatch.setattr(closedforms, "closed_form", tampered)
+    report = verify.ALL_CHECKS[check_id](order=6, census_order=5)
+    assert report.verdict == "fail"
+    assert report.first_fail == k
+    assert f"t^{k}" in report.witness
 
 
 def test_corrupted_table_fails(monkeypatch):
