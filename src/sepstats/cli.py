@@ -109,7 +109,7 @@ SERIES_REGISTRY: dict[str, Callable[[int, str], TruncSeries]] = {
     "joint": _build_joint,
 }
 for _stats in (
-    [("lmax",), ("rmax",), ("lmin",), ("rmin",)]
+    list(closedforms.SINGLES)
     + list(closedforms.SET2_PAIRS)
     + list(closedforms.SET1_PAIRS)
     + list(closedforms.TRIPLES)

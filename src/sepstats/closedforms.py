@@ -32,6 +32,7 @@ from .enumeration import canonical_class
 from .series import MultiPoly, TruncSeries, check_order, solve_fixpoint
 
 __all__ = [
+    "SINGLES",
     "SET2_PAIRS",
     "SET1_PAIRS",
     "TRIPLES",
@@ -51,6 +52,9 @@ __all__ = [
     "asc_des_irr_residual",
     "des_cubic_residual",
 ]
+
+#: The single statistics with closed forms, as one-statistic tuples.
+SINGLES: tuple[tuple[str], ...] = (("lmax",), ("rmax",), ("lmin",), ("rmin",))
 
 #: Ordered statistic pairs whose joint distribution is a rational function
 #: of two single-statistic series (the "set 2" family).

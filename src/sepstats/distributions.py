@@ -2,9 +2,10 @@
 
 Two independent routes produce distribution data:
 
-* a census route (:func:`dist_from_enumeration`,
-  :func:`series_from_enumeration`) that walks the structural enumeration
-  stream and tallies statistic profiles permutation by permutation, and
+* a census route that tallies the six statistics over the structural
+  enumeration stream once per (length, class) and memoizes the tally, from
+  which every :func:`dist_from_enumeration` table and
+  :func:`series_from_enumeration` coefficient is read, and
 * the series route in :mod:`sepstats.series` / :mod:`sepstats.closedforms`
   built from functional equations.
 
@@ -140,6 +141,19 @@ class DistTable:
         return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
 
 
+@functools.lru_cache(maxsize=None)
+def _census(n: int, cls: str) -> MultiPoly:
+    """Sum of p^asc q^des x^lmax y^rmax u^lmin v^rmin over the length-n
+    permutations of the canonical class ``cls``: the one walk of the
+    stream per (n, class)."""
+    counts: dict[tuple[int, ...], int] = {}
+    for word in iter_separable_bytes(n, cls):
+        key = _stats_of_sequence(word).monomial()
+        counts[key] = counts.get(key, 0) + 1
+    DistTable(cls, STAT_NAMES, {n: counts}).check_totals()
+    return MultiPoly.from_exponents(counts)
+
+
 def dist_from_enumeration(
     n: int,
     perm_class: str = "all",
@@ -153,23 +167,18 @@ def dist_from_enumeration(
     cls = canonical_class(perm_class)
     indices = _stat_indices(stats)
     counts: dict[tuple[int, ...], int] = {}
-    for word in iter_separable_bytes(n, cls):
-        profile = _stats_of_sequence(word).monomial()
+    for profile, c in _census(n, cls).terms():
         key = tuple(profile[i] for i in indices)
-        counts[key] = counts.get(key, 0) + 1
-    table = DistTable(cls, tuple(stats), {n: counts})
-    table.check_totals()
-    return table
+        counts[key] = counts.get(key, 0) + c
+    return DistTable(cls, tuple(stats), {n: counts})
 
 
-@functools.lru_cache(maxsize=None)
 def series_from_enumeration(order: int, perm_class: str = "all") -> TruncSeries:
     """The six-variable joint distribution series built by direct census.
 
     The coefficient of t^n is the sum over class permutations of length n
     of p^asc q^des x^lmax y^rmax u^lmin v^rmin.  This is the
-    enumeration-side oracle for the functional-equation solver.  Cached:
-    verification runs compare many closed forms against the same census.
+    enumeration-side oracle for the functional-equation solver.
 
     >>> S = series_from_enumeration(1)
     >>> str(S.coefficient(1))
@@ -180,22 +189,8 @@ def series_from_enumeration(order: int, perm_class: str = "all") -> TruncSeries:
         raise ValueError(
             f"the census is capped at 1 <= order <= {HARD_CAP}, got {order}"
         )
-    coeffs: list[MultiPoly] = [MultiPoly.zero()]
-    for n in range(1, order + 1):
-        counts: dict[tuple[int, ...], int] = {}
-        for word in iter_separable_bytes(n, cls):
-            key = _stats_of_sequence(word).monomial()
-            counts[key] = counts.get(key, 0) + 1
-        poly = MultiPoly.from_exponents(counts)
-        expected = class_count(cls, n)
-        total = sum(c for _, c in poly.terms())
-        if total != expected:
-            raise AssertionError(
-                f"census series coefficient t^{n} sums to {total}, "
-                f"expected {expected} ({cls})"
-            )
-        coeffs.append(poly)
-    return TruncSeries(coeffs)
+    coeffs = [_census(n, cls) for n in range(1, order + 1)]
+    return TruncSeries([MultiPoly.zero(), *coeffs])
 
 
 def counts_by_variable(poly: MultiPoly, var: str) -> dict[int, int]:

@@ -254,17 +254,22 @@ def enumerate_filter(n: int) -> Iterator[Permutation]:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _half_count(n: int) -> int:
-    """Number of sum-decomposable separables of length n (n >= 2).
-
-    Convolution over the first summand: sum-indecomposable head of length i
-    times any separable tail of length n - i.
-    """
-    return sum(count_irreducible(i) * count_separable(n - i) for i in range(1, n))
+#: Separable and irreducible separable counts by length (index 0 unused).
+_SEPARABLE_COUNTS: list[int] = [0, 1]
+_IRREDUCIBLE_COUNTS: list[int] = [0, 1]
 
 
-@functools.lru_cache(maxsize=None)
+def _extend_counts(n: int) -> None:
+    """Fill the count tables from the bottom up through length ``n``: the
+    sum-decomposables of length m (a sum-indecomposable head of length i,
+    any separable tail) are half of them, the irreducibles the other half."""
+    sep, irr = _SEPARABLE_COUNTS, _IRREDUCIBLE_COUNTS
+    for m in range(len(sep), n + 1):
+        half = sum(irr[i] * sep[m - i] for i in range(1, m))
+        sep.append(2 * half)
+        irr.append(half)
+
+
 def count_separable(n: int) -> int:
     """Number of separable permutations of length n (large Schroeder numbers).
 
@@ -276,12 +281,10 @@ def count_separable(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"count_separable requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    return 2 * _half_count(n)
+    _extend_counts(n)
+    return _SEPARABLE_COUNTS[n]
 
 
-@functools.lru_cache(maxsize=None)
 def count_irreducible(n: int) -> int:
     """Number of irreducible separable permutations of length n.
 
@@ -294,6 +297,5 @@ def count_irreducible(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"count_irreducible requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    return _half_count(n)
+    _extend_counts(n)
+    return _IRREDUCIBLE_COUNTS[n]

@@ -556,19 +556,17 @@ class TruncSeries:
                 "invert requires a nonzero constant t^0 coefficient, got "
                 f"{c0}"
             )
-        inv0 = Fraction(1) / Fraction(c0.constant_term())
-        out = [MultiPoly.constant(inv0)]
+        b0 = c0.constant_term()
+        out = [_divide_exact(MultiPoly.one(), b0)]
         for n in range(1, self.order + 1):
+            # b_0 out_n = -sum_{k=1..n} b_k out_{n-k}
             acc = MultiPoly.zero()
             for k in range(1, n + 1):
                 bk = self._coeffs[k]
                 if bk:
                     acc = acc + bk * out[n - k]
-            out.append(acc * (-inv0))
-        return TruncSeries([_normalized_poly(c) for c in out])
-
-    def __truediv__(self, other: "TruncSeries | MultiPoly | Coeff") -> "TruncSeries":
-        return self.divide(self._coerce(other, self.order))
+            out.append(_divide_exact(acc, -b0))
+        return TruncSeries(out)
 
     def divide(self, divisor: "TruncSeries") -> "TruncSeries":
         """Exact series division.
@@ -596,9 +594,8 @@ class TruncSeries:
         return TruncSeries([_normalized_poly(c) for c in quot._coeffs])
 
     def sqrt(self) -> "TruncSeries":
-        """Square root by Newton iteration, doubling the correct order.
-
-        Requires constant term exactly 1.
+        """Square root of a series with constant term exactly 1, by the
+        recurrence g_0 = 1, g_n = (f_n - sum_{k=1..n-1} g_k g_{n-k}) / 2.
 
         >>> t = TruncSeries.t(6)
         >>> s = (1 - 6 * t + t * t).sqrt()
@@ -607,19 +604,18 @@ class TruncSeries:
         """
         if self._coeffs[0] != MultiPoly.one():
             raise ValueError("sqrt requires constant term exactly 1")
-        half = Fraction(1, 2)
-        approx = TruncSeries.one(0)
-        correct = 0
-        while correct < self.order:
-            target = min(2 * correct + 1, self.order)
-            ext = TruncSeries(
-                list(approx._coeffs[: correct + 1])
-                + [MultiPoly.zero()] * (target - correct)
-            )
-            a = self.truncate(target)
-            approx = (ext + a * ext.invert()) * half
-            correct = target
-        return TruncSeries([_normalized_poly(c) for c in approx._coeffs])
+        g = [MultiPoly.one()]
+        for n in range(1, self.order + 1):
+            # The sum is symmetric in k <-> n - k: each pair below the middle
+            # counts twice, the middle square (n even) once.
+            pairs = MultiPoly.zero()
+            for k in range(1, (n + 1) // 2):
+                pairs = pairs + g[k] * g[n - k]
+            acc = self._coeffs[n] - pairs - pairs
+            if n % 2 == 0:
+                acc = acc - g[n // 2] * g[n // 2]
+            g.append(_divide_exact(acc, 2))
+        return TruncSeries(g)
 
     # -- specialization ----------------------------------------------------
 
@@ -662,6 +658,16 @@ class TruncSeries:
 def _normalized_poly(poly: MultiPoly) -> MultiPoly:
     terms = {k: _normalize_coeff(c) for k, c in poly._terms.items() if c}
     return MultiPoly(terms)
+
+
+def _divide_exact(poly: MultiPoly, d: Coeff) -> MultiPoly:
+    """``poly / d`` coefficientwise for a nonzero scalar ``d``: an ``int``
+    wherever the quotient is whole, a ``Fraction`` otherwise."""
+    out: dict[int, Coeff] = {}
+    for k, c in poly._terms.items():
+        q, r = divmod(c, d)
+        out[k] = Fraction(c) / d if r else q
+    return MultiPoly(out)
 
 
 def assert_counting_series(series: TruncSeries, what: str = "series") -> None:

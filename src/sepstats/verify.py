@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import closedforms as cf
 from . import numbers
 from .distributions import (
+    STAT_NAMES,
     STAT_TO_VARIABLE,
     counts_by_variable,
     dist_from_enumeration,
@@ -56,6 +57,7 @@ from .series import (
     MultiPoly,
     TruncSeries,
     VARIABLES,
+    check_order,
     parse_poly,
     solve_fixpoint,
 )
@@ -372,11 +374,7 @@ _CLOSED_FORM_CHECKS: dict[
     str,
     tuple[str, Sequence[tuple[str, ...]], Callable[[int], str] | None],
 ] = {
-    "single-stat-closed-forms": (
-        "single",
-        [("lmax",), ("rmax",), ("lmin",), ("rmin",)],
-        None,
-    ),
+    "single-stat-closed-forms": ("single", cf.SINGLES, None),
     "pair-set2-closed-forms": ("pair", cf.SET2_PAIRS, None),
     "pair-set1-closed-forms": ("pair", cf.SET1_PAIRS, _exchange_identity),
     "triple-closed-forms": ("triple", cf.TRIPLES, None),
@@ -479,7 +477,6 @@ def verify_e_function_identities(order: int = 12) -> CheckReport:
 # Exhaustive small-n checks: equidistribution and symmetries
 # ---------------------------------------------------------------------------
 
-_SINGLE_SET = ("lmax", "rmax", "lmin", "rmin")
 _SET2 = (("lmax", "rmax"), ("lmin", "rmin"), ("lmin", "lmax"), ("rmin", "rmax"))
 
 
@@ -490,7 +487,7 @@ def verify_equidistribution(max_n: int = 8) -> CheckReport:
     def body() -> str:
         for n in range(1, max_n + 1):
             for family in (
-                tuple((s,) for s in _SINGLE_SET),
+                cf.SINGLES,
                 _SET2,
                 cf.SET1_PAIRS,
                 cf.TRIPLES,
@@ -556,9 +553,7 @@ def verify_symmetries(max_n: int = 8) -> CheckReport:
     the reducibility flips, exhaustively on separable permutations."""
 
     def body() -> str:
-        stat_index = {s: k for k, s in enumerate(
-            ("asc", "des", "lmax", "rmax", "lmin", "rmin")
-        )}
+        stat_index = {s: k for k, s in enumerate(STAT_NAMES)}
         for n in range(1, max_n + 1):
             for word in iter_separable_bytes(n, "all"):
                 pi = Permutation(tuple(word))
@@ -574,10 +569,7 @@ def verify_symmetries(max_n: int = 8) -> CheckReport:
                             f"{op.__name__}({pi}) left the class", first_fail=n
                         )
                     got = stats(image).monomial()
-                    want = tuple(
-                        prof[stat_index[stat_map[s]]]
-                        for s in ("asc", "des", "lmax", "rmax", "lmin", "rmin")
-                    )
+                    want = tuple(prof[stat_index[stat_map[s]]] for s in STAT_NAMES)
                     if got != want:
                         raise CheckFailure(
                             f"{op.__name__}({pi}) statistics {got} != {want}",
@@ -639,9 +631,7 @@ def verify_factorization(order: int = 12) -> CheckReport:
     return _report("reducible-factorization", body)
 
 
-def _transfer_tuples() -> list[tuple[str, ...]]:
-    singles = [(s,) for s in _SINGLE_SET]
-    return singles + list(cf.SET2_PAIRS) + list(cf.SET1_PAIRS) + list(cf.TRIPLES)
+_TRANSFER_TUPLES = cf.SINGLES + cf.SET2_PAIRS + cf.SET1_PAIRS + cf.TRIPLES
 
 
 def verify_transfer(order: int = 12) -> CheckReport:
@@ -657,7 +647,7 @@ def verify_transfer(order: int = 12) -> CheckReport:
             ("reverse", _REVERSE_STAT),
             ("complement", _COMPLEMENT_STAT),
         ):
-            for stats_tuple in _transfer_tuples():
+            for stats_tuple in _TRANSFER_TUPLES:
                 image = tuple(stat_map[s] for s in stats_tuple)
                 lanes = _lanes(stats_tuple)
                 image_lanes = _lanes(image)
@@ -987,6 +977,7 @@ def _check_conjecture_n(max_n: int) -> None:
         raise ValueError(
             f"conjecture evidence needs max_n >= {_MIN_CONJECTURE_N}, got {max_n}"
         )
+    check_order(max_n)
 
 
 def conjecture_rows(

@@ -1,0 +1,76 @@
+"""The benchmark tracer's hooks: every name it wraps still exists, its
+wrappers see the census's calls, and uninstalling restores everything."""
+
+import importlib.util
+from pathlib import Path
+
+from sepstats import (
+    cli,
+    closedforms,
+    distributions,
+    enumeration,
+    permutations,
+    series,
+    verify,
+)
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+MODULES = (cli, closedforms, distributions, enumeration, permutations, series, verify)
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _snapshot() -> dict:
+    owners = (*MODULES, series.MultiPoly, series.TruncSeries)
+    out = {owner: dict(vars(owner)) for owner in owners}
+    out["ALL_CHECKS"] = dict(verify.ALL_CHECKS)
+    return out
+
+
+def _assert_same_objects(before: dict, after: dict) -> None:
+    assert before.keys() == after.keys()
+    for owner, names in before.items():
+        assert names.keys() == after[owner].keys(), owner
+        changed = [k for k, v in names.items() if after[owner][k] is not v]
+        assert not changed, (owner, changed)
+
+
+def test_tracer_hooks_install_and_uninstall_cleanly():
+    tracing = _load_tracer()
+    before = _snapshot()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        hooks = [
+            (series.TruncSeries, "invert"),
+            (series.TruncSeries, "sqrt"),
+            (series.TruncSeries, "divide"),
+            (distributions, "series_from_enumeration"),
+            (distributions, "dist_from_enumeration"),
+            (distributions, "iter_separable_bytes"),
+            (distributions, "_stats_of_sequence"),
+            (verify, "series_from_enumeration"),
+            (verify, "dist_from_enumeration"),
+            (cli, "dist_from_enumeration"),
+        ]
+        for owner, attr in hooks:
+            assert getattr(owner, attr) is not before[owner][attr], (owner, attr)
+        assert "sepstats.series._solve_fixpoint_cached" in tracing.lru_caches(series)
+
+        # the census reaches the stream and the statistics kernel through
+        # the names the tracer wraps
+        distributions._census.cache_clear()
+        distributions.series_from_enumeration(4)
+        totals = tracer.totals()
+        assert totals["distributions.census"][0] == 1
+        assert totals["distributions.iter_separable_bytes"][0] == 4
+        assert totals["permutations._stats_of_sequence"][0] == 1 + 2 + 6 + 22
+    finally:
+        uninstall()
+        distributions._census.cache_clear()
+    _assert_same_objects(before, _snapshot())

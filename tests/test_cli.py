@@ -269,6 +269,22 @@ def test_bad_input_exits_2_without_traceback(
     assert "Traceback" not in captured.err
 
 
+def test_verify_rejects_a_too_deep_conjecture_range_before_any_check(
+    capsys, monkeypatch
+):
+    from sepstats import verify
+
+    def must_not_run():
+        raise AssertionError("a check ran before the depth was rejected")
+
+    for check in verify.ALL_CHECKS:
+        monkeypatch.setitem(verify.ALL_CHECKS, check, must_not_run)
+    code, out, err = run(capsys, "verify", "--max-n", "300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: series order 300 exceeds 255")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

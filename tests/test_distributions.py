@@ -1,9 +1,11 @@
 """Distribution tables: census consistency, marginals, emission, bindings."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from sepstats import distributions
 from sepstats.closedforms import SET2_PAIRS, closed_form_pair_set2
 from sepstats.distributions import (
     STAT_NAMES,
@@ -16,7 +18,13 @@ from sepstats.distributions import (
     render_table,
     series_from_enumeration,
 )
-from sepstats.enumeration import HARD_CAP, count_irreducible, count_separable
+from sepstats.enumeration import (
+    HARD_CAP,
+    count_irreducible,
+    count_separable,
+    enumerate_filter,
+)
+from sepstats.permutations import is_irreducible, stats
 from sepstats.series import VARIABLES, parse_poly
 
 
@@ -80,6 +88,50 @@ def test_series_from_enumeration_matches_dist():
         for key, cnt in table.row(n).items():
             # table key order == STAT_NAMES == variable order (p,q,x,y,u,v)
             assert poly.coefficient(key) == cnt
+
+
+def test_dist_matches_a_tally_over_the_filter_stream():
+    # the brute-force filter and the irreducibility predicate share no code
+    # with the structural stream the census walks
+    in_class = {
+        "all": lambda irr: True,
+        "irreducible": lambda irr: irr,
+        "reducible": lambda irr: not irr,
+    }
+    for n in range(1, 8):
+        perms = [(stats(pi), is_irreducible(pi)) for pi in enumerate_filter(n)]
+        for cls, keep in in_class.items():
+            for names in (STAT_NAMES, ("rmin", "asc")):
+                want = Counter(
+                    tuple(getattr(profile, s) for s in names)
+                    for profile, irr in perms
+                    if keep(irr)
+                )
+                got = dist_from_enumeration(n, cls, names).row(n)
+                assert got == dict(want), (n, cls, names)
+
+
+def test_census_walks_the_stream_once_per_length_and_class(monkeypatch):
+    walks = []
+    real = distributions.iter_separable_bytes
+
+    def counting(n, cls="all"):
+        walks.append((n, cls))
+        return real(n, cls)
+
+    monkeypatch.setattr(distributions, "iter_separable_bytes", counting)
+    distributions._census.cache_clear()
+    try:
+        for cls in ("all", "irr", "irreducible", "red"):
+            for names in (("lmax",), ("lmax", "rmax"), ("rmax", "lmin"), STAT_NAMES):
+                for n in (4, 5):
+                    dist_from_enumeration(n, cls, names)
+        series_from_enumeration(5, "irr")
+    finally:
+        distributions._census.cache_clear()
+    want = [(n, cls) for cls in ("all", "irreducible", "reducible") for n in (4, 5)]
+    want += [(n, "irreducible") for n in (1, 2, 3)]
+    assert sorted(walks) == sorted(want)
 
 
 def test_series_from_enumeration_cap():

@@ -1,6 +1,12 @@
 """Enumeration: structural stream vs. brute-force filter, counts, order."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import sepstats
 
 from sepstats.enumeration import (
     FILTER_CAP,
@@ -27,6 +33,32 @@ def test_counts_match_frozen_values():
 def test_counts_halving_relation():
     for n in range(2, 13):
         assert count_separable(n) == 2 * count_irreducible(n)
+
+
+def test_deep_counts_work_cold():
+    # a fresh interpreter, so no smaller length has been counted before
+    src = Path(sepstats.__file__).resolve().parent.parent
+    code = (
+        "from sepstats.enumeration import count_irreducible, count_separable\n"
+        "assert count_separable(1000) == 2 * count_irreducible(1000)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_counts_match_the_radical_counting_series():
+    from sepstats.closedforms import little_schroeder_gf, schroeder_gf
+
+    sep, irr = schroeder_gf(255), little_schroeder_gf(255)
+    for n in range(1, 256):
+        assert count_separable(n) == sep.coefficient(n).constant_term()
+        assert count_irreducible(n) == irr.coefficient(n).constant_term()
 
 
 def test_structural_stream_is_strictly_lex_ordered_and_complete():

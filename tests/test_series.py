@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepstats.series import (
     MAX_ORDER,
@@ -204,3 +205,84 @@ def test_document_shape():
     assert doc["variables"] == list(VARIABLES)
     assert doc["coefficients"]["2"] == [[[0, 0, 1, 1, 0, 0], 1, 1]]
     assert doc["coefficients"]["0"] == []
+
+
+# -- properties of the series kernel -----------------------------------------
+
+# Integer polynomials in x and y with small exponents and coefficients.
+_polys = st.dictionaries(
+    st.tuples(st.just(0), st.just(0), st.integers(0, 2), st.integers(0, 2),
+              st.just(0), st.just(0)),
+    st.integers(-4, 4),
+    max_size=3,
+).map(MultiPoly.from_exponents)
+
+
+@st.composite
+def _series(draw, constant=None, order=None):
+    """A random series of order <= 8; ``constant`` strategy picks t^0."""
+    order = draw(st.integers(0, 8)) if order is None else order
+    c0 = MultiPoly.constant(draw(constant)) if constant is not None else draw(_polys)
+    return TruncSeries([c0] + [draw(_polys) for _ in range(order)])
+
+
+_nonzero = st.integers(-3, 3).filter(bool)
+_unit = st.sampled_from([1, -1])
+_kernel = settings(max_examples=40, deadline=None)
+
+
+@_kernel
+@given(_series(constant=_nonzero))
+def test_invert_times_series_is_one(a):
+    assert (a.invert() * a).is_one()
+
+
+@_kernel
+@given(st.data())
+def test_divide_times_divisor_agrees_with_numerator(data):
+    order = data.draw(st.integers(0, 8))
+    shift = data.draw(st.integers(0, min(order, 2)))
+    zeros = [MultiPoly.zero()] * shift
+    b = data.draw(_series(constant=_nonzero, order=order - shift))
+    a = data.draw(_series(order=order - shift))
+    a = TruncSeries(zeros + list(a.coefficients()))
+    b = TruncSeries(zeros + list(b.coefficients()))
+    quot = a.divide(b)
+    assert quot.order == order - shift
+    assert (quot * b).first_difference(a) is None
+
+
+@_kernel
+@given(_series(constant=st.just(1)))
+def test_sqrt_squares_back(f):
+    root = f.sqrt()
+    assert root * root == f
+
+
+def _coefficient_types(series):
+    return {type(c) for poly in series.coefficients() for _, c in poly.terms()}
+
+
+@_kernel
+@given(_series(constant=_unit), _series(constant=_unit))
+def test_unit_constant_term_keeps_integer_coefficients(a, b):
+    assert _coefficient_types(a.invert()) <= {int}
+    assert _coefficient_types(a.divide(b)) <= {int}
+
+
+def test_inexact_division_falls_back_to_fractions():
+    t = TruncSeries.t(10)
+    inv = (2 - t).invert()
+    for n in range(11):
+        c = inv.coefficient(n).constant_term()
+        assert type(c) is Fraction and c == Fraction(1, 2 ** (n + 1))
+    # a quotient that comes out whole is stored as an int
+    quot = (4 - 4 * t).divide(2 - 2 * t)
+    assert quot.coefficient(0) == MultiPoly.constant(2)
+    assert _coefficient_types(quot) == {int}
+
+
+def test_single_stat_closed_form_matches_fixpoint_at_order_60():
+    from sepstats.closedforms import closed_form_S_single
+
+    assert closed_form_S_single(60, "rmax") == solve_fixpoint(60, ("y",))[0]

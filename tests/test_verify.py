@@ -184,6 +184,15 @@ def test_equidistribution_check_has_teeth(monkeypatch):
     assert report.first_fail == 3
 
 
+def test_run_all_rejects_a_too_deep_conjecture_range_before_any_check(monkeypatch):
+    def must_not_run():
+        raise AssertionError("a check ran before the depth was rejected")
+
+    monkeypatch.setitem(verify.ALL_CHECKS, "counting-identities", must_not_run)
+    with pytest.raises(ValueError, match="exceeds 255"):
+        verify.run_all(conjecture_n=256)
+
+
 # -- full suite smoke (kept after the targeted tests for cache warmth) -------
 
 
