@@ -10,8 +10,10 @@ The module provides
 * the three classical symmetries (reverse, complement, group inverse),
 * the direct sum and skew sum composition operations,
 * the six statistics asc, des, lmax, rmax, lmin, rmin,
-* classical pattern containment and the separability test
-  (avoidance of 2413 and 3142),
+* classical pattern containment by generic backtracking search,
+* the separability test (avoidance of 2413 and 3142) by a direct O(n^2)
+  scan for just those two patterns, with :func:`contains_pattern` as its
+  test oracle,
 * the decomposition into irreducible components, and
 * the L/R interval-block decomposition of a separable permutation around
   its maximum value.
@@ -316,8 +318,61 @@ def _contains(vals: Sequence[int], pat: Sequence[int]) -> bool:
     return extend(0)
 
 
+def _has_2413_or_3142(vals: Sequence[int]) -> bool:
+    """True iff the word ``vals`` contains 2413 or 3142.
+
+    A detector dedicated to the two fixed patterns, in the spirit of
+    Albert, Aldred, Atkinson and Holton, "Algorithms for pattern involvement
+    in permutations" (ISAAC 2001): O(n^2) steps on n-bit masks.  Value v is
+    bit v of a mask; ``before[j]`` holds the values left of position j,
+    ``after[k]`` those right of k.  Each middle pair j < k with values a, b
+    is completed greedily:
+
+    * a > b (the "4" and "1" of 2413): the smallest "2" left of j in (b, a)
+      leaves the widest room for a "3" right of k in ("2", a);
+    * a < b (the "1" and "4" of 3142): the largest "3" left of j in (a, b)
+      leaves the widest room for a "2" right of k in (a, "3").
+
+    >>> _has_2413_or_3142((5, 2, 6, 1, 4, 3)), _has_2413_or_3142((2, 1, 4, 3))
+    (True, False)
+    """
+    n = len(vals)
+    before = [0] * n
+    after = [0] * n
+    seen = 0
+    for i in range(n):
+        before[i] = seen
+        seen |= 1 << vals[i]
+    seen = 0
+    for i in range(n - 1, -1, -1):
+        after[i] = seen
+        seen |= 1 << vals[i]
+    for j in range(1, n - 2):
+        left = before[j]
+        a = vals[j]
+        top = 1 << a
+        above = 2 << a
+        for k in range(j + 1, n - 1):
+            b = vals[k]
+            # (top - (2 << b)) keeps the bits strictly between b and a
+            if a > b:
+                twos = left & (top - (2 << b))
+                if twos and after[k] & (top - ((twos & -twos) << 1)):
+                    return True
+            else:
+                threes = left & ((1 << b) - above)
+                if threes and after[k] & ((1 << (threes.bit_length() - 1)) - above):
+                    return True
+    return False
+
+
 def is_separable(pi: Permutation) -> bool:
     """True iff ``pi`` avoids both 2413 and 3142.
+
+    A pattern test on the word itself, by the direct two-pattern scan
+    ``_has_2413_or_3142``; :func:`contains_pattern` is its test oracle.
+    It uses no sum/skew decomposition, so it stays independent of the
+    structural enumerator it is checked against.
 
     >>> is_separable(Permutation.parse("2413"))
     False
@@ -329,8 +384,7 @@ def is_separable(pi: Permutation) -> bool:
     ...     if is_separable(Permutation(p)))
     22
     """
-    vals = pi.values
-    return not (_contains(vals, FORBIDDEN_PATTERNS[0]) or _contains(vals, FORBIDDEN_PATTERNS[1]))
+    return not _has_2413_or_3142(pi.values)
 
 
 def components(pi: Permutation) -> tuple[Permutation, ...]:

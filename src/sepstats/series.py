@@ -268,6 +268,29 @@ class MultiPoly:
                 del out[k2]
         return MultiPoly(out)
 
+    def keep_only(self, names: Iterable[str]) -> "MultiPoly":
+        """Set every variable outside ``names`` to 1, in one pass.
+
+        Same result as chaining :meth:`specialize` over the other variables.
+
+        >>> f = parse_poly("x^2*y*u + x^2*u^3 - 2*y")
+        >>> str(f.keep_only(("x",)))
+        '2*x^2 - 2'
+        >>> str(f.keep_only(()))
+        '0'
+        """
+        mask = 0
+        for name in names:
+            if name not in _LANE:
+                raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
+            mask |= _LANE[name]
+        out: dict[int, Coeff] = {}
+        get = out.get
+        for k, c in self._terms.items():
+            k &= mask
+            out[k] = get(k, 0) + c
+        return MultiPoly({k: c for k, c in out.items() if c})
+
     def map_variables(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Rename variables according to ``mapping`` (a lane renaming).
 
@@ -622,6 +645,16 @@ class TruncSeries:
     def specialize(self, var: str, value: Coeff = 1) -> "TruncSeries":
         """Substitute ``value`` (default 1) for ``var`` in every coefficient."""
         return TruncSeries([c.specialize(var, value) for c in self._coeffs])
+
+    def keep_only(self, names: Iterable[str]) -> "TruncSeries":
+        """Set every variable outside ``names`` to 1 in every coefficient.
+
+        >>> S, _ = solve_fixpoint(3)
+        >>> str(S.keep_only(("p", "q")).coefficient(3))
+        'p^2 + 4*p*q + q^2'
+        """
+        names = tuple(names)
+        return TruncSeries([c.keep_only(names) for c in self._coeffs])
 
     def map_variables(self, mapping: Mapping[str, str]) -> "TruncSeries":
         """Rename variable lanes in every coefficient."""

@@ -180,15 +180,6 @@ def _expect_agree(
         )
 
 
-def _keep_only(series: TruncSeries, lanes: Iterable[str]) -> TruncSeries:
-    keep = set(lanes)
-    out = series
-    for var in VARIABLES:
-        if var not in keep:
-            out = out.specialize(var)
-    return out
-
-
 def _lanes(stats_tuple: Sequence[str]) -> tuple[str, ...]:
     return tuple(STAT_TO_VARIABLE[s] for s in stats_tuple)
 
@@ -393,11 +384,11 @@ def _check_closed_forms(check_id: str, order: int, census_order: int) -> CheckRe
             lanes = _lanes(stats_tuple)
             for cls in CLASSES:
                 closed = cf.closed_form(order, stats_tuple, cls)
-                want_fix = _keep_only(master[cls], lanes)
+                want_fix = master[cls].keep_only(lanes)
                 _expect_agree(
                     closed, want_fix, order, f"{label} {name} {cls} vs fixpoint"
                 )
-                want_cen = _keep_only(census[cls], lanes)
+                want_cen = census[cls].keep_only(lanes)
                 _expect_agree(
                     closed, want_cen, census_order, f"{label} {name} {cls} vs census"
                 )
@@ -462,10 +453,10 @@ def verify_e_function_identities(order: int = 12) -> CheckReport:
                 * MultiPoly.variable(lanes[2]),
             )
             if triple in cf._TRIPLES_RMAX_LMIN_TAIL:
-                want = _keep_only(master["reducible"], lanes) + tz
+                want = master["reducible"].keep_only(lanes) + tz
                 label = f"E{lanes} as reducible + t*z1z2z3"
             else:
-                want = _keep_only(master["irreducible"], lanes)
+                want = master["irreducible"].keep_only(lanes)
                 label = f"E{lanes} as irreducible"
             _expect_agree(e_ser, want, order, label)
         return f"all four E readings match the fixpoint to order {order}"
@@ -667,10 +658,10 @@ def verify_transfer(order: int = 12) -> CheckReport:
                         }
                     ),
                 )
-                i_here = _keep_only(master["irreducible"], lanes)
-                r_here = _keep_only(master["reducible"], lanes)
-                i_image = _keep_only(master["irreducible"], image_lanes)
-                r_image = _keep_only(master["reducible"], image_lanes)
+                i_here = master["irreducible"].keep_only(lanes)
+                r_here = master["reducible"].keep_only(lanes)
+                i_image = master["irreducible"].keep_only(image_lanes)
+                r_image = master["reducible"].keep_only(image_lanes)
                 _expect_agree(
                     i_here - zt,
                     r_image.map_variables(relabel),
@@ -715,7 +706,7 @@ def verify_specialization_consistency(order: int = 12) -> CheckReport:
                 big = master[0] if which == "S" else master[1]
                 _expect_agree(
                     sub,
-                    _keep_only(big, active),
+                    big.keep_only(active),
                     order,
                     f"{which} with active {active}",
                 )
@@ -893,7 +884,7 @@ def verify_snippets() -> CheckReport:
         )
         master = _master(max_order)
         for (stats_tuple, cls), rows in _SNIPPETS.items():
-            series = _keep_only(master[cls], _lanes(stats_tuple))
+            series = master[cls].keep_only(_lanes(stats_tuple))
             for order, text in rows:
                 want = parse_poly(text)
                 got = series.coefficient(order)

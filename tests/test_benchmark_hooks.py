@@ -1,5 +1,6 @@
 """The benchmark tracer's hooks: every name it wraps still exists, its
-wrappers see the census's calls, and uninstalling restores everything."""
+wrappers see the census's and the filter's calls, and uninstalling
+restores everything."""
 
 import importlib.util
 from pathlib import Path
@@ -57,6 +58,8 @@ def test_tracer_hooks_install_and_uninstall_cleanly():
             (verify, "series_from_enumeration"),
             (verify, "dist_from_enumeration"),
             (cli, "dist_from_enumeration"),
+            (enumeration, "is_separable"),
+            (verify, "is_separable"),
         ]
         for owner, attr in hooks:
             assert getattr(owner, attr) is not before[owner][attr], (owner, attr)
@@ -70,6 +73,12 @@ def test_tracer_hooks_install_and_uninstall_cleanly():
         assert totals["distributions.census"][0] == 1
         assert totals["distributions.iter_separable_bytes"][0] == 4
         assert totals["permutations._stats_of_sequence"][0] == 1 + 2 + 6 + 22
+
+        # the brute-force filter tests every candidate through the wrapped
+        # name; the census workload's filter_candidates reads these calls
+        assert len(list(enumeration.enumerate_filter(5))) == 90
+        calls, _, _, separable = tracer.totals()["enumeration.is_separable"]
+        assert (calls, separable) == (120, 90)
     finally:
         uninstall()
         distributions._census.cache_clear()

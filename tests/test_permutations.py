@@ -3,8 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepstats.permutations import (
+    FORBIDDEN_PATTERNS,
     Permutation,
     block_decompose,
     complement,
@@ -124,6 +126,48 @@ def test_separable_forbidden_patterns():
     assert not is_separable(Permutation.parse("2413"))
     assert not is_separable(Permutation.parse("3142"))
     assert is_separable(Permutation.parse("2165743"))
+
+
+def _avoids_both_patterns(pi):
+    """The oracle: generic pattern search for 2413 and for 3142."""
+    return not any(contains_pattern(pi, Permutation(pat)) for pat in FORBIDDEN_PATTERNS)
+
+
+def test_is_separable_matches_the_pattern_oracle_for_n_up_to_7():
+    for n in range(1, 8):
+        for pi in all_perms(n):
+            assert is_separable(pi) == _avoids_both_patterns(pi), pi
+
+
+@st.composite
+def _near_separable(draw):
+    """A permutation of length 8..14: a random sum/skew tree, then
+    possibly one transposition, so both answers come up often."""
+    n = draw(st.integers(8, 14))
+
+    def build(size):
+        if size == 1:
+            return Permutation((1,))
+        left = draw(st.integers(1, size - 1))
+        op = draw(st.sampled_from([direct_sum, skew_sum]))
+        return op(build(left), build(size - left))
+
+    vals = list(build(n).values)
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        vals[i], vals[j] = vals[j], vals[i]
+    return Permutation(tuple(vals))
+
+
+_any_permutation = st.integers(8, 14).flatmap(
+    lambda n: st.permutations(range(1, n + 1))
+).map(Permutation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_near_separable(), _any_permutation))
+def test_is_separable_matches_the_pattern_oracle_on_longer_permutations(pi):
+    assert is_separable(pi) == _avoids_both_patterns(pi)
 
 
 def test_separability_closed_under_sums():

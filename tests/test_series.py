@@ -286,3 +286,55 @@ def test_single_stat_closed_form_matches_fixpoint_at_order_60():
     from sepstats.closedforms import closed_form_S_single
 
     assert closed_form_S_single(60, "rmax") == solve_fixpoint(60, ("y",))[0]
+
+
+# -- keep_only: one-pass projection onto a set of variables -----------------
+
+# Polynomials in all six variables with negative and Fraction coefficients.
+_six_variable_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 6),
+    st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4),
+    max_size=6,
+).map(MultiPoly.from_exponents)
+_kept = st.lists(st.sampled_from(VARIABLES), unique=True)
+
+
+def _specialize_others(f, kept):
+    for var in VARIABLES:
+        if var not in kept:
+            f = f.specialize(var)
+    return f
+
+
+@_kernel
+@given(_six_variable_polys, _kept)
+def test_poly_keep_only_equals_chained_specialize(f, kept):
+    assert f.keep_only(kept) == _specialize_others(f, kept)
+
+
+@_kernel
+@given(st.lists(_six_variable_polys, min_size=1, max_size=5), _kept)
+def test_series_keep_only_equals_chained_specialize(coeffs, kept):
+    f = TruncSeries(coeffs)
+    assert f.keep_only(kept) == _specialize_others(f, kept)
+
+
+def test_keep_only_drops_terms_that_cancel():
+    f = parse_poly("x*y - x*u + 2*v") + Fraction(1, 2) * parse_poly("p*q - q")
+    kept = f.keep_only(("x", "q"))
+    assert kept == parse_poly("2")
+    assert len(kept) == 1
+    assert f.keep_only(("p",)) == parse_poly("2") + Fraction(1, 2) * parse_poly("p - 1")
+    assert MultiPoly.variable("x").keep_only(()) == MultiPoly.one()
+    assert (MultiPoly.variable("x") - MultiPoly.variable("y")).keep_only(()).is_zero()
+
+
+def test_keep_only_rejects_an_unknown_variable():
+    f = parse_poly("x*y + 1")
+    with pytest.raises(ValueError) as from_specialize:
+        f.specialize("z")
+    with pytest.raises(ValueError) as from_keep_only:
+        f.keep_only(("x", "z"))
+    assert str(from_keep_only.value) == str(from_specialize.value)
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        TruncSeries([f, f]).keep_only(["z"])

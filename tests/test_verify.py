@@ -4,7 +4,7 @@ import pytest
 
 from sepstats import closedforms, verify
 from sepstats.distributions import STAT_TO_VARIABLE
-from sepstats.series import MultiPoly, TruncSeries
+from sepstats.series import VARIABLES, MultiPoly, TruncSeries
 
 # -- report plumbing --------------------------------------------------------
 
@@ -182,6 +182,50 @@ def test_equidistribution_check_has_teeth(monkeypatch):
     report = verify.verify_equidistribution(max_n=4)
     assert report.verdict == "fail"
     assert report.first_fail == 3
+
+
+def test_symmetry_check_fails_when_an_image_is_rejected(monkeypatch):
+    real = verify.is_separable
+    monkeypatch.setattr(verify, "is_separable", lambda pi: str(pi) != "231" and real(pi))
+    report = verify.verify_symmetries(max_n=4)
+    assert report.verdict == "fail"
+    assert report.first_fail == 3
+    assert report.witness == "reverse(132) left the class"
+
+
+def test_transfer_check_fails_on_a_bumped_irreducible_coefficient(monkeypatch):
+    real = verify._master
+    k = 4
+
+    def tampered(order):
+        master = dict(real(order))
+        master["irreducible"] = master["irreducible"] + TruncSeries.term(
+            order, k, MultiPoly.variable("x")
+        )
+        return master
+
+    monkeypatch.setattr(verify, "_master", tampered)
+    report = verify.verify_transfer(order=6)
+    assert report.verdict == "fail"
+    assert report.first_fail == k
+    assert f"I - zt vs image R: t^{k}" in report.witness
+
+
+def test_specialization_consistency_fails_on_an_off_subset_solve(monkeypatch):
+    real = verify.solve_fixpoint
+    k = 5
+
+    def tampered(order, active=VARIABLES):
+        s, i = real(order, active)
+        if tuple(active) == ("x", "y"):
+            s = s + TruncSeries.term(order, k, 1)
+        return s, i
+
+    monkeypatch.setattr(verify, "solve_fixpoint", tampered)
+    report = verify.verify_specialization_consistency(order=6)
+    assert report.verdict == "fail"
+    assert report.first_fail == k
+    assert report.witness.startswith(f"S with active ('x', 'y'): t^{k} coefficient")
 
 
 def test_run_all_rejects_a_too_deep_conjecture_range_before_any_check(monkeypatch):
