@@ -16,6 +16,11 @@ Conventions for multi-statistic forms:
 * triples: (lmax, rmax, lmin), (lmin, rmin, lmax), (rmin, rmax, lmin),
   (rmax, rmin, lmax) with lanes z1, z2, z3 in listed order.
 
+Memos: a series is memoized only when it does not depend on the class
+and is asked for again, under canonical keys (order, lane names): the
+radical, S(t,z) and its split S^2/(1+S), S/(1+S) per lane, and E per lane
+triple.  Each class of a pair, triple or quad form is built from them.
+
 >>> counts = [int(schroeder_gf(6).coefficient(n).constant_term()) for n in range(1, 7)]
 >>> counts
 [1, 2, 6, 22, 90, 394]
@@ -104,7 +109,6 @@ def discriminant_root(order: int) -> TruncSeries:
     return (1 - 6 * t + t * t).sqrt()
 
 
-@functools.lru_cache(maxsize=None)
 def schroeder_gf(order: int) -> TruncSeries:
     """Counting series of separable permutations: (1 - t - sqrt(1-6t+t^2))/2.
 
@@ -115,7 +119,6 @@ def schroeder_gf(order: int) -> TruncSeries:
     return (1 - t - discriminant_root(order)) * Fraction(1, 2)
 
 
-@functools.lru_cache(maxsize=None)
 def little_schroeder_gf(order: int) -> TruncSeries:
     """Counting series of irreducible ones: (1 + t - sqrt(1-6t+t^2))/4.
 
@@ -157,15 +160,11 @@ def closed_form_S_single(order: int, stat: str = "rmax") -> TruncSeries:
 
 @functools.lru_cache(maxsize=None)
 def _single_split_by_lane(order: int, lane: str) -> tuple[TruncSeries, TruncSeries]:
-    """(I_head, R_head) for the rmax/lmin reading: I = S^2/(1+S) + zt and
-    R = S/(1+S) - zt.  The lmax/rmin reading swaps the zt terms:
-    I = S/(1+S), R = S^2/(1+S)."""
+    """S^2/(1+S) and S/(1+S) for S = S(t,z) in the given lane; the class
+    readings of the single form add or subtract zt to them."""
     s = _single_gf_by_lane(order, lane)
     one_plus = s + 1
-    zt = TruncSeries.term(order, 1, MultiPoly.variable(lane))
-    head = (s * s).divide(one_plus)
-    tail = s.divide(one_plus)
-    return head + zt, tail - zt
+    return (s * s).divide(one_plus), s.divide(one_plus)
 
 
 def closed_form_I_single(order: int, stat: str = "rmax") -> TruncSeries:
@@ -182,33 +181,31 @@ def closed_form_I_single(order: int, stat: str = "rmax") -> TruncSeries:
     {1: 6, 2: 4, 3: 1}
     """
     lane = _lane(stat)
-    head_plus, tail_minus = _single_split_by_lane(order, lane)
     if stat in ("rmax", "lmin"):
-        return head_plus
-    zt = TruncSeries.term(order, 1, MultiPoly.variable(lane))
-    return tail_minus + zt  # S/(1+S)
+        return _irr_aux(order, lane)
+    return _single_split_by_lane(order, lane)[1]
 
 
 def closed_form_R_single(order: int, stat: str = "rmax") -> TruncSeries:
     """Reducible-class single-statistic closed form (complement of
-    :func:`closed_form_I_single` inside :func:`closed_form_S_single`)."""
+    :func:`closed_form_I_single` inside :func:`closed_form_S_single`):
+    S/(1+S) - zt for stat in {rmax, lmin}, S^2/(1+S) for {lmax, rmin}."""
     lane = _lane(stat)
-    head_plus, tail_minus = _single_split_by_lane(order, lane)
+    square, linear = _single_split_by_lane(order, lane)
     if stat in ("rmax", "lmin"):
-        return tail_minus
-    zt = TruncSeries.term(order, 1, MultiPoly.variable(lane))
-    return head_plus - zt  # S^2/(1+S)
+        return linear - TruncSeries.term(order, 1, MultiPoly.variable(lane))
+    return square
 
 
 def _irr_aux(order: int, lane: str) -> TruncSeries:
     """The I(t,z) that feeds the set-1 pair and A-function formulas:
     S^2/(1+S) + zt in the given lane."""
-    return _single_split_by_lane(order, lane)[0]
+    square = _single_split_by_lane(order, lane)[0]
+    return square + TruncSeries.term(order, 1, MultiPoly.variable(lane))
 
 
-@functools.lru_cache(maxsize=None)
 def closed_form_pair_set2(
-    order: int, pair: tuple[str, str] = ("lmax", "rmax"), perm_class: str = "all"
+    order: int, pair: Sequence[str] = ("lmax", "rmax"), perm_class: str = "all"
 ) -> TruncSeries:
     """Joint closed form for a set-2 pair.
 
@@ -240,9 +237,8 @@ def closed_form_pair_set2(
     return num.divide(den)
 
 
-@functools.lru_cache(maxsize=None)
 def closed_form_pair_set1(
-    order: int, pair: tuple[str, str] = ("rmax", "lmin"), perm_class: str = "all"
+    order: int, pair: Sequence[str] = ("rmax", "lmin"), perm_class: str = "all"
 ) -> TruncSeries:
     """Joint closed form for a set-1 pair.
 
@@ -275,14 +271,18 @@ def closed_form_pair_set1(
     return s_pair - core - tz
 
 
-@functools.lru_cache(maxsize=None)
-def e_function(order: int, lanes: tuple[str, str, str] = ("x", "y", "u")) -> TruncSeries:
+def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSeries:
     """The auxiliary E(t, z1, z2, z3) used by the triple and quadruple forms:
 
     E = z1 z2 z3 t
         + (S(z1)+1)(S(z2)+1)(S(z3)+1) t^2 z1^2 z2 z3
           / ((1 - S(z1)S(z3)) (1 - S(z1)S(z2)))
     """
+    return _e_function_by_lanes(order, tuple(lanes))
+
+
+@functools.lru_cache(maxsize=None)
+def _e_function_by_lanes(order: int, lanes: tuple[str, str, str]) -> TruncSeries:
     l1, l2, l3 = lanes
     s1 = _single_gf_by_lane(order, l1)
     s2 = _single_gf_by_lane(order, l2)
@@ -298,15 +298,15 @@ def e_function(order: int, lanes: tuple[str, str, str] = ("x", "y", "u")) -> Tru
     return first + num.divide(den)
 
 
-@functools.lru_cache(maxsize=None)
 def closed_form_triple(
     order: int,
-    triple: tuple[str, str, str] = ("lmax", "rmax", "lmin"),
+    triple: Sequence[str] = ("lmax", "rmax", "lmin"),
     perm_class: str = "all",
 ) -> TruncSeries:
     """Joint closed form for one of the four statistic triples.
 
-    S = E / (1 - A - t z2 z3) with A = S(z2) (z3 t + S(z3)^2/(S(z3)+1)).
+    S = E / (1 - A - t z2 z3) with A = S(z2) I(z3), where
+    I(z3) = z3 t + S(z3)^2/(S(z3)+1) is the memoized :func:`_irr_aux`.
     For the (., rmax, lmin)-tailed triples the reducible part is
     E - z1 z2 z3 t; for the (., rmin, lmax)-tailed ones the irreducible
     part is E; the remaining parts share one bracket expression.
@@ -316,27 +316,25 @@ def closed_form_triple(
     if triple not in TRIPLES:
         raise ValueError(f"triple {triple} is not one of {TRIPLES}")
     l1, l2, l3 = (_lane(s) for s in triple)
-    s2 = _single_gf_by_lane(order, l2)
-    s3 = _single_gf_by_lane(order, l3)
     z1 = MultiPoly.variable(l1)
     z2 = MultiPoly.variable(l2)
     z3 = MultiPoly.variable(l3)
-    a_func = s2 * (
-        TruncSeries.term(order, 1, z3) + (s3 * s3).divide(s3 + 1)
-    )
+    e_ser = e_function(order, (l1, l2, l3))
+    tz123 = TruncSeries.term(order, 1, z1 * z2 * z3)
+    rmax_lmin_tail = triple in _TRIPLES_RMAX_LMIN_TAIL
+    if rmax_lmin_tail and cls == "reducible":
+        return e_ser - tz123
+    if not rmax_lmin_tail and cls == "irreducible":
+        return e_ser
+    a_func = _single_gf_by_lane(order, l2) * _irr_aux(order, l3)
     tz23 = TruncSeries.term(order, 1, z2 * z3)
     den = 1 - a_func - tz23
-    e_ser = e_function(order, (l1, l2, l3))
     if cls == "all":
         return e_ser.divide(den)
-    tz123 = TruncSeries.term(order, 1, z1 * z2 * z3)
     bracket = (tz123 + (a_func + tz23) * (e_ser - tz123)).divide(den)
-    if triple in _TRIPLES_RMAX_LMIN_TAIL:
-        return bracket if cls == "irreducible" else e_ser - tz123
-    return e_ser if cls == "irreducible" else bracket - tz123
+    return bracket if rmax_lmin_tail else bracket - tz123
 
 
-@functools.lru_cache(maxsize=None)
 def closed_form_quad(order: int, perm_class: str = "all") -> TruncSeries:
     """Closed form for the joint distribution of (lmax, rmax, lmin, rmin).
 
@@ -356,25 +354,24 @@ def closed_form_quad(order: int, perm_class: str = "all") -> TruncSeries:
     True
     """
     cls = canonical_class(perm_class)
-    xyuvt = TruncSeries.term(
-        order,
-        1,
-        MultiPoly.variable("x")
-        * MultiPoly.variable("y")
-        * MultiPoly.variable("u")
-        * MultiPoly.variable("v"),
-    )
-    e_xyu = e_function(order, ("x", "y", "u"))
-    i_xyv = closed_form_triple(order, ("rmax", "rmin", "lmax"), "irreducible")
-    s_yuv = closed_form_triple(order, ("rmin", "rmax", "lmin"))
-    s_xuv = closed_form_triple(order, ("lmin", "rmin", "lmax"))
-    irr = xyuvt + e_xyu * s_yuv
-    red = i_xyv * s_xuv
-    if cls == "irreducible":
-        return irr
-    if cls == "reducible":
-        return red
-    return irr + red
+    parts = []
+    if cls != "reducible":
+        xyuvt = TruncSeries.term(
+            order,
+            1,
+            MultiPoly.variable("x")
+            * MultiPoly.variable("y")
+            * MultiPoly.variable("u")
+            * MultiPoly.variable("v"),
+        )
+        e_xyu = e_function(order, ("x", "y", "u"))
+        s_yuv = closed_form_triple(order, ("rmin", "rmax", "lmin"))
+        parts.append(xyuvt + e_xyu * s_yuv)
+    if cls != "irreducible":
+        i_xyv = closed_form_triple(order, ("rmax", "rmin", "lmax"), "irreducible")
+        s_xuv = closed_form_triple(order, ("lmin", "rmin", "lmax"))
+        parts.append(i_xyv * s_xuv)
+    return sum(parts[1:], parts[0])
 
 
 def closed_form(

@@ -35,15 +35,11 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=None)
-def _pascal_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _pascal_row(n - 1)
-    return tuple(
-        (prev[k - 1] if k > 0 else 0) + (prev[k] if k < n else 0)
-        for k in range(n + 1)
-    )
+#: Rows 0, 1, ... of Pascal's triangle, filled from the bottom up.
+_PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]
+
+#: Catalan numbers C_0, C_1, ..., filled from the bottom up.
+_CATALANS: list[int] = [1]
 
 
 def binomial(n: int, k: int) -> int:
@@ -58,10 +54,13 @@ def binomial(n: int, k: int) -> int:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
         return 0
-    return _pascal_row(n)[k]
+    rows = _PASCAL_ROWS
+    for _ in range(len(rows), n + 1):
+        prev = rows[-1]
+        rows.append((1,) + tuple(a + b for a, b in zip(prev, prev[1:])) + (1,))
+    return rows[n][k]
 
 
-@functools.lru_cache(maxsize=None)
 def catalan(n: int) -> int:
     """The n-th Catalan number, by the convolution recurrence.
 
@@ -72,9 +71,10 @@ def catalan(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"catalan requires n >= 0, got n={n}")
-    if n == 0:
-        return 1
-    return sum(catalan(i) * catalan(n - 1 - i) for i in range(n))
+    c = _CATALANS
+    for m in range(len(c), n + 1):
+        c.append(sum(c[i] * c[m - 1 - i] for i in range(m)))
+    return c[n]
 
 
 def catalan_bruteforce(n: int) -> int:
@@ -174,7 +174,18 @@ def schroeder_eq2(n: int) -> int:
     return sum((2**k) * dyck_peak_count(n, k) for k in range(1, n + 1))
 
 
-@functools.lru_cache(maxsize=None)
+def _stirling2_row(n: int, width: int) -> list[int]:
+    """S(n, 0..width), by S(m, j) = j S(m-1, j) + S(m-1, j-1) row after row
+    from m = 0, keeping only the current row (the whole triangle at
+    n = 1100 would hold about 270 MB of integers)."""
+    row = [1] + [0] * width
+    for _ in range(n):
+        for j in range(width, 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k), by the standard recurrence.
 
@@ -185,11 +196,7 @@ def stirling2(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError(f"stirling2 requires n, k >= 0, got n={n}, k={k}")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _stirling2_row(n, k)[k]
 
 
 def factorial(n: int) -> int:
@@ -220,15 +227,15 @@ def eulerian_poly(n: int) -> dict[int, int]:
     """
     if n < 1:
         raise ValueError(f"eulerian_poly requires n >= 1, got n={n}")
-    coeffs: dict[int, int] = {}
+    stirling_row = _stirling2_row(n, n)
+    coeffs: list[int] = []  # of q^0, q^1, ...
+    k_factorial = 1
     for k in range(1, n + 1):
-        scale = factorial(k) * stirling2(n, k)
-        m = n - k
-        # expand scale * (q - 1)^m
-        for j in range(m + 1):
-            c = scale * binomial(m, j) * ((-1) ** (m - j))
-            coeffs[j] = coeffs.get(j, 0) + c
-    return {e: c for e, c in sorted(coeffs.items()) if c != 0}
+        # Horner's rule in (q - 1): coeffs <- coeffs * (q - 1) + k! S(n, k)
+        k_factorial *= k
+        coeffs = [a - b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += k_factorial * stirling_row[k]
+    return {e: c for e, c in enumerate(coeffs) if c != 0}
 
 
 def rising_factorial_coeffs(n: int) -> dict[int, int]:

@@ -229,18 +229,9 @@ def unimodality(row: Mapping[int, int] | Sequence[int]) -> tuple[bool, int | Non
 # ---------------------------------------------------------------------------
 
 
-def verify_counts(
-    max_n: int = 12,
-    stream_n: int = 7,
-    *,
-    eq1_fn: Callable[[int], int] | None = None,
-    eq2_fn: Callable[[int], int] | None = None,
-) -> CheckReport:
+def verify_counts(max_n: int = 12, stream_n: int = 7) -> CheckReport:
     """Structural enumeration vs. the two summation formulas and the
     halving relation between all and irreducible counts."""
-
-    eq1 = eq1_fn or numbers.schroeder_eq1
-    eq2 = eq2_fn or numbers.schroeder_eq2
 
     def body() -> str:
         for n in range(1, stream_n + 1):
@@ -261,14 +252,16 @@ def verify_counts(
             # the summation formulas index from s_0 = 1, so length n
             # corresponds to argument n - 1
             want = count_separable(n)
-            if eq1(n - 1) != want:
+            eq1 = numbers.schroeder_eq1(n - 1)
+            if eq1 != want:
                 raise CheckFailure(
-                    f"binomial-Catalan sum at n={n}: {eq1(n - 1)} != {want}",
+                    f"binomial-Catalan sum at n={n}: {eq1} != {want}",
                     first_fail=n,
                 )
-            if eq2(n - 1) != want:
+            eq2 = numbers.schroeder_eq2(n - 1)
+            if eq2 != want:
                 raise CheckFailure(
-                    f"peak-weighted sum at n={n}: {eq2(n - 1)} != {want}",
+                    f"peak-weighted sum at n={n}: {eq2} != {want}",
                     first_fail=n,
                 )
             irr = count_irreducible(n)

@@ -1,9 +1,13 @@
 """Cross-checks between independent routes to the classical numbers."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sepstats
 from sepstats.numbers import (
     binomial,
     catalan,
@@ -109,3 +113,29 @@ def test_negative_arguments_rejected():
         schroeder_eq2(-2)
     with pytest.raises(ValueError):
         factorial(-1)
+
+
+def test_deep_sequences_work_cold():
+    # a fresh interpreter, so no smaller argument has been computed before
+    src = Path(sepstats.__file__).resolve().parent.parent
+    code = (
+        "from math import comb, factorial\n"
+        "from sepstats.enumeration import count_separable\n"
+        "from sepstats.numbers import binomial, catalan, eulerian_poly, "
+        "schroeder_eq1, stirling2\n"
+        "assert catalan(1100) == comb(2200, 1100) // 1101\n"
+        "assert binomial(1100, 3) == comb(1100, 3)\n"
+        "assert stirling2(1100, 2) == 2**1099 - 1\n"
+        "assert schroeder_eq1(600) == count_separable(601)\n"
+        "a = eulerian_poly(1100)\n"
+        "assert sum(a.values()) == factorial(1100)\n"
+        "assert a[1] == 2**1100 - 1101 and a[1] == a[1098]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sepstats import closedforms, verify
+from sepstats import closedforms, numbers, verify
 from sepstats.distributions import STAT_TO_VARIABLE
 from sepstats.series import VARIABLES, MultiPoly, TruncSeries
 
@@ -75,8 +75,9 @@ def test_conjecture_depth_is_forwarded():
 # -- negative controls: each oracle seam must be able to fail ----------------
 
 
-def test_corrupted_count_formula_fails_with_witness():
-    report = verify.verify_counts(eq2_fn=lambda n: 2**n)
+def test_corrupted_count_formula_fails_with_witness(monkeypatch):
+    monkeypatch.setattr(numbers, "schroeder_eq2", lambda n: 2**n)
+    report = verify.verify_counts()
     assert report.verdict == "fail"
     assert report.witness is not None
     assert "peak-weighted" in report.witness
@@ -124,6 +125,36 @@ def test_every_closed_form_check_fails_on_a_bumped_coefficient(
     assert report.verdict == "fail"
     assert report.first_fail == k
     assert f"t^{k}" in report.witness
+
+
+def test_counting_gf_check_fails_on_a_bumped_coefficient(monkeypatch):
+    real = closedforms.schroeder_gf
+    k = 5
+
+    def tampered(order):
+        return real(order) + TruncSeries.term(order, k, MultiPoly.one())
+
+    monkeypatch.setattr(closedforms, "schroeder_gf", tampered)
+    report = verify.verify_counting_gfs(order=8)
+    assert report.verdict == "fail"
+    assert report.first_fail == k
+    assert report.witness == f"separable gf t^{k}: 91 != 90"
+
+
+def test_e_function_check_fails_on_a_bumped_coefficient(monkeypatch):
+    real = closedforms.e_function
+    k = 4
+
+    def tampered(order, lanes=("x", "y", "u")):
+        return real(order, lanes) + TruncSeries.term(
+            order, k, MultiPoly.variable(lanes[0])
+        )
+
+    monkeypatch.setattr(closedforms, "e_function", tampered)
+    report = verify.verify_e_function_identities(order=6)
+    assert report.verdict == "fail"
+    assert report.first_fail == k
+    assert report.witness.startswith(f"E('x', 'y', 'u') as reducible + t*z1z2z3: t^{k}")
 
 
 def test_corrupted_table_fails(monkeypatch):
