@@ -35,15 +35,16 @@ __all__ = [
 ]
 
 
-#: Rows 0, 1, ... of Pascal's triangle, filled from the bottom up.
-_PASCAL_ROWS: list[tuple[int, ...]] = [(1,)]
-
 #: Catalan numbers C_0, C_1, ..., filled from the bottom up.
 _CATALANS: list[int] = [1]
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k) from a memoized Pascal triangle.
+    """Binomial coefficient C(n, k), multiplicatively in integers.
+
+    After step i the running value is C(n - k + i, i), so every division is
+    exact.  Nothing is memoized: Pascal rows up to 1200, which
+    ``schroeder_eq1(600)`` reads, would hold about 80 MB.
 
     >>> binomial(5, 2)
     10
@@ -54,11 +55,11 @@ def binomial(n: int, k: int) -> int:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
     if k < 0 or k > n:
         return 0
-    rows = _PASCAL_ROWS
-    for _ in range(len(rows), n + 1):
-        prev = rows[-1]
-        rows.append((1,) + tuple(a + b for a, b in zip(prev, prev[1:])) + (1,))
-    return rows[n][k]
+    k = min(k, n - k)
+    c = 1
+    for i in range(1, k + 1):
+        c = c * (n - k + i) // i
+    return c
 
 
 def catalan(n: int) -> int:

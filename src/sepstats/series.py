@@ -3,9 +3,10 @@
 The coefficient ring is Z[p, q, x, y, u, v] (with exact rationals admitted
 in intermediate results of ``sqrt``/``divide``/``invert``).  A
 :class:`MultiPoly` is a sparse map from monomials to coefficients, with the
-six exponents packed into one integer key (8 bits per variable) so that
-monomial multiplication is integer addition.  A :class:`TruncSeries` is a
-series in ``t`` truncated at a fixed order, one polynomial per power of t.
+six exponents packed into one integer key (9 bits per variable: 8 value
+bits and a guard bit) so that monomial multiplication is integer addition.
+A :class:`TruncSeries` is a series in ``t`` truncated at a fixed order, one
+polynomial per power of t.
 
 The centerpiece is :func:`solve_fixpoint`, which solves the coupled
 functional equations
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -58,14 +60,20 @@ VARIABLES: tuple[str, ...] = ("p", "q", "x", "y", "u", "v")
 #: part of every cache key.
 ENGINE_VERSION = 1
 
-#: Bits per variable in a packed monomial key.
+#: Value bits per variable in a packed monomial key.
 LANE_BITS = 8
 #: Largest truncation order the series roots accept.  A coefficient of t^n
 #: has no exponent above n, so this is the largest exponent a lane holds.
 MAX_ORDER = (1 << LANE_BITS) - 1
 
-_SHIFT: dict[str, int] = {name: 8 * i for i, name in enumerate(VARIABLES)}
-_LANE: dict[str, int] = {name: 0xFF << s for name, s in _SHIFT.items()}
+# Each variable's field is one bit wider than its value bits.  A product of
+# two in-range monomials sums exponents to at most 2 * MAX_ORDER, which fits
+# the field, so an overflow sets that field's top (guard) bit instead of
+# carrying into the next variable.
+_SHIFT: dict[str, int] = {name: (LANE_BITS + 1) * i for i, name in enumerate(VARIABLES)}
+_LANE: dict[str, int] = {name: MAX_ORDER << s for name, s in _SHIFT.items()}
+_GUARD = sum(1 << (s + LANE_BITS) for s in _SHIFT.values())
+_FIELDS = tuple(zip(_LANE.values(), _SHIFT.values()))
 
 Coeff = int | Fraction
 Exponents = tuple[int, int, int, int, int, int]
@@ -74,14 +82,14 @@ Exponents = tuple[int, int, int, int, int, int]
 def _pack(exps: Sequence[int]) -> int:
     key = 0
     for name, e in zip(VARIABLES, exps):
-        if not 0 <= e <= 0xFF:
+        if not 0 <= e <= MAX_ORDER:
             raise ValueError(f"exponent of {name} out of range: {e}")
         key |= e << _SHIFT[name]
     return key
 
 
 def _unpack(key: int) -> Exponents:
-    return tuple((key >> s) & 0xFF for s in (0, 8, 16, 24, 32, 40))  # type: ignore[return-value]
+    return tuple((key & lane) >> s for lane, s in _FIELDS)  # type: ignore[return-value]
 
 
 def check_order(order: int) -> None:
@@ -99,6 +107,61 @@ def _normalize_coeff(c: Coeff) -> Coeff:
     return c
 
 
+# -- the product kernel ------------------------------------------------------
+#
+# Every polynomial product, and every sum of products in the series algebra
+# and the fixpoint, accumulates term products into one dict, which is then
+# checked for lane overflow and cleared of zeros once.
+
+
+def _mul_into(out: dict[int, Coeff], a: dict[int, Coeff], b: dict[int, Coeff]) -> None:
+    """Add every term product of ``a`` and ``b`` into ``out``."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            v = get(k)
+            out[k] = c1 * c2 if v is None else v + c1 * c2
+
+
+def _finished(out: dict[int, Coeff]) -> "MultiPoly":
+    """The polynomial of a kernel output: reject an exponent past
+    ``MAX_ORDER``, then drop the coefficients that cancelled."""
+    if out and functools.reduce(operator.or_, out) & _GUARD:
+        raise ValueError(
+            f"product exponent exceeds {MAX_ORDER}, the largest exponent one "
+            f"{LANE_BITS}-bit lane holds"
+        )
+    if 0 in out.values():
+        out = {k: c for k, c in out.items() if c}
+    return MultiPoly(out)
+
+
+def _sum_of_products(pairs: Iterable[tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
+    """sum(a * b for a, b in pairs), accumulated in one dict."""
+    out: dict[int, Coeff] = {}
+    for a, b in pairs:
+        _mul_into(out, a._terms, b._terms)
+    return _finished(out)
+
+
+def _square_sum(c: Sequence["MultiPoly"], n: int, lo: int) -> "MultiPoly":
+    """sum(c[i] * c[n - i] for i in lo..n - lo), by symmetry: each pair
+    below the middle is multiplied once and doubled, and the middle square
+    (n even) is added once."""
+    out: dict[int, Coeff] = {}
+    for i in range(lo, (n + 1) // 2):
+        _mul_into(out, c[i]._terms, c[n - i]._terms)
+    for k, v in out.items():
+        out[k] = v + v
+    if n % 2 == 0:
+        mid = c[n // 2]._terms
+        _mul_into(out, mid, mid)
+    return _finished(out)
+
+
 class MultiPoly:
     """Sparse exact polynomial in the fixed variables p, q, x, y, u, v.
 
@@ -107,10 +170,10 @@ class MultiPoly:
     coefficients) — use the classmethod constructors for external data.
 
     Each exponent lives in a ``LANE_BITS``-wide lane, so no exponent may
-    exceed ``MAX_ORDER`` (255).  Constructors check this; products do not,
-    for speed: an exponent sum past 255 carries into the next variable.
-    Series code stays inside the limit because :func:`solve_fixpoint` and
-    the closed forms' radical reject orders above ``MAX_ORDER``.
+    exceed ``MAX_ORDER`` (255).  Constructors check this, and every product
+    raises ``ValueError`` when an exponent sum passes 255.  Series code
+    stays inside the limit because :func:`solve_fixpoint` and the closed
+    forms' radical reject orders above ``MAX_ORDER``.
 
     >>> f = MultiPoly.variable("x") + 2 * MultiPoly.variable("y")
     >>> str(f * f)
@@ -230,22 +293,9 @@ class MultiPoly:
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        a = self._terms
-        b = other._terms
-        if not a or not b:
-            return MultiPoly.zero()
-        if len(a) > len(b):
-            a, b = b, a
         out: dict[int, Coeff] = {}
-        get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                v = get(k)
-                out[k] = c1 * c2 if v is None else v + c1 * c2
-        if any(not c for c in out.values()):
-            out = {k: c for k, c in out.items() if c}
-        return MultiPoly(out)
+        _mul_into(out, self._terms, other._terms)
+        return _finished(out)
 
     __rmul__ = __mul__
 
@@ -314,7 +364,7 @@ class MultiPoly:
             k2 = k
             moved = 0
             for src, dst in mapping.items():
-                e = (k >> _SHIFT[src]) & 0xFF
+                e = (k & _LANE[src]) >> _SHIFT[src]
                 k2 &= ~_LANE[src]
                 moved |= e << _SHIFT[dst]
             k2 |= moved
@@ -553,16 +603,12 @@ class TruncSeries:
         n = min(self.order, other.order)
         a = self._coeffs
         b = other._coeffs
-        out: list[MultiPoly] = []
-        for k in range(n + 1):
-            acc = MultiPoly.zero()
-            for i in range(k + 1):
-                ai = a[i]
-                bj = b[k - i]
-                if ai and bj:
-                    acc = acc + ai * bj
-            out.append(acc)
-        return TruncSeries(out)
+        if a is b:
+            return TruncSeries([_square_sum(a, k, 0) for k in range(n + 1)])
+        return TruncSeries([
+            _sum_of_products((a[i], b[k - i]) for i in range(k + 1))
+            for k in range(n + 1)
+        ])
 
     __rmul__ = __mul__
 
@@ -580,14 +626,11 @@ class TruncSeries:
                 f"{c0}"
             )
         b0 = c0.constant_term()
+        b = self._coeffs
         out = [_divide_exact(MultiPoly.one(), b0)]
         for n in range(1, self.order + 1):
             # b_0 out_n = -sum_{k=1..n} b_k out_{n-k}
-            acc = MultiPoly.zero()
-            for k in range(1, n + 1):
-                bk = self._coeffs[k]
-                if bk:
-                    acc = acc + bk * out[n - k]
+            acc = _sum_of_products((b[k], out[n - k]) for k in range(1, n + 1))
             out.append(_divide_exact(acc, -b0))
         return TruncSeries(out)
 
@@ -629,15 +672,7 @@ class TruncSeries:
             raise ValueError("sqrt requires constant term exactly 1")
         g = [MultiPoly.one()]
         for n in range(1, self.order + 1):
-            # The sum is symmetric in k <-> n - k: each pair below the middle
-            # counts twice, the middle square (n even) once.
-            pairs = MultiPoly.zero()
-            for k in range(1, (n + 1) // 2):
-                pairs = pairs + g[k] * g[n - k]
-            acc = self._coeffs[n] - pairs - pairs
-            if n % 2 == 0:
-                acc = acc - g[n // 2] * g[n // 2]
-            g.append(_divide_exact(acc, 2))
+            g.append(_divide_exact(self._coeffs[n] - _square_sum(g, n, 1), 2))
         return TruncSeries(g)
 
     # -- specialization ----------------------------------------------------
@@ -706,6 +741,9 @@ def _divide_exact(poly: MultiPoly, d: Coeff) -> MultiPoly:
 def assert_counting_series(series: TruncSeries, what: str = "series") -> None:
     """Assert all coefficients are polynomials with non-negative integers."""
     for n, poly in enumerate(series.coefficients()):
+        values = poly._terms.values()
+        if all(isinstance(c, int) for c in values) and min(values, default=0) >= 0:
+            continue
         for exps, c in poly.terms():
             if not isinstance(c, int) or c < 0:
                 raise AssertionError(
@@ -760,20 +798,13 @@ def _solve_fixpoint_cached(
     s_y1 = [zero, spec(xyuv, "y")]
     s_x1 = [zero, spec(xyuv, "x")]
     i_u1 = [zero, spec(xyuv, "u")]
-    # reducible part with v set to 1: (S - I)|v=1
-    red_v1 = [zero, zero]
+    # the q-term's first factor (S - I)|v=1 + xyut; S and I agree at t^1
+    red_v1 = [zero, xyu]
 
     for n in range(2, order + 1):
-        q_sum = xyu * s_x1[n - 1]
-        for i in range(2, n):
-            # red_v1[i] is zero for i < 2
-            if red_v1[i]:
-                q_sum = q_sum + red_v1[i] * s_x1[n - i]
+        q_sum = _sum_of_products((red_v1[i], s_x1[n - i]) for i in range(1, n))
         i_n = q_factor * q_sum
-        p_sum = zero
-        for i in range(1, n):
-            if s_y1[i] and i_u1[n - i]:
-                p_sum = p_sum + s_y1[i] * i_u1[n - i]
+        p_sum = _sum_of_products((s_y1[i], i_u1[n - i]) for i in range(1, n))
         s_n = i_n + p_factor * p_sum
         s_coeffs.append(s_n)
         i_coeffs.append(i_n)

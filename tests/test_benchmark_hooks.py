@@ -83,3 +83,25 @@ def test_tracer_hooks_install_and_uninstall_cleanly():
         uninstall()
         distributions._census.cache_clear()
     _assert_same_objects(before, _snapshot())
+
+
+def test_closed_forms_reach_the_series_spans_the_benchmark_probes():
+    # Tier-1 mirror of the benchmark self-test's liveness probe for the
+    # closed_forms workload: its toy body must record polynomial products,
+    # inverses and square roots through the names the tracer wraps.
+    tracing = _load_tracer()
+    memos = tracing.lru_caches(closedforms).values()
+    for memo in memos:
+        memo.cache_clear()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        closedforms.closed_form_S_single(8)
+        closedforms.closed_form_quad(5, "all")
+        totals = tracer.totals()
+    finally:
+        uninstall()
+        for memo in memos:
+            memo.cache_clear()
+    for name in ("series.poly_mul", "series.invert", "series.sqrt"):
+        assert totals.get(name, [0])[0] > 0, name

@@ -25,7 +25,7 @@ LARGE_SCHROEDER = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098, 1037718]
 
 
 def test_binomial_matches_math_comb():
-    for n in range(0, 15):
+    for n in [*range(0, 15), 300, 1201]:
         for k in range(0, n + 1):
             assert binomial(n, k) == math.comb(n, k)
 
@@ -139,3 +139,25 @@ def test_deep_sequences_work_cold():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_schroeder_sum_retains_little_memory():
+    # schroeder_eq1(600) reads binomials from rows up to 1200; a memoized
+    # Pascal triangle that far holds about 80 MB
+    src = Path(sepstats.__file__).resolve().parent.parent
+    code = (
+        "import tracemalloc\n"
+        "from sepstats.numbers import schroeder_eq1\n"
+        "tracemalloc.start()\n"
+        "schroeder_eq1(600)\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5 * 2**20

@@ -1,5 +1,6 @@
 """Series engine: polynomial arithmetic, series calculus, solver, I/O."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,20 @@ def test_fixpoint_rejects_bad_active_set():
         solve_fixpoint(4, ("w",))
 
 
+def test_counting_series_check_names_the_first_bad_term():
+    from sepstats.series import assert_counting_series
+
+    assert_counting_series(TruncSeries([MultiPoly.zero(), parse_poly("x + 2y")]))
+    for bad, shown in (
+        (parse_poly("x - y"), "(0, 0, 0, 1, 0, 0) is -1"),
+        (MultiPoly.constant(Fraction(1, 2)), "(0, 0, 0, 0, 0, 0) is 1/2"),
+        (MultiPoly({0: Fraction(3)}), "(0, 0, 0, 0, 0, 0) is 3"),
+    ):
+        message = re.escape(f"S: coefficient of t^1 monomial {shown}")
+        with pytest.raises(AssertionError, match=message):
+            assert_counting_series(TruncSeries([MultiPoly.one(), bad]), "S")
+
+
 # -- serialization ----------------------------------------------------------
 
 
@@ -338,3 +353,149 @@ def test_keep_only_rejects_an_unknown_variable():
     assert str(from_keep_only.value) == str(from_specialize.value)
     with pytest.raises(ValueError, match="unknown variable 'z'"):
         TruncSeries([f, f]).keep_only(["z"])
+
+
+# -- the lane guard ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("var", VARIABLES)
+def test_product_past_the_lane_limit_raises(var):
+    big = MultiPoly.from_exponents({tuple(200 if v == var else 0 for v in VARIABLES): 1})
+    small = MultiPoly.from_exponents({tuple(100 if v == var else 0 for v in VARIABLES): 1})
+    with pytest.raises(ValueError, match="exceeds 255"):
+        big * small
+
+
+def test_product_at_the_lane_limit_is_accepted():
+    assert parse_poly("y^200") * parse_poly("y^55") == parse_poly("y^255")
+    assert parse_poly("y^255").coefficient((0, 0, 0, 255, 0, 0)) == 1
+    assert str(parse_poly("x^255*y + 2")) == "x^255*y + 2"
+    with pytest.raises(ValueError, match="out of range"):
+        parse_poly("y^256")
+
+
+def test_series_products_past_the_lane_limit_raise():
+    one, zero, y = MultiPoly.one(), MultiPoly.zero(), parse_poly("y^128")
+    at_limit = TruncSeries([one, parse_poly("y^127"), zero])
+    assert (at_limit * TruncSeries([one, y, zero])).coefficient(2) == parse_poly("y^255")
+    past = TruncSeries([one, y, zero])
+    for product in (
+        lambda: past * past,  # the symmetric square
+        lambda: past * TruncSeries([one, y, zero]),
+        lambda: TruncSeries([one, -y, zero]).invert(),
+        lambda: past.sqrt(),
+    ):
+        with pytest.raises(ValueError, match="exceeds 255"):
+            product()
+
+
+# -- the product kernel against a naive reference ----------------------------
+
+
+def _naive_product(f, g):
+    out = {}
+    for e1, c1 in f.terms():
+        for e2, c2 in g.terms():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return MultiPoly.from_exponents(out)
+
+
+def _naive_series_product(a, b):
+    n = min(a.order, b.order)
+    out = []
+    for k in range(n + 1):
+        acc = MultiPoly.zero()
+        for i in range(k + 1):
+            acc = acc + _naive_product(a.coefficient(i), b.coefficient(k - i))
+        out.append(acc)
+    return TruncSeries(out)
+
+
+_small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 6),
+    st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4),
+    max_size=3,
+).map(MultiPoly.from_exponents)
+_six_variable_series = st.lists(_small_polys, min_size=1, max_size=4).map(TruncSeries)
+_scalars = st.integers(-3, 3).filter(bool) | st.fractions(-2, 2, max_denominator=3).filter(bool)
+
+
+@st.composite
+def _series_with_constant(draw, constant, order=None):
+    order = draw(st.integers(0, 3)) if order is None else order
+    rest = [draw(_small_polys) for _ in range(order)]
+    return TruncSeries([MultiPoly.constant(draw(constant))] + rest)
+
+
+@_kernel
+@given(_six_variable_polys, _six_variable_polys)
+def test_poly_product_matches_naive_reference(f, g):
+    assert f * g == _naive_product(f, g)
+    assert all(c for _, c in (f * g).terms())
+
+
+@_kernel
+@given(_six_variable_series, _six_variable_series)
+def test_series_product_matches_naive_reference(a, b):
+    assert a * b == _naive_series_product(a, b)
+
+
+@_kernel
+@given(_six_variable_series)
+def test_series_square_equals_product_with_a_copy(a):
+    copy = TruncSeries(list(a.coefficients()))
+    assert copy.coefficients() is not a.coefficients()
+    assert a * a == a * copy == _naive_series_product(a, a)
+
+
+@_kernel
+@given(_series_with_constant(_scalars))
+def test_invert_matches_naive_reference(a):
+    assert _naive_series_product(a.invert(), a).is_one()
+
+
+@_kernel
+@given(_series_with_constant(st.just(1)))
+def test_sqrt_matches_naive_reference(f):
+    root = f.sqrt()
+    assert _naive_series_product(root, root) == f
+
+
+@_kernel
+@given(st.data())
+def test_divide_matches_naive_reference(data):
+    # the shared power of t cancels: a t^s / b t^s has order a.order
+    order = data.draw(st.integers(0, 3))
+    zeros = [MultiPoly.zero()] * data.draw(st.integers(0, 2))
+    a = TruncSeries([data.draw(_small_polys) for _ in range(order + 1)])
+    b = data.draw(_series_with_constant(_scalars, order))
+    quot = TruncSeries(zeros + list(a.coefficients())).divide(
+        TruncSeries(zeros + list(b.coefficients()))
+    )
+    assert _naive_series_product(quot, b) == a
+
+
+@_kernel
+@given(_six_variable_series, _six_variable_series, _six_variable_series)
+def test_series_ring_axioms(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a * TruncSeries.one(a.order) == a
+    assert (a - a).is_zero() and a + TruncSeries.zero(a.order) == a
+
+
+_integer_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3) | st.just(255)] * 6),
+    st.integers(-5, 5),
+    max_size=6,
+).map(MultiPoly.from_exponents)
+
+
+@_kernel
+@given(_integer_polys)
+def test_str_parse_round_trip(f):
+    assert parse_poly(str(f)) == f

@@ -259,6 +259,78 @@ def test_specialization_consistency_fails_on_an_off_subset_solve(monkeypatch):
     assert report.witness.startswith(f"S with active ('x', 'y'): t^{k} coefficient")
 
 
+@pytest.mark.parametrize(
+    "active, bump, label",
+    [
+        (("p", "q"), "p", "reducible split in (p,q)"),
+        (("y", "u"), "y", "S system in (y,u)"),
+        (("x", "y", "u"), "x", "S system in (x,y,u)"),
+    ],
+)
+def test_specialized_systems_fail_on_a_bumped_fixpoint(monkeypatch, active, bump, label):
+    real = verify.solve_fixpoint
+    k = 5
+
+    def tampered(order, active_set=VARIABLES):
+        s, i = real(order, active_set)
+        if tuple(active_set) == active:
+            s = s + TruncSeries.term(order, k, MultiPoly.variable(bump))
+        return s, i
+
+    monkeypatch.setattr(verify, "solve_fixpoint", tampered)
+    report = verify.verify_specialized_systems(order=8)
+    assert report.verdict == "fail"
+    assert report.first_fail == k
+    assert report.witness == f"{label}: residual t^{k} coefficient {bump}"
+
+
+def test_factorization_check_fails_on_a_bumped_fixpoint(monkeypatch):
+    real = verify.solve_fixpoint
+    k = 4
+
+    def tampered(order, active=VARIABLES):
+        s, i = real(order, active)
+        return s + TruncSeries.term(order, k, MultiPoly.variable("x")), i
+
+    monkeypatch.setattr(verify, "solve_fixpoint", tampered)
+    report = verify.verify_factorization(order=6)
+    assert report.verdict == "fail"
+    assert report.first_fail == k
+    assert report.witness == f"first factorization: residual t^{k} coefficient x"
+
+
+@pytest.mark.parametrize(
+    "target, label, coefficient",
+    [
+        ("S", "cubic in S(t,p,q)", "-q"),
+        ("I", "I(t,p,q) closed form", "q"),
+        ("radical", "p=q=1 cubic on the radical series", "-1"),
+    ],
+)
+def test_asc_des_check_fails_on_a_bumped_input(monkeypatch, target, label, coefficient):
+    k = 5
+    if target == "radical":
+        real_gf = closedforms.schroeder_gf
+        monkeypatch.setattr(
+            closedforms,
+            "schroeder_gf",
+            lambda order: real_gf(order) + TruncSeries.term(order, k, 1),
+        )
+    else:
+        real = closedforms.solve_fixpoint
+
+        def tampered(order, active=VARIABLES):
+            s, i = real(order, active)
+            bump = TruncSeries.term(order, k, MultiPoly.variable("q"))
+            return (s + bump, i) if target == "S" else (s, i + bump)
+
+        monkeypatch.setattr(closedforms, "solve_fixpoint", tampered)
+    report = verify.verify_asc_des(order=8)
+    assert report.verdict == "fail"
+    assert report.first_fail == k
+    assert report.witness == f"{label}: residual t^{k} coefficient {coefficient}"
+
+
 def test_run_all_rejects_a_too_deep_conjecture_range_before_any_check(monkeypatch):
     def must_not_run():
         raise AssertionError("a check ran before the depth was rejected")
