@@ -412,7 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`sepstats enumerate 12 | head`).
+        # Point stdout at devnull so that the interpreter's last flush does
+        # not fail again, and end quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         # Invalid input rejected by the library; anything else is a bug and
         # keeps its traceback.

@@ -21,12 +21,17 @@ Keeping both routes intact is the point: each one checks the other.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .enumeration import (
     HARD_CAP,
+    _key_exponents,
+    _key_stream,
     canonical_class,
     class_part,
     count_irreducible,
@@ -141,15 +146,36 @@ class DistTable:
         return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
 
 
+#: The census checks the first word, the last word and every word at this
+#: stride of each walk against the statistics kernel.
+_SAMPLE_EVERY = 1021
+
+
+def _check_key(word: bytes, key: int) -> None:
+    """Anchor a composed statistic key to the kernel on its word."""
+    want = _stats_of_sequence(word).monomial()
+    if _key_exponents(key) != want:
+        raise AssertionError(
+            f"composed statistics {_key_exponents(key)} of {list(word)} "
+            f"differ from the kernel's {want}"
+        )
+
+
 @functools.lru_cache(maxsize=None)
 def _census(n: int, cls: str) -> MultiPoly:
     """Sum of p^asc q^des x^lmax y^rmax u^lmin v^rmin over the length-n
     permutations of the canonical class ``cls``: the one walk of the
-    stream per (n, class)."""
-    counts: dict[tuple[int, ...], int] = {}
-    for word in iter_separable_bytes(n, cls):
-        key = _stats_of_sequence(word).monomial()
-        counts[key] = counts.get(key, 0) + 1
+    stream per (n, class), tallying each word's composed statistic key."""
+    tally: Counter[int] = Counter()
+    run: list[tuple[bytes, int]] = []
+    pairs = zip(iter_separable_bytes(n, cls), _key_stream(n, cls), strict=True)
+    for first in pairs:
+        _check_key(*first)
+        run = [first, *itertools.islice(pairs, _SAMPLE_EVERY - 1)]
+        tally.update(map(operator.itemgetter(1), run))
+    if len(run) > 1:
+        _check_key(*run[-1])
+    counts = {_key_exponents(key): c for key, c in tally.items()}
     DistTable(cls, STAT_NAMES, {n: counts}).check_totals()
     return MultiPoly.from_exponents(counts)
 

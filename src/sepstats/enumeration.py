@@ -15,6 +15,12 @@ so they can be compared without sorting.  The structural generator works on
 raw ``bytes`` internally (value k stored as byte k) and exposes that fast
 path as :func:`iter_separable_bytes` for census-scale consumers.
 
+Every structural word is built as head + tail, so its six statistics follow
+from its two summands' in O(1) (the composition rules ``_SUM_RULE`` and
+``_SKEW_RULE``).  A private key stream, aligned word for word with
+:func:`iter_separable_bytes`, carries them packed into one int per word for
+the census.
+
 Lexicographic order comes for free from a block decomposition of the output
 space: for two distinct (shifted) first summands, neither is a byte-prefix
 of the other — a proper prefix that is itself a permutation of the involved
@@ -32,6 +38,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from array import array
 from typing import Iterator, TypeVar
 
 from .permutations import Permutation, is_separable
@@ -108,85 +115,188 @@ def _shift_table(s: int) -> bytes:
     return bytes((i + s) & 0xFF for i in range(256))
 
 
-# Memo tables: length -> (all, sum_indec, skew_indec), each a lex-sorted list
-# of bytes.  The three lists share their bytes objects.
-_TABLES: dict[int, tuple[list[bytes], list[bytes], list[bytes]]] = {
-    1: ([_ONE], [_ONE], [_ONE])
+# Packed statistic keys.  A key holds the six statistics of one word in
+# 5-bit fields, in the order (asc, des, lmax, rmax, lmin, rmin) of
+# ``StatProfile.monomial``; every value is at most HARD_CAP < 32, so a key
+# fits the 32-bit items of ``array("I")``.
+_FIELD_BITS = 5
+_FIELD = (1 << _FIELD_BITS) - 1
+_ASC, _DES, _LMAX, _RMAX, _LMIN, _RMIN = range(6)
+_EVERY_FIELD = (1 << 6 * _FIELD_BITS) - 1
+
+
+def _field(stat: int) -> int:
+    return _FIELD << _FIELD_BITS * stat
+
+
+def _stat_key(exps: tuple[int, ...]) -> int:
+    """Pack a six-statistic exponent vector into one key.
+
+    >>> _key_exponents(_stat_key((1, 2, 3, 4, 5, 6)))
+    (1, 2, 3, 4, 5, 6)
+    """
+    key = 0
+    for stat, e in enumerate(exps):
+        key |= e << _FIELD_BITS * stat
+    return key
+
+
+def _key_exponents(key: int) -> tuple[int, ...]:
+    """The exponent vector a key packs."""
+    return tuple(key >> _FIELD_BITS * stat & _FIELD for stat in range(6))
+
+
+# Composition rules: (head mask, tail mask, junction).  The key of a sum of
+# two words is (head key & head mask) + (tail key & tail mask) + junction.
+#: alpha + beta: asc adds plus 1 at the junction; des, lmax and rmin add;
+#: lmin is alpha's and rmax is beta's.
+_SUM_RULE = (
+    _EVERY_FIELD & ~_field(_RMAX),
+    _EVERY_FIELD & ~_field(_LMIN),
+    1 << _FIELD_BITS * _ASC,
+)
+#: alpha - beta: des adds plus 1 at the junction; asc, rmax and lmin add;
+#: lmax is alpha's and rmin is beta's.
+_SKEW_RULE = (
+    _EVERY_FIELD & ~_field(_RMIN),
+    _EVERY_FIELD & ~_field(_LMAX),
+    1 << _FIELD_BITS * _DES,
+)
+
+#: The parts of a length's separables: all of them, the sum-indecomposable
+#: ones (the irreducible class) and the skew-indecomposable ones (the
+#: reducible class, for length >= 2).
+_ALL, _SUM_INDEC, _SKEW_INDEC = range(3)
+
+# Memo tables: length -> (words, keys, sum_indec, skew_indec): the
+# separables of that length as a lex-sorted list of bytes, an array of their
+# keys aligned with it, and one 0/1 selector per word for each of the two
+# indecomposable parts.
+_TABLES: dict[int, tuple[list[bytes], array, bytes, bytes]] = {
+    1: ([_ONE], array("I", [_stat_key((0, 0, 1, 1, 1, 1))]), b"\1", b"\1")
 }
 
 
-def _materialize(n: int) -> None:
-    """Fill the memo tables for all lengths up to ``n`` (n <= _MEMO_CAP)."""
-    for k in range(2, n + 1):
-        if k in _TABLES:
-            continue
-        sum_dec = list(_sum_decomposables(k))
-        skew_dec = list(_skew_decomposables(k))
-        merged = list(heapq.merge(sum_dec, skew_dec))
-        # sum-indecomposable = skew-decomposable and vice versa (length >= 2)
-        _TABLES[k] = (merged, skew_dec, sum_dec)
+def _table(n: int) -> tuple[list[bytes], array, bytes, bytes]:
+    """The memo-table entry of length n (n <= _MEMO_CAP), filling it and
+    every shorter length first."""
+    entry = _TABLES.get(n)
+    if entry is None:
+        for k in range(2, n + 1):
+            if k not in _TABLES:
+                _TABLES[k] = _build_table(k)
+        entry = _TABLES[n]
+    return entry
 
 
-def _all_stream(n: int) -> Iterator[bytes]:
-    """All separable permutations of length n, lex order, as bytes."""
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _build_table(n: int) -> tuple[list[bytes], array, bytes, bytes]:
+    """Words, keys and selectors of length n, block by block, from the
+    shorter tables."""
+    words: list[bytes] = []
+    keys = array("I")
+    # 1 for a sum-indecomposable word, 0 for a skew-indecomposable one: at
+    # length >= 2 every separable is exactly one of the two
+    sum_indec = bytearray()
+    for head, head_key, mask, shift, part in _blocks(n, _ALL):
+        tail_words, tail_keys = _TABLES[n - len(head)][:2]
+        if shift is None:
+            words += [head + rho for rho in tail_words]
+        else:
+            words += [head + rho.translate(shift) for rho in tail_words]
+        keys.extend(head_key + (k & mask) for k in tail_keys)
+        sum_indec += (b"\1" if part == _SUM_INDEC else b"\0") * len(tail_words)
+    selector = bytes(sum_indec)
+    return words, keys, selector, selector.translate(_FLIP)
+
+
+def _from_table(n: int, part: int, column: int) -> Iterator:
+    """Column 0 (words) or 1 (keys) of the length-n table, restricted to a
+    part."""
+    entry = _table(n)
+    if part == _ALL:
+        return iter(entry[column])
+    return itertools.compress(entry[column], entry[1 + part])
+
+
+def _words(n: int, part: int) -> Iterator[bytes]:
+    """The words of a part at length n, lex order."""
     if n <= _MEMO_CAP:
-        _materialize(n)
-        return iter(_TABLES[n][0])
-    return heapq.merge(_sum_decomposables(n), _skew_decomposables(n))
+        return _from_table(n, part, 0)
+    return _block_words(n, part)
 
 
-def _sum_indec_stream(n: int) -> Iterator[bytes]:
-    """Sum-indecomposable (irreducible) separables of length n, lex order."""
-    if n == 1:
-        return iter((_ONE,))
+def _keys(n: int, part: int) -> Iterator[int]:
+    """The keys of a part at length n, aligned with :func:`_words`."""
     if n <= _MEMO_CAP:
-        _materialize(n)
-        return iter(_TABLES[n][1])
-    return _skew_decomposables(n)
+        return _from_table(n, part, 1)
+    return _block_keys(n, part)
 
 
-def _skew_indec_stream(n: int) -> Iterator[bytes]:
-    """Skew-indecomposable separables of length n, lex order."""
-    if n == 1:
-        return iter((_ONE,))
-    if n <= _MEMO_CAP:
-        _materialize(n)
-        return iter(_TABLES[n][2])
-    return _sum_decomposables(n)
+def _block_words(n: int, part: int) -> Iterator[bytes]:
+    _table(_MEMO_CAP)  # tails up to the cap come from the tables
+    for head, _, _, shift, _ in _blocks(n, part):
+        m = n - len(head)
+        tails = _TABLES[m][0] if m <= _MEMO_CAP else _block_words(m, _ALL)
+        if shift is None:
+            for rho in tails:
+                yield head + rho
+        else:
+            for rho in tails:
+                yield head + rho.translate(shift)
 
 
-def _sum_decomposables(n: int) -> Iterator[bytes]:
-    """Direct sums alpha + rho: alpha sum-indecomposable, rho any separable.
+def _block_keys(n: int, part: int) -> Iterator[int]:
+    _table(_MEMO_CAP)  # tails up to the cap come from the tables
+    for head, head_key, mask, _, _ in _blocks(n, part):
+        m = n - len(head)
+        for k in _TABLES[m][1] if m <= _MEMO_CAP else _block_keys(m, _ALL):
+            yield head_key + (k & mask)
 
-    Heads (first summands) are merged lex across lengths; each head spans a
-    contiguous lex block, so the output is fully lex sorted.
+
+def _pairs(n: int, part: int) -> Iterator[tuple[bytes, int]]:
+    return zip(_words(n, part), _keys(n, part))
+
+
+def _blocks(n: int, part: int) -> Iterator[tuple]:
+    """The lex-ordered blocks of a part at length n >= 2.
+
+    A block is every word with one head (first summand): (head, the head's
+    key with its share of the composition rule applied, the tail key mask,
+    the shift table for the tails or None, the part the block's words belong
+    to besides all).  Its words are head + tail for every separable tail of
+    length n - len(head), in the tails' lex order.  No head is a prefix of
+    another, so each block spans a lex interval and the blocks come in the
+    order of their heads.
     """
-    heads = heapq.merge(*(_sum_indec_stream(i) for i in range(1, n)))
-    for head in heads:
-        i = len(head)
-        table = _shift_table(i)
-        for rho in _all_stream(n - i):
-            yield head + rho.translate(table)
+    streams = []
+    if part != _SUM_INDEC:
+        streams += [_sum_blocks(n, i) for i in range(1, n)]
+    if part != _SKEW_INDEC:
+        streams += [_skew_blocks(n, i) for i in range(1, n)]
+    return heapq.merge(*streams)
 
 
-def _shifted(stream: Iterator[bytes], s: int) -> Iterator[bytes]:
-    """Add ``s`` to every value of every permutation in ``stream``."""
-    table = _shift_table(s)
-    return (b.translate(table) for b in stream)
+def _sum_blocks(n: int, i: int) -> Iterator[tuple]:
+    """Direct sums alpha + rho of length n: alpha sum-indecomposable of
+    length i, rho any separable."""
+    head_mask, tail_mask, junction = _SUM_RULE
+    shift = _shift_table(i)
+    for alpha, key in _pairs(i, _SUM_INDEC):
+        head_key = (key & head_mask) + junction
+        yield alpha, head_key, tail_mask, shift, _SKEW_INDEC
 
 
-def _skew_decomposables(n: int) -> Iterator[bytes]:
-    """Skew sums beta - rho: beta skew-indecomposable, rho any separable.
-
-    The head is beta shifted above the remaining n - len(beta) values.
-    """
-    heads = heapq.merge(
-        *(_shifted(_skew_indec_stream(i), n - i) for i in range(1, n))
-    )
-    for head in heads:
-        i = len(head)
-        for rho in _all_stream(n - i):
-            yield head + rho
+def _skew_blocks(n: int, i: int) -> Iterator[tuple]:
+    """Skew sums beta - rho of length n: beta skew-indecomposable of length
+    i, shifted above the n - i values of rho, any separable."""
+    head_mask, tail_mask, junction = _SKEW_RULE
+    shift = _shift_table(n - i)
+    for beta, key in _pairs(i, _SKEW_INDEC):
+        head_key = (key & head_mask) + junction
+        yield beta.translate(shift), head_key, tail_mask, None, _SUM_INDEC
 
 
 def _check_structural_n(n: int) -> None:
@@ -194,6 +304,18 @@ def _check_structural_n(n: int) -> None:
         raise ValueError(
             f"structural enumeration is capped at 1 <= n <= {HARD_CAP}, got {n}"
         )
+
+
+def _class_part(n: int, cls: str) -> int | None:
+    """The part holding the class at length n; None for the empty
+    reducible class at n = 1."""
+    _check_structural_n(n)
+    cls = canonical_class(cls)
+    if cls == "all":
+        return _ALL
+    if cls == "irreducible":
+        return _SUM_INDEC
+    return None if n == 1 else _SKEW_INDEC
 
 
 def iter_separable_bytes(n: int, cls: str = "all") -> Iterator[bytes]:
@@ -207,15 +329,19 @@ def iter_separable_bytes(n: int, cls: str = "all") -> Iterator[bytes]:
     >>> [list(b) for b in iter_separable_bytes(3, "irr")]
     [[2, 3, 1], [3, 1, 2], [3, 2, 1]]
     """
-    _check_structural_n(n)
-    cls = canonical_class(cls)
-    if cls == "all":
-        return _all_stream(n)
-    if cls == "irreducible":
-        return _sum_indec_stream(n)
-    if n == 1:
-        return iter(())
-    return _sum_decomposables(n)
+    part = _class_part(n, cls)
+    return iter(()) if part is None else _words(n, part)
+
+
+def _key_stream(n: int, cls: str = "all") -> Iterator[int]:
+    """The packed statistic keys of :func:`iter_separable_bytes`, word for
+    word: each composed in O(1) from the keys of the word's two summands.
+
+    >>> [_key_exponents(k) for k in _key_stream(2)]
+    [(1, 0, 2, 1, 1, 2), (0, 1, 1, 2, 2, 1)]
+    """
+    part = _class_part(n, cls)
+    return iter(()) if part is None else _keys(n, part)
 
 
 def enumerate_structural(n: int) -> Iterator[Permutation]:
@@ -229,7 +355,7 @@ def enumerate_structural(n: int) -> Iterator[Permutation]:
     8558
     """
     _check_structural_n(n)
-    return (Permutation(tuple(b)) for b in _all_stream(n))
+    return (Permutation(tuple(b)) for b in _words(n, _ALL))
 
 
 def enumerate_filter(n: int) -> Iterator[Permutation]:

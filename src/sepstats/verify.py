@@ -344,6 +344,10 @@ def _census(order: int) -> dict[str, TruncSeries]:
     return {cls: class_part(cls, s, i) for cls in CLASSES}
 
 
+#: The variables of lmax, rmax, lmin and rmin: every closed form lives in them.
+_EXTREME_LANES = ("x", "y", "u", "v")
+
+
 def _exchange_identity(order: int) -> str:
     s_y, i_y = solve_fixpoint(order, ("y",))
     s_u, i_u = solve_fixpoint(order, ("u",))
@@ -370,8 +374,11 @@ def _check_closed_forms(check_id: str, order: int, census_order: int) -> CheckRe
     label, tuples, extra = _CLOSED_FORM_CHECKS[check_id]
 
     def body() -> str:
-        master = _master(order)
-        census = _census(census_order)
+        # Project each class onto the four lanes the tuples use once, then
+        # each tuple from that; keep_only composes.
+        lanes4 = _EXTREME_LANES
+        master = {cls: s.keep_only(lanes4) for cls, s in _master(order).items()}
+        census = {cls: s.keep_only(lanes4) for cls, s in _census(census_order).items()}
         for stats_tuple in tuples:
             name = "-".join(stats_tuple)
             lanes = _lanes(stats_tuple)
@@ -628,9 +635,8 @@ def verify_transfer(order: int = 12) -> CheckReport:
         # Project the six-variable master series once onto the four lanes
         # the tuples use, then each lane set once; keep_only composes.
         master = _master(order)
-        lanes4 = ("x", "y", "u", "v")
-        i4 = master["irreducible"].keep_only(lanes4)
-        r4 = master["reducible"].keep_only(lanes4)
+        i4 = master["irreducible"].keep_only(_EXTREME_LANES)
+        r4 = master["reducible"].keep_only(_EXTREME_LANES)
         projected: dict[frozenset[str], tuple[TruncSeries, TruncSeries]] = {}
 
         def project(lanes: tuple[str, ...]) -> tuple[TruncSeries, TruncSeries]:

@@ -1,9 +1,14 @@
 """CLI: subcommand behavior, formats, exit codes, caching."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sepstats
 from sepstats.cli import SERIES_REGISTRY, build_parser, main
 from sepstats.series import ENGINE_VERSION
 
@@ -295,3 +300,24 @@ def test_parser_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([])
     assert exc.value.code == 2
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader is gone before the first write, as with `| head` on a
+    # long listing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(sepstats.__file__).resolve().parent.parent
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sepstats.cli", "enumerate", "7", "--class", "red"],
+            cwd=src,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from sepstats import distributions
+from sepstats import distributions, enumeration
 from sepstats.closedforms import SET2_PAIRS, closed_form_pair_set2
 from sepstats.distributions import (
     STAT_NAMES,
@@ -132,6 +132,31 @@ def test_census_walks_the_stream_once_per_length_and_class(monkeypatch):
     want = [(n, cls) for cls in ("all", "irreducible", "reducible") for n in (4, 5)]
     want += [(n, "irreducible") for n in (1, 2, 3)]
     assert sorted(walks) == sorted(want)
+
+
+@pytest.mark.parametrize("rule", ["_SUM_RULE", "_SKEW_RULE"])
+def test_census_rejects_keys_composed_by_a_mutated_rule(
+    monkeypatch, fresh_memos, rule
+):
+    head_mask, tail_mask, _ = getattr(enumeration, rule)
+    monkeypatch.setattr(enumeration, rule, (head_mask, tail_mask, 0))  # no junction
+    with pytest.raises(AssertionError, match="differ from the kernel"):
+        distributions._census(2, "all")
+
+
+def test_census_checks_words_at_the_sampling_stride(monkeypatch):
+    checked = []
+    monkeypatch.setattr(
+        distributions, "_check_key", lambda word, key: checked.append(word)
+    )
+    distributions._census.cache_clear()
+    try:
+        distributions._census(8, "all")
+    finally:
+        distributions._census.cache_clear()
+    words = list(distributions.iter_separable_bytes(8, "all"))
+    stride = distributions._SAMPLE_EVERY
+    assert checked == words[::stride] + [words[-1]]
 
 
 def test_series_from_enumeration_cap():

@@ -8,7 +8,9 @@ import pytest
 
 import sepstats
 
+from sepstats import enumeration
 from sepstats.enumeration import (
+    CLASSES,
     FILTER_CAP,
     HARD_CAP,
     count_irreducible,
@@ -17,7 +19,7 @@ from sepstats.enumeration import (
     enumerate_structural,
     iter_separable_bytes,
 )
-from sepstats.permutations import is_irreducible, is_separable
+from sepstats.permutations import _stats_of_sequence, is_irreducible, is_separable
 
 SEPARABLE = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586, 206098, 1037718]
 IRREDUCIBLE = [1, 1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859]
@@ -112,3 +114,45 @@ def test_caps_enforced():
 
 def test_reducible_stream_empty_at_n1():
     assert list(iter_separable_bytes(1, "red")) == []
+
+
+def test_composed_keys_match_the_kernel_on_every_word():
+    for n in range(1, 11):
+        words = list(iter_separable_bytes(n, "all"))
+        want = [
+            enumeration._stat_key(_stats_of_sequence(w).monomial()) for w in words
+        ]
+        assert list(enumeration._key_stream(n, "all")) == want, n
+        if n <= 9:
+            # the class streams against the kernel's keys of their words
+            kernel = dict(zip(words, want))
+            for cls in ("irreducible", "reducible"):
+                got = list(enumeration._key_stream(n, cls))
+                want_cls = [kernel[w] for w in iter_separable_bytes(n, cls)]
+                assert got == want_cls, (n, cls)
+
+
+def test_streams_above_the_memo_cap_equal_the_tables(monkeypatch):
+    # lengths above the cap compose words and keys block by block, with
+    # heads and tails that are themselves above the cap
+    want = {
+        (n, cls): (
+            list(iter_separable_bytes(n, cls)),
+            list(enumeration._key_stream(n, cls)),
+        )
+        for n in range(1, 8)
+        for cls in CLASSES
+    }
+    monkeypatch.setattr(enumeration, "_MEMO_CAP", 3)
+    monkeypatch.setattr(enumeration, "_TABLES", {1: enumeration._TABLES[1]})
+    for (n, cls), (words, keys) in want.items():
+        assert list(iter_separable_bytes(n, cls)) == words, (n, cls)
+        assert list(enumeration._key_stream(n, cls)) == keys, (n, cls)
+    assert set(enumeration._TABLES) == {1, 2, 3}
+
+
+def test_class_streams_read_the_memo_table():
+    table = {id(word) for word in iter_separable_bytes(6, "all")}
+    for cls in CLASSES:
+        words = iter_separable_bytes(6, cls)
+        assert all(id(word) in table for word in words), cls

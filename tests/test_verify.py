@@ -2,7 +2,7 @@
 
 import pytest
 
-from sepstats import closedforms, numbers, verify
+from sepstats import closedforms, distributions, enumeration, numbers, verify
 from sepstats.distributions import STAT_TO_VARIABLE
 from sepstats.series import VARIABLES, MultiPoly, TruncSeries
 
@@ -348,3 +348,67 @@ def test_full_suite_green():
     failing = [r.line() for r in reports if r.verdict != "pass"]
     assert not failing, "\n".join(failing)
     assert len(reports) == 24
+
+
+def test_master_vs_enumeration_fails_on_a_mutated_composition_rule(
+    monkeypatch, fresh_memos
+):
+    # drop the +1 at the direct-sum junction, and blind the census's own
+    # sampled kernel check: the fixpoint comparison alone must catch it
+    head_mask, tail_mask, _ = enumeration._SUM_RULE
+    monkeypatch.setattr(enumeration, "_SUM_RULE", (head_mask, tail_mask, 0))
+    monkeypatch.setattr(distributions, "_check_key", lambda word, key: None)
+    report = verify.verify_master_vs_enumeration(order=3)
+    assert report.verdict == "fail"
+    assert report.first_fail == 2
+    assert report.witness == (
+        "S fixpoint vs census: t^2 coefficient p*x^2*y*u*v^2 + q*x*y^2*u^2*v "
+        "!= q*x*y^2*u^2*v + x^2*y*u*v^2"
+    )
+
+
+def test_negative_control_fails_when_the_rows_agree(monkeypatch):
+    real = verify.dist_from_enumeration
+
+    def tampered(n, perm_class="all", stats=()):
+        if tuple(stats) == ("rmax", "lmin"):
+            stats = ("lmax", "rmax")
+        return real(n, perm_class, stats)
+
+    monkeypatch.setattr(verify, "dist_from_enumeration", tampered)
+    report = verify.verify_negative_control()
+    assert report.verdict == "fail"
+    assert report.first_fail == 4
+    assert report.witness == (
+        "(lmax,rmax) and (rmax,lmin) agree for all n <= 4, expected a difference"
+    )
+
+
+@pytest.mark.parametrize(
+    "check, reference, at, label, want",
+    [
+        (
+            verify.verify_rising_factorial,
+            "rising_factorial_coeffs",
+            2,
+            "rising factorial",
+            {1: 2, 2: 3, 3: 1},
+        ),
+        (verify.verify_eulerian, "eulerian_poly", 1, "Eulerian", {0: 1, 1: 4, 2: 1}),
+    ],
+)
+def test_classical_cross_oracles_fail_on_a_bumped_reference(
+    monkeypatch, check, reference, at, label, want
+):
+    real = getattr(numbers, reference)
+
+    def tampered(n):
+        coeffs = real(n)
+        return {**coeffs, at: coeffs[at] + 1} if n == 3 else coeffs
+
+    monkeypatch.setattr(numbers, reference, tampered)
+    report = check(max_n=4)
+    assert report.verdict == "fail"
+    assert report.first_fail == 3
+    bumped = {**want, at: want[at] + 1}
+    assert report.witness == f"n=3: exhaustive {want} != {label} {bumped}"
