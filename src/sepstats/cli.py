@@ -43,6 +43,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -198,6 +199,21 @@ def _default_cache_dir() -> Path:
     return base / "sepstats"
 
 
+def _write_cache(cache_file: Path, doc: dict) -> None:
+    """Write beside the target under a name that is not *.json, then
+    rename: readers never see a torn file.  A directory or file that cannot
+    be created or written is a ValueError, with no temporary file left."""
+    tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+    try:
+        cache_file.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(canonical_json(doc), encoding="utf-8")
+        os.replace(tmp, cache_file)
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # no tmp, or no directory to hold one
+            tmp.unlink()
+        raise ValueError(f"cannot write cache file {cache_file}: {exc}") from exc
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
     name = args.name
     builder = SERIES_REGISTRY[name]
@@ -219,7 +235,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
                 key = (doc["engine"], doc["name"], doc["order"])
                 if key == (ENGINE_VERSION, doc_name, order):
                     series = document_to_series(doc)
-            except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            except (
+                OSError, ValueError, KeyError, TypeError, ZeroDivisionError
+            ) as exc:
                 print(
                     f"note: recomputing unreadable cache file {cache_file} "
                     f"({type(exc).__name__}: {exc})",
@@ -229,13 +247,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if series is None:
         series = builder(order, cls)
         if cache_file is not None:
-            cache_file.parent.mkdir(parents=True, exist_ok=True)
-            doc = series_to_document(doc_name, series)
-            # Write beside the target under a name that is not *.json, then
-            # rename: readers never see a torn file.
-            tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-            tmp.write_text(canonical_json(doc), encoding="utf-8")
-            os.replace(tmp, cache_file)
+            _write_cache(cache_file, series_to_document(doc_name, series))
 
     if args.format == "json":
         print(canonical_json(series_to_document(doc_name, series)))

@@ -373,9 +373,10 @@ def enumerate_filter(n: int) -> Iterator[Permutation]:
         raise ValueError(
             f"filter enumeration is capped at 1 <= n <= {FILTER_CAP}, got {n}"
         )
+    # itertools.permutations yields bijections: no validation needed
     return (
         pi
-        for pi in map(Permutation, itertools.permutations(range(1, n + 1)))
+        for pi in map(Permutation._trusted, itertools.permutations(range(1, n + 1)))
         if is_separable(pi)
     )
 

@@ -30,7 +30,7 @@ False
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Permutation",
@@ -81,6 +81,15 @@ class Permutation:
             raise ValueError(
                 f"values must be a bijection on 1..{n}, got {values!r}"
             )
+
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple the caller knows to be a bijection on 1..n, n >= 1,
+        without the validating sort; for images and candidates that are
+        permutations by construction."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "values", values)
+        return obj
 
     @classmethod
     def of(cls, *values: int) -> "Permutation":
@@ -137,12 +146,14 @@ class Permutation:
         return iter(self.values)
 
 
-@dataclasses.dataclass(frozen=True)
-class StatProfile:
+class StatProfile(NamedTuple):
     """The six statistic values of one permutation.
 
     Invariants (checked in tests): ``asc + des == n - 1`` and each of the
     four maxima/minima counts lies in [1, n].
+
+    >>> StatProfile(3, 2, 2, 3, 2, 3).monomial()
+    (3, 2, 2, 3, 2, 3)
     """
 
     asc: int
@@ -154,7 +165,7 @@ class StatProfile:
 
     def monomial(self) -> tuple[int, int, int, int, int, int]:
         """Exponent vector in the fixed variable order (p, q, x, y, u, v)."""
-        return (self.asc, self.des, self.lmax, self.rmax, self.lmin, self.rmin)
+        return tuple(self)
 
 
 def reverse(pi: Permutation) -> Permutation:
@@ -165,7 +176,7 @@ def reverse(pi: Permutation) -> Permutation:
     >>> str(reverse(Permutation.parse("12")))
     '21'
     """
-    return Permutation(tuple(pi.values[::-1]))
+    return Permutation._trusted(pi.values[::-1])
 
 
 def complement(pi: Permutation) -> Permutation:
@@ -176,8 +187,8 @@ def complement(pi: Permutation) -> Permutation:
     >>> str(complement(Permutation.parse("21")))
     '12'
     """
-    n = len(pi)
-    return Permutation(tuple(n + 1 - v for v in pi.values))
+    top = len(pi) + 1
+    return Permutation._trusted(tuple([top - v for v in pi.values]))
 
 
 def inverse(pi: Permutation) -> Permutation:
@@ -190,9 +201,9 @@ def inverse(pi: Permutation) -> Permutation:
     """
     n = len(pi)
     out = [0] * n
-    for i, v in enumerate(pi.values):
-        out[v - 1] = i + 1
-    return Permutation(tuple(out))
+    for i, v in enumerate(pi.values, 1):
+        out[v - 1] = i
+    return Permutation._trusted(tuple(out))
 
 
 def direct_sum(pi: Permutation, sigma: Permutation) -> Permutation:
@@ -240,35 +251,41 @@ def stats(pi: Permutation) -> StatProfile:
     return _stats_of_sequence(pi.values)
 
 
+_new_tuple = tuple.__new__
+
+
 def _stats_of_sequence(vals: Sequence[int]) -> StatProfile:
-    """Statistics of a sequence of distinct integers (internal fast path)."""
-    n = len(vals)
+    """Statistics of a sequence of distinct integers (internal fast path).
+
+    One left-to-right pass counts ascents and the left-to-right maxima and
+    minima (a new maximum is always an ascent, a new minimum a descent);
+    one right-to-left pass counts the right-to-left maxima and minima.
+    """
+    prev = hi = lo = vals[0]
     asc = 0
-    for i in range(n - 1):
-        if vals[i] < vals[i + 1]:
-            asc += 1
-    des = n - 1 - asc
-    hi = lo = vals[0]
     lmax = lmin = 1
-    for i in range(1, n):
-        v = vals[i]
-        if v > hi:
-            hi = v
-            lmax += 1
+    for v in vals:
+        if v > prev:
+            asc += 1
+            if v > hi:
+                hi = v
+                lmax += 1
         elif v < lo:
             lo = v
             lmin += 1
-    hi = lo = vals[n - 1]
+        prev = v
+    hi = lo = vals[-1]
     rmax = rmin = 1
-    for i in range(n - 2, -1, -1):
-        v = vals[i]
+    for v in reversed(vals):
         if v > hi:
             hi = v
             rmax += 1
         elif v < lo:
             lo = v
             rmin += 1
-    return StatProfile(asc=asc, des=des, lmax=lmax, rmax=rmax, lmin=lmin, rmin=rmin)
+    # tuple.__new__ skips the NamedTuple's keyword-parsing __new__; the
+    # values are in field order.
+    return _new_tuple(StatProfile, (asc, len(vals) - 1 - asc, lmax, rmax, lmin, rmin))
 
 
 def contains_pattern(pi: Permutation, pattern: Permutation) -> bool:

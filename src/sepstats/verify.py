@@ -24,6 +24,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import closedforms as cf
@@ -51,7 +52,6 @@ from .permutations import (
     is_irreducible,
     is_separable,
     reverse,
-    stats,
 )
 from .series import (
     MultiPoly,
@@ -539,46 +539,68 @@ _COMPLEMENT_STAT = {
 }
 
 
+#: Under reverse and complement, the image's statistic k is the source's
+#: statistic at these positions of the profile (STAT_NAMES order).
+_REVERSE_PROFILE = itemgetter(
+    *(STAT_NAMES.index(_REVERSE_STAT[s]) for s in STAT_NAMES)
+)
+_COMPLEMENT_PROFILE = itemgetter(
+    *(STAT_NAMES.index(_COMPLEMENT_STAT[s]) for s in STAT_NAMES)
+)
+
+
 def verify_symmetries(max_n: int = 8) -> CheckReport:
     """Pointwise statistic transport under reverse/complement/inverse and
     the reducibility flips, exhaustively on separable permutations."""
 
     def body() -> str:
-        stat_index = {s: k for k, s in enumerate(STAT_NAMES)}
         for n in range(1, max_n + 1):
+            # Every image of a length-n word is a length-n word, so each
+            # distinct word's (separable, profile, irreducible) is computed
+            # once per length.  The three functions are pure, so the first
+            # failure and its message are those of computing every time.
+            facts: dict[tuple[int, ...], tuple[bool, tuple[int, ...], bool]] = {}
+
+            def fact(perm: Permutation) -> tuple[bool, tuple[int, ...], bool]:
+                found = facts.get(perm.values)
+                if found is None:
+                    found = facts[perm.values] = (
+                        is_separable(perm),
+                        _stats_of_sequence(perm.values).monomial(),
+                        is_irreducible(perm),
+                    )
+                return found
+
             for word in iter_separable_bytes(n, "all"):
-                pi = Permutation(tuple(word))
-                prof = stats(pi).monomial()
-                irr = is_irreducible(pi)
-                for op, stat_map, flips in (
-                    (reverse, _REVERSE_STAT, True),
-                    (complement, _COMPLEMENT_STAT, True),
+                pi = Permutation._trusted(tuple(word))
+                _, prof, irr = fact(pi)
+                for op, transport in (
+                    (reverse, _REVERSE_PROFILE),
+                    (complement, _COMPLEMENT_PROFILE),
                 ):
-                    image = op(pi)
-                    if not is_separable(image):
+                    separable, got, image_irr = fact(op(pi))
+                    if not separable:
                         raise CheckFailure(
                             f"{op.__name__}({pi}) left the class", first_fail=n
                         )
-                    got = stats(image).monomial()
-                    want = tuple(prof[stat_index[stat_map[s]]] for s in STAT_NAMES)
+                    want = transport(prof)
                     if got != want:
                         raise CheckFailure(
                             f"{op.__name__}({pi}) statistics {got} != {want}",
                             first_fail=n,
                         )
-                    if n >= 2 and is_irreducible(image) != (not irr):
+                    if n >= 2 and image_irr != (not irr):
                         raise CheckFailure(
                             f"{op.__name__}({pi}) did not flip reducibility",
                             first_fail=n,
                         )
-                image = inverse(pi)
-                if not is_separable(image):
+                separable, inv_prof, image_irr = fact(inverse(pi))
+                if not separable:
                     raise CheckFailure(f"inverse({pi}) left the class", first_fail=n)
-                if is_irreducible(image) != irr:
+                if image_irr != irr:
                     raise CheckFailure(
                         f"inverse({pi}) changed reducibility", first_fail=n
                     )
-                inv_prof = stats(image).monomial()
                 # under inverse: rmax and lmin are preserved; lmax <-> rmin
                 if (
                     inv_prof[3] != prof[3]

@@ -194,6 +194,64 @@ def test_series_bad_cache_file_is_recomputed(tmp_path, capsys, damage):
     assert (bad_dir / name).read_text() == good
 
 
+def _series_child(*argv, prelude=""):
+    """Run the CLI in a child interpreter, after ``prelude``."""
+    src = Path(sepstats.__file__).resolve().parent.parent
+    code = (
+        f"{prelude}\nfrom sepstats.cli import main\n"
+        f"raise SystemExit(main({list(argv)!r}))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("where", ["file", "below-a-file", "name-is-a-directory"])
+def test_series_unwritable_cache_is_an_error_not_a_traceback(tmp_path, where):
+    name = f"joint-all-order3-v{ENGINE_VERSION}.json"
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    cache_dir = {
+        "file": blocker,
+        "below-a-file": blocker / "sub",
+        "name-is-a-directory": tmp_path,
+    }[where]
+    if where == "name-is-a-directory":
+        (tmp_path / name).mkdir()
+    proc = _series_child(
+        "series", "joint", "--order", "3", "--cache-dir", str(cache_dir)
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write cache file ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not list(tmp_path.rglob("*.tmp"))  # the failed write left nothing
+
+
+def test_series_unreadable_cache_file_is_a_miss(tmp_path):
+    name = f"joint-all-order3-v{ENGINE_VERSION}.json"
+    args = ("series", "joint", "--order", "3", "--cache-dir", str(tmp_path))
+    clean = _series_child(*args)
+    assert clean.returncode == 0 and (tmp_path / name).is_file()
+    # reading the cached document fails as on a file the user may not read
+    prelude = (
+        "import pathlib\n"
+        "def refuse(self, *a, **k):\n"
+        "    raise PermissionError(13, 'Permission denied', str(self))\n"
+        "pathlib.Path.read_text = refuse"
+    )
+    proc = _series_child(*args, prelude=prelude)
+    assert proc.returncode == 0
+    assert proc.stdout == clean.stdout
+    assert proc.stderr.startswith("note: recomputing unreadable cache file ")
+    assert "PermissionError" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_series_registry_covers_all_closed_forms():
     assert {"counting", "asc-des", "joint", "rmax", "lmax-rmax",
             "rmax-lmin", "lmax-rmax-lmin", "lmax-rmax-lmin-rmin"} <= set(

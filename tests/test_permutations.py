@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sepstats.permutations import (
     FORBIDDEN_PATTERNS,
     Permutation,
+    StatProfile,
+    _stats_of_sequence,
     block_decompose,
     complement,
     components,
@@ -89,6 +91,47 @@ def test_monomial_order_is_p_q_x_y_u_v():
     assert prof.monomial() == (1, 2, 2, 2, 2, 2)
 
 
+def _naive_stats(vals):
+    """The definitions, position by position: v is a left-to-right maximum
+    iff it exceeds every value before it, and so on."""
+    adjacent = list(zip(vals, vals[1:]))
+    return (
+        sum(a < b for a, b in adjacent),
+        sum(a > b for a, b in adjacent),
+        sum(all(v > w for w in vals[:i]) for i, v in enumerate(vals)),
+        sum(all(v > w for w in vals[i + 1 :]) for i, v in enumerate(vals)),
+        sum(all(v < w for w in vals[:i]) for i, v in enumerate(vals)),
+        sum(all(v < w for w in vals[i + 1 :]) for i, v in enumerate(vals)),
+    )
+
+
+_permutation_1_to_40 = st.integers(1, 40).flatmap(
+    lambda n: st.permutations(range(1, n + 1))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_permutation_1_to_40)
+def test_stats_kernel_matches_the_definitions(vals):
+    want = _naive_stats(vals)
+    for word in (tuple(vals), bytes(vals)):
+        prof = _stats_of_sequence(word)
+        assert type(prof) is StatProfile
+        assert tuple(prof) == want, word
+
+
+def test_stat_profile_fields_repr_and_monomial():
+    prof = StatProfile(1, 2, 3, 4, 5, 6)
+    assert StatProfile._fields == ("asc", "des", "lmax", "rmax", "lmin", "rmin")
+    assert repr(prof) == "StatProfile(asc=1, des=2, lmax=3, rmax=4, lmin=5, rmin=6)"
+    assert (prof.asc, prof.des, prof.lmax, prof.rmax, prof.lmin, prof.rmin) == (
+        1, 2, 3, 4, 5, 6,
+    )
+    mono = prof.monomial()
+    assert type(mono) is tuple and mono == (1, 2, 3, 4, 5, 6)
+    assert StatProfile(asc=1, des=2, lmax=3, rmax=4, lmin=5, rmin=6) == prof
+
+
 def test_stat_sum_invariants():
     # asc + des = n - 1; first element is counted by lmax and lmin, etc.
     for pi in all_perms(5):
@@ -105,6 +148,29 @@ def test_symmetries_are_involutions():
         assert reverse(reverse(pi)) == pi
         assert complement(complement(pi)) == pi
         assert inverse(inverse(pi)) == pi
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutation_1_to_40)
+def test_images_equal_validated_permutations(vals):
+    pi = Permutation(tuple(vals))
+    n = len(vals)
+    inv = [0] * n
+    for i, v in enumerate(vals):
+        inv[v - 1] = i + 1
+    for image, values in (
+        (reverse(pi), vals[::-1]),
+        (complement(pi), [n + 1 - v for v in vals]),
+        (inverse(pi), inv),
+    ):
+        assert image == Permutation(tuple(values))
+        assert type(image.values) is tuple
+        assert hash(image) == hash(Permutation(tuple(values)))
+    assert reverse(reverse(pi)) == pi
+    assert complement(complement(pi)) == pi
+    identity = tuple(range(1, n + 1))
+    assert tuple(pi[v - 1] for v in inverse(pi)) == identity
+    assert tuple(inverse(pi)[v - 1] for v in pi) == identity
 
 
 def test_reverse_complement_inverse_values():

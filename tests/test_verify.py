@@ -224,6 +224,41 @@ def test_symmetry_check_fails_when_an_image_is_rejected(monkeypatch):
     assert report.witness == "reverse(132) left the class"
 
 
+def test_symmetry_check_computes_each_word_once(monkeypatch):
+    # every image of a separable word is a separable word of the same
+    # length, so each of the 1+2+6+22+90+394 words is scanned and profiled
+    # exactly once
+    calls = {"is_separable": 0, "_stats_of_sequence": 0}
+    for name in calls:
+        real = getattr(verify, name)
+
+        def counted(arg, real=real, name=name):
+            calls[name] += 1
+            return real(arg)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert verify.verify_symmetries(max_n=6).verdict == "pass"
+    assert calls == {"is_separable": 515, "_stats_of_sequence": 515}
+
+
+def test_symmetry_check_fails_on_a_bumped_profile(monkeypatch):
+    real = verify._stats_of_sequence
+
+    def bumped(vals):
+        prof = real(vals)
+        if tuple(vals) == (1, 3, 2):
+            return prof._replace(rmax=prof.rmax + 1)
+        return prof
+
+    monkeypatch.setattr(verify, "_stats_of_sequence", bumped)
+    report = verify.verify_symmetries(max_n=4)
+    assert report.verdict == "fail"
+    assert report.first_fail == 3
+    assert report.witness == (
+        "reverse(132) statistics (1, 1, 2, 2, 2, 1) != (1, 1, 3, 2, 2, 1)"
+    )
+
+
 def test_transfer_check_fails_on_a_bumped_irreducible_coefficient(monkeypatch):
     real = verify._master
     k = 4
