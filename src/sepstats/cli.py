@@ -52,7 +52,6 @@ from typing import Callable, Sequence
 
 from . import __version__
 from . import closedforms
-from . import verify as verify_mod
 from .distributions import STAT_NAMES, dist_from_enumeration, render_table
 from .enumeration import (
     CLASS_ALIASES,
@@ -130,24 +129,27 @@ _DEFAULT_ORDER = {"joint": 12}
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     if args.method == "filter":
-        perms = enumerate_filter(n)
+        results = enumerate_filter(n)
         cls = canonical_class(args.perm_class)
         if cls != "all":
             want_irr = cls == "irreducible"
-            perms = (p for p in perms if is_irreducible(p) == want_irr)
+            results = (p for p in results if is_irreducible(p) == want_irr)
+    elif args.count:
+        # counting the stream's words needs no Permutation
+        results = iter_separable_bytes(n, args.perm_class)
     else:
-        perms = (
-            Permutation(tuple(word))
-            for word in iter_separable_bytes(n, args.perm_class)
+        # every word of the stream is a bijection by construction
+        results = map(
+            Permutation._trusted, map(tuple, iter_separable_bytes(n, args.perm_class))
         )
 
     if args.count:
-        print(sum(1 for _ in perms))
+        print(sum(1 for _ in results))
         return 0
     if args.format == "json":
-        print(json.dumps([list(p.values) for p in perms]))
+        print(json.dumps([list(p.values) for p in results]))
         return 0
-    for p in perms:
+    for p in results:
         print(p)
     return 0
 
@@ -199,14 +201,14 @@ def _default_cache_dir() -> Path:
     return base / "sepstats"
 
 
-def _write_cache(cache_file: Path, doc: dict) -> None:
+def _write_cache(cache_file: Path, text: str) -> None:
     """Write beside the target under a name that is not *.json, then
     rename: readers never see a torn file.  A directory or file that cannot
     be created or written is a ValueError, with no temporary file left."""
     tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
     try:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(canonical_json(doc), encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, cache_file)
     except OSError as exc:
         with contextlib.suppress(OSError):  # no tmp, or no directory to hold one
@@ -244,13 +246,17 @@ def _cmd_series(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
 
+    text: str | None = None
     if series is None:
         series = builder(order, cls)
         if cache_file is not None:
-            _write_cache(cache_file, series_to_document(doc_name, series))
+            text = canonical_json(series_to_document(doc_name, series))
+            _write_cache(cache_file, text)
 
     if args.format == "json":
-        print(canonical_json(series_to_document(doc_name, series)))
+        if text is None:
+            text = canonical_json(series_to_document(doc_name, series))
+        print(text)
     else:
         for n in range(1, series.order + 1):
             print(f"t^{n}: {series.coefficient(n)}")
@@ -258,6 +264,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # imported here, so that the other commands do not load the suite
+    from . import verify as verify_mod
+
     if args.list:
         for check in verify_mod.ALL_CHECKS:
             print(check)
@@ -278,6 +287,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_conjectures(args: argparse.Namespace) -> int:
+    from . import verify as verify_mod
+
     reports = verify_mod.check_conjectures(args.max_n)
     for check_id, spec in verify_mod._CONJECTURES.items():
         rows = verify_mod.conjecture_rows(

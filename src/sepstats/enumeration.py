@@ -355,7 +355,8 @@ def enumerate_structural(n: int) -> Iterator[Permutation]:
     8558
     """
     _check_structural_n(n)
-    return (Permutation(tuple(b)) for b in _words(n, _ALL))
+    # every word of the stream is a bijection by construction
+    return map(Permutation._trusted, map(tuple, _words(n, _ALL)))
 
 
 def enumerate_filter(n: int) -> Iterator[Permutation]:

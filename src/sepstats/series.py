@@ -73,15 +73,24 @@ MAX_ORDER = (1 << LANE_BITS) - 1
 _SHIFT: dict[str, int] = {name: (LANE_BITS + 1) * i for i, name in enumerate(VARIABLES)}
 _LANE: dict[str, int] = {name: MAX_ORDER << s for name, s in _SHIFT.items()}
 _GUARD = sum(1 << (s + LANE_BITS) for s in _SHIFT.values())
-_FIELDS = tuple(zip(_LANE.values(), _SHIFT.values()))
+_S_P, _S_Q, _S_X, _S_Y, _S_U, _S_V = _SHIFT.values()
 
 Coeff = int | Fraction
 Exponents = tuple[int, int, int, int, int, int]
 
 
 def _pack(exps: Sequence[int]) -> int:
+    """The key of an exponent vector over ``VARIABLES``: exactly one ``int``
+    (not ``bool``) in 0..``MAX_ORDER`` per variable, else ``ValueError``."""
+    if len(exps) != len(VARIABLES):
+        raise ValueError(
+            f"exponent vector {list(exps)} has {len(exps)} entries, "
+            f"expected one per variable of {VARIABLES}"
+        )
     key = 0
     for name, e in zip(VARIABLES, exps):
+        if type(e) is not int:
+            raise ValueError(f"exponent of {name} is not an integer: {e!r}")
         if not 0 <= e <= MAX_ORDER:
             raise ValueError(f"exponent of {name} out of range: {e}")
         key |= e << _SHIFT[name]
@@ -89,7 +98,22 @@ def _pack(exps: Sequence[int]) -> int:
 
 
 def _unpack(key: int) -> Exponents:
-    return tuple((key & lane) >> s for lane, s in _FIELDS)  # type: ignore[return-value]
+    m = MAX_ORDER
+    return (
+        key >> _S_P & m,
+        key >> _S_Q & m,
+        key >> _S_X & m,
+        key >> _S_Y & m,
+        key >> _S_U & m,
+        key >> _S_V & m,
+    )
+
+
+#: ``_FACTOR_TEXT[i][e]`` is how ``str`` writes ``VARIABLES[i]`` to the
+#: power e: for x, ``""`` (e = 0), ``"x"``, ``"x^2"``, ..., ``"x^255"``.
+_FACTOR_TEXT: tuple[tuple[str, ...], ...] = tuple(
+    ("", name, *(f"{name}^{e}" for e in range(2, MAX_ORDER + 1))) for name in VARIABLES
+)
 
 
 def check_order(order: int) -> None:
@@ -386,31 +410,25 @@ class MultiPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        pieces: list[str] = []
-
-        def sort_key(k: int) -> tuple:
-            exps = _unpack(k)
-            return (-sum(exps), tuple(-e for e in exps))
-
-        for key in sorted(self._terms, key=sort_key):
-            c = self._terms[key]
+        # Highest total degree first, then descending exponent vectors; the
+        # vectors are distinct, so the sort never compares coefficients.
+        rows = []
+        for key, c in self._terms.items():
             exps = _unpack(key)
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(VARIABLES, exps)
-                if e
-            ]
+            rows.append((sum(exps), exps, c))
+        rows.sort(reverse=True)
+        pieces: list[str] = []
+        for _, exps, c in rows:
+            factors = "*".join(filter(None, map(operator.getitem, _FACTOR_TEXT, exps)))
             if not factors:
-                body = str(c)
+                pieces.append(str(c))
             elif c == 1:
-                body = "*".join(factors)
+                pieces.append(factors)
             elif c == -1:
-                body = "-" + "*".join(factors)
+                pieces.append("-" + factors)
             else:
-                body = "*".join([str(c)] + factors)
-            pieces.append(body)
-        text = " + ".join(pieces)
-        return text.replace("+ -", "- ")
+                pieces.append(str(c) + "*" + factors)
+        return " + ".join(pieces).replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"<MultiPoly {self}>"
@@ -853,13 +871,18 @@ def solve_master_fixpoint(order: int = 12) -> tuple[TruncSeries, TruncSeries]:
 
 
 def series_to_document(name: str, series: TruncSeries) -> dict:
-    """JSON-ready document for a series: order -> sorted coefficient triples."""
+    """JSON-ready document for a series: order -> coefficient triples
+    ``[exponents, numerator, denominator]`` in ascending key order."""
     coefficients: dict[str, list] = {}
-    for n in range(series.order + 1):
+    for n, poly in enumerate(series.coefficients()):
+        terms = poly._terms
         triples = []
-        for exps, c in series.coefficient(n).terms():
-            frac = Fraction(c)
-            triples.append([list(exps), frac.numerator, frac.denominator])
+        for key in sorted(terms):
+            c = terms[key]
+            if type(c) is int:
+                triples.append([[*_unpack(key)], c, 1])
+            else:
+                triples.append([[*_unpack(key)], c.numerator, c.denominator])
         coefficients[str(n)] = triples
     return {
         "engine": ENGINE_VERSION,
@@ -871,14 +894,33 @@ def series_to_document(name: str, series: TruncSeries) -> dict:
 
 
 def document_to_series(doc: Mapping) -> TruncSeries:
-    """Inverse of :func:`series_to_document` (bit-exact round trip)."""
+    """Inverse of :func:`series_to_document` (bit-exact round trip: each
+    coefficient keeps its value and its ``int``/``Fraction`` type).
+
+    A document that does not describe one series over ``VARIABLES`` is a
+    ``ValueError``: another variable list, an exponent vector that is not
+    one ``int`` in 0..``MAX_ORDER`` per variable, or a monomial listed
+    twice in one coefficient.
+    """
+    if doc["variables"] != list(VARIABLES):
+        raise ValueError(
+            f"document variables {doc['variables']!r} are not {list(VARIABLES)}"
+        )
     order = int(doc["order"])
     coeffs: list[MultiPoly] = []
     for n in range(order + 1):
-        data: dict[Exponents, Coeff] = {}
+        terms: dict[int, Coeff] = {}
         for exps, num, den in doc["coefficients"][str(n)]:
-            data[tuple(exps)] = Fraction(num, den)
-        coeffs.append(MultiPoly.from_exponents(data))
+            key = _pack(exps)
+            if key in terms:
+                raise ValueError(f"monomial {exps} listed twice in the coefficient of t^{n}")
+            if type(num) is int and type(den) is int and den == 1:
+                terms[key] = num
+            else:
+                terms[key] = _normalize_coeff(Fraction(num, den))
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        coeffs.append(MultiPoly(terms))
     return TruncSeries(coeffs)
 
 

@@ -37,6 +37,18 @@ def test_enumerate_count_and_class(capsys):
     assert (code, out.strip()) == (0, "45")
 
 
+def test_enumerate_count_builds_no_permutation(capsys, monkeypatch):
+    class NoPermutation:
+        def __init__(self, *args):
+            raise AssertionError("--count built a Permutation")
+
+        _trusted = __init__
+
+    monkeypatch.setattr("sepstats.cli.Permutation", NoPermutation)
+    code, out, _ = run(capsys, "enumerate", "7", "--count")
+    assert (code, out.strip()) == (0, "1806")
+
+
 def test_enumerate_json(capsys):
     code, out, _ = run(capsys, "enumerate", "2", "--format", "json")
     assert code == 0
@@ -169,14 +181,48 @@ def test_series_cache_round_trip(tmp_path, capsys):
     assert cached[0].read_bytes() == before  # cache reused, not rewritten
 
 
+def _edited(edit):
+    """A damage that applies ``edit`` to the decoded document."""
+
+    def damage(good: str) -> str:
+        doc = json.loads(good)
+        edit(doc, [t[0] for triples in doc["coefficients"].values() for t in triples])
+        return json.dumps(doc)
+
+    return damage
+
+
+# The edited documents below still decode, to a different series, when each
+# vector is read by position against VARIABLES and a repeated monomial keeps
+# its last coefficient: the decoder must reject them instead.
 @pytest.mark.parametrize(
     "damage",
     [
         lambda good: good[: len(good) // 2],  # truncated by a crash
         lambda good: json.dumps({**json.loads(good), "coefficients": {}}),
         lambda good: "[]",
+        _edited(lambda doc, vectors: [v.pop(0) for v in vectors]),
+        _edited(lambda doc, vectors: [v.insert(0, 0) for v in vectors]),
+        _edited(
+            lambda doc, vectors: doc["coefficients"]["5"].append(
+                [vectors[-1], 7, 1]
+            )
+        ),
+        _edited(
+            lambda doc, vectors: [v.reverse() for v in [doc["variables"], *vectors]]
+        ),
+        _edited(lambda doc, vectors: vectors[0].__setitem__(0, True)),
     ],
-    ids=["truncated", "missing-coefficients", "not-a-document"],
+    ids=[
+        "truncated",
+        "missing-coefficients",
+        "not-a-document",
+        "short-vectors",
+        "long-vectors",
+        "repeated-monomial",
+        "other-variable-order",
+        "bool-exponent",
+    ],
 )
 def test_series_bad_cache_file_is_recomputed(tmp_path, capsys, damage):
     args = ("series", "rmax", "--class", "irr", "--order", "5")
@@ -208,6 +254,28 @@ def _series_child(*argv, prelude=""):
         text=True,
         timeout=120,
     )
+
+
+def test_cli_loads_verify_only_for_verify_and_conjectures():
+    src = Path(sepstats.__file__).resolve().parent.parent
+    probe = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, sepstats.cli; print('sepstats.verify' in sys.modules)",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (probe.returncode, probe.stdout) == (0, "False\n")
+    checked = _series_child("verify", "counting-identities")
+    assert checked.returncode == 0
+    assert checked.stdout.endswith("1 checks: 1 passed, 0 failed\n")
+    rows = _series_child("conjectures", "--max-n", "5")
+    assert rows.returncode == 0
+    assert rows.stdout.count("PASS") == 3
 
 
 @pytest.mark.parametrize("where", ["file", "below-a-file", "name-is-a-directory"])

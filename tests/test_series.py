@@ -1,5 +1,6 @@
 """Series engine: polynomial arithmetic, series calculus, solver, I/O."""
 
+import json
 import re
 from fractions import Fraction
 
@@ -220,6 +221,137 @@ def test_document_shape():
     assert doc["variables"] == list(VARIABLES)
     assert doc["coefficients"]["2"] == [[[0, 0, 1, 1, 0, 0], 1, 1]]
     assert doc["coefficients"]["0"] == []
+
+
+# Data for the codec and renderer properties: exponent vectors over all six
+# variables up to MAX_ORDER (small ones often, so degrees tie), the constant
+# monomial, and nonzero int and Fraction coefficients of either sign.
+_lane = st.one_of(st.integers(0, 2), st.integers(0, MAX_ORDER))
+_monomial = st.one_of(st.just((0,) * 6), st.tuples(*[_lane] * 6))
+_coeff = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.fractions(max_denominator=10**6),
+).filter(bool)
+_poly_data = st.dictionaries(_monomial, _coeff, max_size=12)
+
+
+def _reference_str(data):
+    """The renderer by its first algorithm: sort by (-degree, negated
+    exponents), then write each term from the exponent vector."""
+    if not data:
+        return "0"
+    pieces = []
+    for exps in sorted(data, key=lambda e: (-sum(e), tuple(-x for x in e))):
+        c = data[exps]
+        factors = [
+            name if e == 1 else f"{name}^{e}" for name, e in zip(VARIABLES, exps) if e
+        ]
+        if not factors:
+            body = str(c)
+        elif c == 1:
+            body = "*".join(factors)
+        elif c == -1:
+            body = "-" + "*".join(factors)
+        else:
+            body = "*".join([str(c)] + factors)
+        pieces.append(body)
+    return " + ".join(pieces).replace("+ -", "- ")
+
+
+def _reference_json(name, polys_data):
+    """The document by its first algorithm: triples through Fraction(c), in
+    key order, which is the order of the reversed exponent vectors."""
+    coefficients = {}
+    for n, data in enumerate(polys_data):
+        triples = []
+        for exps in sorted(data, key=lambda e: e[::-1]):
+            frac = Fraction(data[exps])
+            triples.append([list(exps), frac.numerator, frac.denominator])
+        coefficients[str(n)] = triples
+    return canonical_json(
+        {
+            "engine": 1,
+            "name": name,
+            "order": len(polys_data) - 1,
+            "variables": list(VARIABLES),
+            "coefficients": coefficients,
+        }
+    )
+
+
+_codec = settings(max_examples=60, deadline=None)
+
+
+@_codec
+@given(_poly_data)
+def test_render_matches_reference_renderer(data):
+    assert str(MultiPoly.from_exponents(data)) == _reference_str(data)
+
+
+@_codec
+@given(st.lists(_poly_data, min_size=1, max_size=4))
+def test_document_matches_reference_encoder(polys_data):
+    s = TruncSeries([MultiPoly.from_exponents(d) for d in polys_data])
+    want = _reference_json("p", polys_data)
+    assert canonical_json(series_to_document("p", s)) == want
+
+
+def _typed_terms(series):
+    return [
+        [(e, c, type(c)) for e, c in poly.terms()] for poly in series.coefficients()
+    ]
+
+
+@_codec
+@given(st.lists(_poly_data, min_size=1, max_size=4))
+def test_document_round_trip_keeps_values_and_types(polys_data):
+    s = TruncSeries([MultiPoly.from_exponents(d) for d in polys_data])
+    doc = series_to_document("p", s)
+    for copy in (doc, json.loads(canonical_json(doc))):
+        assert _typed_terms(document_to_series(copy)) == _typed_terms(s)
+
+
+def test_decoder_normalizes_only_true_fractions():
+    doc = series_to_document("p", TruncSeries.t(1))
+    doc["coefficients"]["1"] = [
+        [[0, 0, 1, 0, 0, 0], 6, 3],
+        [[0, 0, 0, 1, 0, 0], 1, -2],
+    ]
+    terms = dict(document_to_series(doc).coefficient(1).terms())
+    assert terms == {(0, 0, 1, 0, 0, 0): 2, (0, 0, 0, 1, 0, 0): Fraction(-1, 2)}
+    assert [type(c) for c in terms.values()] == [int, Fraction]
+
+
+def _vectors(doc):
+    return [t[0] for triples in doc["coefficients"].values() for t in triples]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [v.pop() for v in _vectors(doc)], "has 5 entries"),
+        (lambda doc: [v.append(0) for v in _vectors(doc)], "has 7 entries"),
+        (
+            lambda doc: doc["coefficients"]["2"].append([[0, 0, 1, 1, 0, 0], 3, 1]),
+            "listed twice",
+        ),
+        (lambda doc: doc["variables"].reverse(), "document variables"),
+        (lambda doc: _vectors(doc)[0].__setitem__(0, True), "not an integer: True"),
+        (lambda doc: _vectors(doc)[0].__setitem__(1, 1.0), "not an integer: 1.0"),
+        (lambda doc: _vectors(doc)[0].__setitem__(2, 256), "out of range: 256"),
+        (lambda doc: _vectors(doc)[0].__setitem__(3, -1), "out of range: -1"),
+    ],
+    ids=[
+        "short", "long", "repeated", "variables", "bool", "float", "too-big", "negative"
+    ],
+)
+def test_decoder_rejects_a_document_of_another_series(edit, message):
+    xy = TruncSeries.term(3, 2, parse_poly("xy"))
+    doc = json.loads(canonical_json(series_to_document("xy", xy)))
+    document_to_series(doc)  # the unedited document decodes
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        document_to_series(doc)
 
 
 # -- properties of the series kernel -----------------------------------------
