@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from . import closedforms
-from .distributions import STAT_NAMES, dist_from_enumeration, render_table
+from .distributions import dist_from_enumeration, render_table
 from .enumeration import (
     CLASS_ALIASES,
     canonical_class,
@@ -63,12 +63,15 @@ from .enumeration import (
 from .permutations import Permutation, is_irreducible
 from .series import (
     ENGINE_VERSION,
+    STAT_NAMES,
     TruncSeries,
     VARIABLES,
     canonical_json,
+    check_order,
     document_to_series,
     series_to_document,
     solve_fixpoint,
+    stat_lanes,
 )
 
 _CLASS_CHOICES = tuple(CLASS_ALIASES)
@@ -107,16 +110,8 @@ SERIES_REGISTRY: dict[str, Callable[[int, str], TruncSeries]] = {
     "counting": _build_counting,
     "asc-des": _build_asc_des,
     "joint": _build_joint,
+    **{"-".join(stats): _stat_builder(stats) for stats in closedforms.FORMS},
 }
-for _stats in (
-    list(closedforms.SINGLES)
-    + list(closedforms.SET2_PAIRS)
-    + list(closedforms.SET1_PAIRS)
-    + list(closedforms.TRIPLES)
-    + [("lmax", "rmax", "lmin", "rmin")]
-):
-    SERIES_REGISTRY["-".join(_stats)] = _stat_builder(_stats)
-del _stats
 
 _DEFAULT_ORDER = {"joint": 12}
 
@@ -147,7 +142,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(sum(1 for _ in results))
         return 0
     if args.format == "json":
-        print(json.dumps([list(p.values) for p in results]))
+        # streamed, byte for byte as json.dumps of the whole list would be
+        write = sys.stdout.write
+        write("[")
+        sep = ""
+        for p in results:
+            write(f"{sep}[{', '.join(map(str, p.values))}]")
+            sep = ", "
+        write("]\n")
         return 0
     for p in results:
         print(p)
@@ -156,15 +158,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _parse_stats(text: str) -> tuple[str, ...]:
     stats = tuple(s.strip() for s in text.split(",") if s.strip())
-    unknown = [s for s in stats if s not in STAT_NAMES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown statistics {unknown}; choose from {', '.join(STAT_NAMES)}"
-        )
-    if len(set(stats)) != len(stats):
-        raise argparse.ArgumentTypeError(f"duplicate statistics in {text!r}")
-    if not stats:
-        raise argparse.ArgumentTypeError("at least one statistic is required")
+    try:
+        stat_lanes(stats)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return stats
 
 
@@ -181,9 +178,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             [str(args.n), *map(str, key), str(c)]
             for key, c in sorted(table.row(args.n).items())
         ]
-        widths = [
-            max(len(header[k]), *(len(r[k]) for r in rows)) for k in range(len(header))
-        ]
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
         print("  ".join(h.rjust(w) for h, w in zip(header, widths)))
         for r in rows:
             print("  ".join(c.rjust(w) for c, w in zip(r, widths)))
@@ -220,6 +215,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     name = args.name
     builder = SERIES_REGISTRY[name]
     order = args.order if args.order is not None else _DEFAULT_ORDER.get(name, 16)
+    check_order(order)
     cls = canonical_class(args.perm_class)
     doc_name = f"{name}[{cls}]"
 

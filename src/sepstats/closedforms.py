@@ -32,15 +32,16 @@ import functools
 from fractions import Fraction
 from typing import Sequence
 
-from .distributions import STAT_TO_VARIABLE
 from .enumeration import canonical_class
-from .series import MultiPoly, TruncSeries, check_order, solve_fixpoint
+from .series import MultiPoly, TruncSeries, check_order, solve_fixpoint, stat_lanes
 
 __all__ = [
     "SINGLES",
     "SET2_PAIRS",
     "SET1_PAIRS",
     "TRIPLES",
+    "QUAD",
+    "FORMS",
     "discriminant_root",
     "schroeder_gf",
     "little_schroeder_gf",
@@ -86,15 +87,20 @@ TRIPLES: tuple[tuple[str, str, str], ...] = (
 )
 _TRIPLES_RMAX_LMIN_TAIL = {("lmax", "rmax", "lmin"), ("rmin", "rmax", "lmin")}
 
+#: The four-statistic tuple with a closed form.
+QUAD: tuple[tuple[str, str, str, str], ...] = (("lmax", "rmax", "lmin", "rmin"),)
 
-def _lane(stat: str) -> str:
-    try:
-        return STAT_TO_VARIABLE[stat]
-    except KeyError:
-        raise ValueError(
-            f"unknown statistic {stat!r}; expected one of "
-            f"{tuple(STAT_TO_VARIABLE)}"
-        ) from None
+#: Every statistic tuple with a closed form, family by family.
+FORMS: tuple[tuple[str, ...], ...] = SINGLES + SET2_PAIRS + SET1_PAIRS + TRIPLES + QUAD
+
+
+def _lanes(
+    stats: tuple[str, ...], family: tuple[tuple[str, ...], ...]
+) -> tuple[str, ...]:
+    """The lanes of ``stats``, which must be a tuple of ``family``."""
+    if stats not in family:
+        raise ValueError(f"no closed form for {stats}; expected one of {family}")
+    return stat_lanes(stats)
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,7 +161,8 @@ def closed_form_S_single(order: int, stat: str = "rmax") -> TruncSeries:
     >>> S.specialize("y") == schroeder_gf(6)
     True
     """
-    return _single_gf_by_lane(order, _lane(stat))
+    (lane,) = _lanes((stat,), SINGLES)
+    return _single_gf_by_lane(order, lane)
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,7 +187,7 @@ def closed_form_I_single(order: int, stat: str = "rmax") -> TruncSeries:
     >>> counts_by_variable(closed_form_I_single(4, "lmax").coefficient(4), "x")
     {1: 6, 2: 4, 3: 1}
     """
-    lane = _lane(stat)
+    (lane,) = _lanes((stat,), SINGLES)
     if stat in ("rmax", "lmin"):
         return _irr_aux(order, lane)
     return _single_split_by_lane(order, lane)[1]
@@ -190,7 +197,7 @@ def closed_form_R_single(order: int, stat: str = "rmax") -> TruncSeries:
     """Reducible-class single-statistic closed form (complement of
     :func:`closed_form_I_single` inside :func:`closed_form_S_single`):
     S/(1+S) - zt for stat in {rmax, lmin}, S^2/(1+S) for {lmax, rmin}."""
-    lane = _lane(stat)
+    (lane,) = _lanes((stat,), SINGLES)
     square, linear = _single_split_by_lane(order, lane)
     if stat in ("rmax", "lmin"):
         return linear - TruncSeries.term(order, 1, MultiPoly.variable(lane))
@@ -219,9 +226,7 @@ def closed_form_pair_set2(
     True
     """
     cls = canonical_class(perm_class)
-    if tuple(pair) not in SET2_PAIRS:
-        raise ValueError(f"pair {pair} is not one of {SET2_PAIRS}")
-    lane1, lane2 = _lane(pair[0]), _lane(pair[1])
+    lane1, lane2 = _lanes(tuple(pair), SET2_PAIRS)
     s1 = _single_gf_by_lane(order, lane1)
     s2 = _single_gf_by_lane(order, lane2)
     tz = TruncSeries.term(
@@ -254,9 +259,7 @@ def closed_form_pair_set1(
     """
     cls = canonical_class(perm_class)
     pair = tuple(pair)
-    if pair not in SET1_PAIRS:
-        raise ValueError(f"pair {pair} is not one of {SET1_PAIRS}")
-    lane1, lane2 = _lane(pair[0]), _lane(pair[1])
+    lane1, lane2 = _lanes(pair, SET1_PAIRS)
     core = _single_gf_by_lane(order, lane1) * _irr_aux(order, lane2)
     tz = TruncSeries.term(
         order, 1, MultiPoly.variable(lane1) * MultiPoly.variable(lane2)
@@ -313,9 +316,7 @@ def closed_form_triple(
     """
     cls = canonical_class(perm_class)
     triple = tuple(triple)
-    if triple not in TRIPLES:
-        raise ValueError(f"triple {triple} is not one of {TRIPLES}")
-    l1, l2, l3 = (_lane(s) for s in triple)
+    l1, l2, l3 = _lanes(triple, TRIPLES)
     z1 = MultiPoly.variable(l1)
     z2 = MultiPoly.variable(l2)
     z3 = MultiPoly.variable(l3)
@@ -377,34 +378,23 @@ def closed_form_quad(order: int, perm_class: str = "all") -> TruncSeries:
 def closed_form(
     order: int, stats: Sequence[str], perm_class: str = "all"
 ) -> TruncSeries:
-    """Dispatch to the closed form for a 1-, 2-, 3-, or 4-statistic tuple."""
+    """Dispatch to the closed form of a statistic tuple in ``FORMS``."""
     stats = tuple(stats)
-    if len(stats) == 1:
+    _lanes(stats, FORMS)  # a tuple without a closed form is a ValueError
+    if stats in SINGLES:
         cls = canonical_class(perm_class)
         if cls == "all":
             return closed_form_S_single(order, stats[0])
         if cls == "irreducible":
             return closed_form_I_single(order, stats[0])
         return closed_form_R_single(order, stats[0])
-    if len(stats) == 2:
-        if stats in SET2_PAIRS:
-            return closed_form_pair_set2(order, stats, perm_class)
-        if stats in SET1_PAIRS:
-            return closed_form_pair_set1(order, stats, perm_class)
-        raise ValueError(
-            f"pair {stats} has no closed form; expected one of "
-            f"{SET2_PAIRS + SET1_PAIRS}"
-        )
-    if len(stats) == 3:
+    if stats in SET2_PAIRS:
+        return closed_form_pair_set2(order, stats, perm_class)
+    if stats in SET1_PAIRS:
+        return closed_form_pair_set1(order, stats, perm_class)
+    if stats in TRIPLES:
         return closed_form_triple(order, stats, perm_class)
-    if len(stats) == 4:
-        if stats != ("lmax", "rmax", "lmin", "rmin"):
-            raise ValueError(
-                "the four-statistic closed form is stated for "
-                "('lmax', 'rmax', 'lmin', 'rmin')"
-            )
-        return closed_form_quad(order, perm_class)
-    raise ValueError(f"no closed form for {len(stats)} statistics")
+    return closed_form_quad(order, perm_class)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,14 @@ from .enumeration import (
     iter_separable_bytes,
 )
 from .permutations import _stats_of_sequence
-from .series import MultiPoly, TruncSeries
+from .series import (
+    STAT_NAMES,
+    STAT_TO_VARIABLE,
+    VARIABLES,
+    MultiPoly,
+    TruncSeries,
+    stat_lanes,
+)
 
 __all__ = [
     "STAT_NAMES",
@@ -52,37 +59,10 @@ __all__ = [
     "TABLE_NUMBERS",
 ]
 
-#: Canonical statistic order; also the exponent order of MultiPoly monomials.
-STAT_NAMES: tuple[str, ...] = ("asc", "des", "lmax", "rmax", "lmin", "rmin")
-
-#: Which series variable carries which statistic.
-STAT_TO_VARIABLE: dict[str, str] = {
-    "asc": "p",
-    "des": "q",
-    "lmax": "x",
-    "rmax": "y",
-    "lmin": "u",
-    "rmin": "v",
-}
-
 
 def class_count(perm_class: str, n: int) -> int:
     """Number of length-n permutations in the given class."""
     return class_part(perm_class, count_separable(n), count_irreducible(n))
-
-
-def _stat_indices(stats: Sequence[str]) -> tuple[int, ...]:
-    if not stats:
-        raise ValueError("at least one statistic is required")
-    if len(set(stats)) != len(stats):
-        raise ValueError(f"duplicate statistics in {tuple(stats)}")
-    try:
-        return tuple(STAT_NAMES.index(s) for s in stats)
-    except ValueError:
-        bad = [s for s in stats if s not in STAT_NAMES]
-        raise ValueError(
-            f"unknown statistics {bad}; expected names from {STAT_NAMES}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -191,7 +171,7 @@ def dist_from_enumeration(
     {1: 1}
     """
     cls = canonical_class(perm_class)
-    indices = _stat_indices(stats)
+    indices = [VARIABLES.index(v) for v in stat_lanes(stats)]
     counts: dict[tuple[int, ...], int] = {}
     for profile, c in _census(n, cls).terms():
         key = tuple(profile[i] for i in indices)
@@ -226,8 +206,6 @@ def counts_by_variable(poly: MultiPoly, var: str) -> dict[int, int]:
     (equivalently: substitutes 1 for every other variable).  Values are
     asserted to be non-negative integers, as befits counts.
     """
-    from .series import VARIABLES
-
     idx = VARIABLES.index(var)
     out: dict[int, int] = {}
     for exps, c in poly.terms():

@@ -21,6 +21,7 @@ an independent oracle for the summation identities.
 from __future__ import annotations
 
 import functools
+import math
 
 __all__ = [
     "binomial",
@@ -40,11 +41,7 @@ _CATALANS: list[int] = [1]
 
 
 def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), multiplicatively in integers.
-
-    After step i the running value is C(n - k + i, i), so every division is
-    exact.  Nothing is memoized: Pascal rows up to 1200, which
-    ``schroeder_eq1(600)`` reads, would hold about 80 MB.
+    """Binomial coefficient C(n, k) by ``math.comb``; 0 for k < 0 or k > n.
 
     >>> binomial(5, 2)
     10
@@ -53,13 +50,9 @@ def binomial(n: int, k: int) -> int:
     """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")
-    if k < 0 or k > n:
+    if k < 0:
         return 0
-    k = min(k, n - k)
-    c = 1
-    for i in range(1, k + 1):
-        c = c * (n - k + i) // i
-    return c
+    return math.comb(n, k)
 
 
 def catalan(n: int) -> int:
@@ -201,17 +194,14 @@ def stirling2(n: int, k: int) -> int:
 
 
 def factorial(n: int) -> int:
-    """n!, exact.
+    """n!, exact, by ``math.factorial``.
 
     >>> factorial(5)
     120
     """
     if n < 0:
         raise ValueError(f"factorial requires n >= 0, got n={n}")
-    result = 1
-    for i in range(2, n + 1):
-        result *= i
-    return result
+    return math.factorial(n)
 
 
 def eulerian_poly(n: int) -> dict[int, int]:

@@ -38,6 +38,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "VARIABLES",
+    "STAT_NAMES",
+    "STAT_TO_VARIABLE",
+    "stat_lanes",
     "ENGINE_VERSION",
     "MAX_ORDER",
     "check_order",
@@ -51,10 +54,36 @@ __all__ = [
     "canonical_json",
 ]
 
-#: Fixed variable order: p, q track ascents and descents; x, y, u, v track
-#: left-to-right maxima, right-to-left maxima, left-to-right minima, and
-#: right-to-left minima respectively.
+#: Fixed variable order; variable i carries statistic i of ``STAT_NAMES``.
 VARIABLES: tuple[str, ...] = ("p", "q", "x", "y", "u", "v")
+
+#: The six statistics: ascents, descents, left-to-right maxima,
+#: right-to-left maxima, left-to-right minima and right-to-left minima.
+STAT_NAMES: tuple[str, ...] = ("asc", "des", "lmax", "rmax", "lmin", "rmin")
+
+#: Which series variable carries which statistic.
+STAT_TO_VARIABLE: dict[str, str] = dict(zip(STAT_NAMES, VARIABLES))
+
+
+def stat_lanes(stats: Iterable[str]) -> tuple[str, ...]:
+    """The variables carrying ``stats``, in order.  An empty, repeated or
+    unknown statistic is a ``ValueError``.
+
+    >>> stat_lanes(("rmax", "asc"))
+    ('y', 'p')
+    """
+    stats = tuple(stats)
+    if not stats:
+        raise ValueError("at least one statistic is required")
+    unknown = [s for s in stats if s not in STAT_TO_VARIABLE]
+    if unknown:
+        raise ValueError(
+            f"unknown statistics {unknown}; choose from {', '.join(STAT_NAMES)}"
+        )
+    if len(set(stats)) != len(stats):
+        raise ValueError(f"duplicate statistics in {stats}")
+    return tuple(STAT_TO_VARIABLE[s] for s in stats)
+
 
 #: Bumped whenever the serialized format or the solver semantics change;
 #: part of every cache key.
@@ -117,7 +146,10 @@ _FACTOR_TEXT: tuple[tuple[str, ...], ...] = tuple(
 
 
 def check_order(order: int) -> None:
-    """Reject a truncation order whose exponents could overflow a lane."""
+    """Reject a truncation order below 1, or one whose exponents could
+    overflow a lane."""
+    if order < 1:
+        raise ValueError(f"series order must be >= 1, got {order}")
     if order > MAX_ORDER:
         raise ValueError(
             f"series order {order} exceeds {MAX_ORDER}, the largest exponent "
@@ -787,8 +819,6 @@ def _normalize_active(active: Iterable[str]) -> tuple[str, ...]:
 def _solve_fixpoint_cached(
     order: int, active: tuple[str, ...]
 ) -> tuple[TruncSeries, TruncSeries]:
-    if order < 1:
-        raise ValueError(f"fixpoint order must be >= 1, got {order}")
     check_order(order)
     present = set(active)
 

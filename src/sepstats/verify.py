@@ -30,8 +30,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import closedforms as cf
 from . import numbers
 from .distributions import (
-    STAT_NAMES,
-    STAT_TO_VARIABLE,
     counts_by_variable,
     dist_from_enumeration,
     render_table,
@@ -54,12 +52,15 @@ from .permutations import (
     reverse,
 )
 from .series import (
+    STAT_NAMES,
+    STAT_TO_VARIABLE,
     MultiPoly,
     TruncSeries,
     VARIABLES,
     check_order,
     parse_poly,
     solve_fixpoint,
+    stat_lanes,
 )
 
 __all__ = [
@@ -178,10 +179,6 @@ def _expect_agree(
             f"{want.coefficient(n)}",
             first_fail=n,
         )
-
-
-def _lanes(stats_tuple: Sequence[str]) -> tuple[str, ...]:
-    return tuple(STAT_TO_VARIABLE[s] for s in stats_tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +363,7 @@ _CLOSED_FORM_CHECKS: dict[
     "pair-set2-closed-forms": ("pair", cf.SET2_PAIRS, None),
     "pair-set1-closed-forms": ("pair", cf.SET1_PAIRS, _exchange_identity),
     "triple-closed-forms": ("triple", cf.TRIPLES, None),
-    "quad-closed-form": ("quad", [("lmax", "rmax", "lmin", "rmin")], None),
+    "quad-closed-form": ("quad", cf.QUAD, None),
 }
 
 
@@ -381,7 +378,7 @@ def _check_closed_forms(check_id: str, order: int, census_order: int) -> CheckRe
         census = {cls: s.keep_only(lanes4) for cls, s in _census(census_order).items()}
         for stats_tuple in tuples:
             name = "-".join(stats_tuple)
-            lanes = _lanes(stats_tuple)
+            lanes = stat_lanes(stats_tuple)
             for cls in CLASSES:
                 closed = cf.closed_form(order, stats_tuple, cls)
                 want_fix = master[cls].keep_only(lanes)
@@ -443,7 +440,7 @@ def verify_e_function_identities(order: int = 12) -> CheckReport:
     def body() -> str:
         master = _master(order)
         for triple in cf.TRIPLES:
-            lanes = _lanes(triple)
+            lanes = stat_lanes(triple)
             e_ser = cf.e_function(order, lanes)
             tz = TruncSeries.term(
                 order,
@@ -674,8 +671,8 @@ def verify_transfer(order: int = 12) -> CheckReport:
         ):
             for stats_tuple in _TRANSFER_TUPLES:
                 image = tuple(stat_map[s] for s in stats_tuple)
-                lanes = _lanes(stats_tuple)
-                image_lanes = _lanes(image)
+                lanes = stat_lanes(stats_tuple)
+                image_lanes = stat_lanes(image)
                 relabel = {
                     src: dst
                     for src, dst in zip(image_lanes, lanes)
@@ -886,13 +883,13 @@ _SNIPPETS: dict[tuple[tuple[str, ...], str], list[tuple[int, str]]] = {
         (3, "u^3xy^3 + u^2x^2y^2 + u^2xy^2"),
         (4, "u^4xy^4 + u^3x^2y^3 + u^3x^2y^2 + u^2x^3y^2 + 2u^3xy^3 + u^2x^2y^3 + u^3xy^2 + u^2x^2y^2 + u^2xy^3 + u^2xy^2"),
     ],
-    (("lmax", "rmax", "lmin", "rmin"), "all"): [
+    (cf.QUAD[0], "all"): [
         (1, "uvxy"),
         (2, "uv^2x^2y + u^2vxy^2"),
         (3, "uv^3x^3y + u^3vxy^3 + u^2v^2x^2y + u^2v^2xy^2 + u^2vx^2y^2 + uv^2x^2y^2"),
         (4, "uv^4x^4y + u^4vxy^4 + u^2v^3x^3y + uv^3x^3y^2 + u^3v^2xy^3 + u^3vx^2y^3 + u^3v^2x^2y + u^2v^3x^2y + u^2v^2x^3y + uv^3x^3y + u^3v^2xy^2 + u^2v^3xy^2 + u^3vx^2y^2 + 2u^2v^2x^2y^2 + uv^3x^2y^2 + u^2vx^3y^2 + uv^2x^3y^2 + u^3vxy^3 + u^2v^2xy^3 + u^2vx^2y^3 + uv^2x^2y^3"),
     ],
-    (("lmax", "rmax", "lmin", "rmin"), "irreducible"): [
+    (cf.QUAD[0], "irreducible"): [
         (1, "uvxy"),
         (2, "u^2vxy^2"),
         (3, "u^3vxy^3 + u^2v^2xy^2 + u^2vx^2y^2"),
@@ -911,7 +908,7 @@ def verify_snippets() -> CheckReport:
         )
         master = _master(max_order)
         for (stats_tuple, cls), rows in _SNIPPETS.items():
-            series = master[cls].keep_only(_lanes(stats_tuple))
+            series = master[cls].keep_only(stat_lanes(stats_tuple))
             for order, text in rows:
                 want = parse_poly(text)
                 got = series.coefficient(order)

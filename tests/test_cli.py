@@ -55,6 +55,19 @@ def test_enumerate_json(capsys):
     assert json.loads(out) == [[1, 2], [2, 1]]
 
 
+@pytest.mark.parametrize("method", ["structural", "filter"])
+@pytest.mark.parametrize("cls", ["all", "irr", "red"])
+def test_enumerate_json_streams_what_json_dumps_prints(capsys, method, cls):
+    for n in range(1, 7):
+        _, listing, _ = run(capsys, "enumerate", str(n), "--class", cls, "--method", method)
+        code, out, _ = run(
+            capsys, "enumerate", str(n), "--class", cls, "--method", method,
+            "--format", "json",
+        )
+        perms = [[int(v) for v in line] for line in listing.splitlines()]
+        assert (code, out) == (0, json.dumps(perms) + "\n")
+
+
 def test_enumerate_methods_agree(capsys):
     _, structural, _ = run(capsys, "enumerate", "6")
     _, filtered, _ = run(capsys, "enumerate", "6", "--method", "filter")
@@ -102,6 +115,24 @@ def test_dist_json(capsys):
     doc = json.loads(out)
     assert doc["class"] == "irreducible"
     assert doc["rows"]["4"] == [[[2], 5], [[3], 5], [[4], 1]]
+
+
+@pytest.mark.parametrize(
+    "fmt, want",
+    [
+        ("table", "n  asc  des  lmax  rmax  lmin  rmin  count\n"),
+        ("csv", "n,asc,des,lmax,rmax,lmin,rmin,count\n"),
+        ("json", None),
+    ],
+)
+def test_dist_of_an_empty_class_prints_no_rows(capsys, fmt, want):
+    # no permutation of length 1 is reducible
+    code, out, err = run(capsys, "dist", "1", "--class", "red", "--format", fmt)
+    assert (code, err) == (0, "")
+    if want is None:
+        assert json.loads(out)["rows"] == {"1": []}
+    else:
+        assert out == want
 
 
 def test_dist_rejects_bad_stats(capsys):
@@ -321,10 +352,15 @@ def test_series_unreadable_cache_file_is_a_miss(tmp_path):
 
 
 def test_series_registry_covers_all_closed_forms():
+    from sepstats.closedforms import FORMS
+
     assert {"counting", "asc-des", "joint", "rmax", "lmax-rmax",
             "rmax-lmin", "lmax-rmax-lmin", "lmax-rmax-lmin-rmin"} <= set(
         SERIES_REGISTRY
     )
+    closed = set(SERIES_REGISTRY) - {"counting", "asc-des", "joint"}
+    assert closed == {"-".join(t) for t in FORMS}
+    assert len(SERIES_REGISTRY) == 3 + len(FORMS)
 
 
 # -- verify and conjectures -------------------------------------------------
@@ -376,6 +412,11 @@ def test_conjectures_output(capsys):
     [
         ("series joint --order 0", "error:"),
         ("series asc-des --order 0", "error:"),
+        ("series rmax --order 0", "error:"),
+        ("series rmax --order -1", "error:"),
+        ("series counting --order 0", "error:"),
+        ("series lmax-rmax --order 0", "error:"),
+        ("series lmax-rmax-lmin-rmin --order 0", "error:"),
         ("series rmax --order 300", "error:"),
         ("conjectures --max-n 0", "error:"),
         ("conjectures --max-n 300", "error:"),

@@ -67,3 +67,20 @@ def test_quad_builds_only_the_requested_class(monkeypatch, cls, triples):
     monkeypatch.setattr(closedforms, "closed_form_triple", recording)
     closedforms.closed_form_quad(ORDER, cls)
     assert calls == triples
+
+
+@pytest.mark.parametrize("stat", ["asc", "des"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        closedforms.closed_form_S_single,
+        closedforms.closed_form_I_single,
+        closedforms.closed_form_R_single,
+        lambda order, stat: closedforms.closed_form(order, (stat,)),
+    ],
+    ids=["S", "I", "R", "closed_form"],
+)
+def test_single_forms_refuse_ascents_and_descents(build, stat):
+    # the two-radical form is stated for the four extreme-value statistics
+    with pytest.raises(ValueError, match="no closed form"):
+        build(ORDER, stat)

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from sepstats.series import (
     MAX_ORDER,
+    STAT_NAMES,
+    STAT_TO_VARIABLE,
     MultiPoly,
     TruncSeries,
     VARIABLES,
@@ -18,6 +20,7 @@ from sepstats.series import (
     series_to_document,
     solve_fixpoint,
     solve_master_fixpoint,
+    stat_lanes,
 )
 
 
@@ -175,6 +178,22 @@ def test_solve_master_fixpoint_default_order():
 def test_fixpoint_rejects_bad_active_set():
     with pytest.raises(ValueError):
         solve_fixpoint(4, ("w",))
+
+
+def test_statistic_i_is_carried_by_variable_i():
+    from sepstats.permutations import StatProfile
+
+    assert STAT_NAMES == StatProfile._fields
+    assert list(STAT_TO_VARIABLE.items()) == list(zip(STAT_NAMES, VARIABLES))
+
+
+@pytest.mark.parametrize(
+    "stats, message",
+    [((), "at least one"), (("rmax", "rmax"), "duplicate"), (("rmax", "up"), "unknown")],
+)
+def test_stat_lanes_rejects_empty_repeated_and_unknown_statistics(stats, message):
+    with pytest.raises(ValueError, match=message):
+        stat_lanes(stats)
 
 
 def test_counting_series_check_names_the_first_bad_term():
