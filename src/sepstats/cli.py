@@ -151,8 +151,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             sep = ", "
         write("]\n")
         return 0
-    for p in results:
-        print(p)
+    sys.stdout.writelines(f"{p}\n" for p in results)
     return 0
 
 

@@ -33,7 +33,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .enumeration import canonical_class
-from .series import MultiPoly, TruncSeries, check_order, solve_fixpoint, stat_lanes
+from .series import (
+    MAX_ORDER,
+    MultiPoly,
+    TruncSeries,
+    check_order,
+    solve_fixpoint,
+    stat_lanes,
+)
 
 __all__ = [
     "SINGLES",
@@ -108,7 +115,7 @@ def discriminant_root(order: int) -> TruncSeries:
     """sqrt(1 - 6t + t^2), the radical shared by all closed forms.
 
     Every closed form builds on it, at one order above its own where a
-    division cancels a power of t, so this is where their order is checked.
+    division cancels a power of t.
     """
     check_order(order)
     t = TruncSeries.t(order)
@@ -137,7 +144,15 @@ def little_schroeder_gf(order: int) -> TruncSeries:
 
 @functools.lru_cache(maxsize=None)
 def _single_gf_by_lane(order: int, lane: str) -> TruncSeries:
-    # Work one order higher: the final division cancels one power of t.
+    # Every closed form but the counting series starts here, so this is
+    # where the caller's order is checked.  The final division cancels
+    # one power of t, so the work runs one order higher.
+    check_order(order)
+    if order == MAX_ORDER:
+        raise ValueError(
+            f"closed-form order {order} takes its radical at order "
+            f"{order + 1}, which exceeds {MAX_ORDER}"
+        )
     w = order + 1
     t = TruncSeries.t(w)
     z = MultiPoly.variable(lane)
@@ -168,10 +183,13 @@ def closed_form_S_single(order: int, stat: str = "rmax") -> TruncSeries:
 @functools.lru_cache(maxsize=None)
 def _single_split_by_lane(order: int, lane: str) -> tuple[TruncSeries, TruncSeries]:
     """S^2/(1+S) and S/(1+S) for S = S(t,z) in the given lane; the class
-    readings of the single form add or subtract zt to them."""
+    readings of the single form add or subtract zt to them.
+
+    Both come from one inverse: S/(1+S) = 1 - 1/(1+S), and
+    S^2/(1+S) = S - S/(1+S)."""
     s = _single_gf_by_lane(order, lane)
-    one_plus = s + 1
-    return (s * s).divide(one_plus), s.divide(one_plus)
+    linear = 1 - (s + 1).invert()
+    return s - linear, linear
 
 
 def closed_form_I_single(order: int, stat: str = "rmax") -> TruncSeries:

@@ -129,9 +129,7 @@ class Permutation:
         >>> str(Permutation(tuple([10] + list(range(1, 10)))))
         '10,1,2,3,4,5,6,7,8,9'
         """
-        if len(self.values) <= 9:
-            return "".join(str(v) for v in self.values)
-        return ",".join(str(v) for v in self.values)
+        return ("" if len(self.values) <= 9 else ",").join(map(str, self.values))
 
     def __repr__(self) -> str:
         return f"Permutation({self.values!r})"

@@ -594,13 +594,6 @@ class TruncSeries:
             not c for c in self._coeffs[1:]
         )
 
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError(
-                f"cannot extend a series of order {self.order} to {order}"
-            )
-        return TruncSeries(self._coeffs[: order + 1])
-
     def first_difference(
         self, other: "TruncSeries", through: int | None = None
     ) -> int | None:
@@ -663,7 +656,8 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; requires an invertible constant term.
+        """Multiplicative inverse, the division of 1 by this series;
+        requires a nonzero constant t^0 coefficient.
 
         >>> t = TruncSeries.t(4)
         >>> str((1 - t).invert().coefficient(3))
@@ -675,22 +669,21 @@ class TruncSeries:
                 "invert requires a nonzero constant t^0 coefficient, got "
                 f"{c0}"
             )
-        b0 = c0.constant_term()
-        b = self._coeffs
-        out = [_divide_exact(MultiPoly.one(), b0)]
-        for n in range(1, self.order + 1):
-            # b_0 out_n = -sum_{k=1..n} b_k out_{n-k}
-            acc = _sum_of_products((b[k], out[n - k]) for k in range(1, n + 1))
-            out.append(_divide_exact(acc, -b0))
-        return TruncSeries(out)
+        return TruncSeries.one(self.order).divide(self)
 
     def divide(self, divisor: "TruncSeries") -> "TruncSeries":
         """Exact series division.
 
         Requires t-valuation(self) >= t-valuation(divisor); the shared
-        power of t is cancelled and the remaining divisor must have an
-        invertible constant term.  The result is exact to order
+        power of t is cancelled, and the remaining divisor b must have a
+        nonzero constant t^0 coefficient b_0.  The quotient q of the
+        remaining numerator a solves b q = a order by order:
+        q_n = (a_n - sum_{k=1..n} b_k q_{n-k}) / b_0, exact to order
         min(orders) - valuation(divisor).
+
+        >>> t = TruncSeries.t(4)
+        >>> str((t * t - t).divide(t - t * t * 2).coefficient(2))
+        '-2'
         """
         vb = divisor.valuation()
         if vb is None:
@@ -704,10 +697,20 @@ class TruncSeries:
         order = min(self.order, divisor.order) - vb
         if order < 0:
             raise ValueError("divisor valuation exceeds truncation order")
-        num = TruncSeries(list(self._coeffs[vb : self.order + 1]))
-        den = TruncSeries(list(divisor._coeffs[vb : divisor.order + 1]))
-        quot = (num.truncate(order) * den.truncate(order).invert()).truncate(order)
-        return TruncSeries([_normalized_poly(c) for c in quot._coeffs])
+        a = self._coeffs[vb:]
+        b = divisor._coeffs[vb:]
+        c0 = b[0]
+        if not c0.is_constant():
+            raise ValueError(
+                "divide requires a nonzero constant t^0 coefficient in the "
+                f"divisor once the shared power of t cancels, got {c0}"
+            )
+        b0 = c0.constant_term()
+        q: list[MultiPoly] = []
+        for n in range(order + 1):
+            acc = _sum_of_products((b[k], q[n - k]) for k in range(1, n + 1))
+            q.append(_divide_exact(a[n] - acc, b0))
+        return TruncSeries(q)
 
     def sqrt(self) -> "TruncSeries":
         """Square root of a series with constant term exactly 1, by the
@@ -771,11 +774,6 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"<TruncSeries order={self.order}: {self}>"
-
-
-def _normalized_poly(poly: MultiPoly) -> MultiPoly:
-    terms = {k: _normalize_coeff(c) for k, c in poly._terms.items() if c}
-    return MultiPoly(terms)
 
 
 def _divide_exact(poly: MultiPoly, d: Coeff) -> MultiPoly:

@@ -90,7 +90,8 @@ def test_tracer_hooks_install_and_uninstall_cleanly():
 def test_closed_forms_reach_the_series_spans_the_benchmark_probes():
     # Tier-1 mirror of the benchmark self-test's liveness probe for the
     # closed_forms workload: its toy body must record polynomial products,
-    # inverses and square roots through the names the tracer wraps.
+    # inverses, square roots and divisions through the names the tracer
+    # wraps.
     tracing = _load_tracer()
     memos = tracing.lru_caches(closedforms).values()
     for memo in memos:
@@ -105,5 +106,5 @@ def test_closed_forms_reach_the_series_spans_the_benchmark_probes():
         uninstall()
         for memo in memos:
             memo.cache_clear()
-    for name in ("series.poly_mul", "series.invert", "series.sqrt"):
+    for name in ("series.poly_mul", "series.invert", "series.sqrt", "series.divide"):
         assert totals.get(name, [0])[0] > 0, name

@@ -418,6 +418,8 @@ def test_conjectures_output(capsys):
         ("series lmax-rmax --order 0", "error:"),
         ("series lmax-rmax-lmin-rmin --order 0", "error:"),
         ("series rmax --order 300", "error:"),
+        # the closed form would take its radical at order 256
+        ("series rmax --order 255", "error: closed-form order 255 "),
         ("conjectures --max-n 0", "error:"),
         ("conjectures --max-n 300", "error:"),
         ("verify --max-n 2 conjectures", "error:"),

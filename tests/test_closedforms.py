@@ -1,8 +1,11 @@
-"""The closed-form builders: argument spellings and the memo story."""
+"""The closed-form builders: argument spellings, the order rule, the
+coefficient types and the memo story."""
 
 import pytest
 
 from sepstats import closedforms
+from sepstats.enumeration import CLASSES
+from sepstats.series import assert_counting_series
 
 ORDER = 5
 
@@ -84,3 +87,41 @@ def test_single_forms_refuse_ascents_and_descents(build, stat):
     # the two-radical form is stated for the four extreme-value statistics
     with pytest.raises(ValueError, match="no closed form"):
         build(ORDER, stat)
+
+
+@pytest.mark.parametrize(
+    "build, order, message",
+    [
+        (closedforms.closed_form_S_single, 0, "must be >= 1, got 0"),
+        (closedforms.closed_form_pair_set2, 0, "must be >= 1, got 0"),
+        (closedforms.closed_form_pair_set1, 0, "must be >= 1, got 0"),
+        (closedforms.closed_form_triple, 0, "must be >= 1, got 0"),
+        (closedforms.closed_form_quad, 0, "must be >= 1, got 0"),
+        (closedforms.e_function, 0, "must be >= 1, got 0"),
+        (closedforms.closed_form_S_single, -1, "must be >= 1, got -1"),
+        # the radical would need order 256, one past the lane width
+        (closedforms.closed_form_quad, 255, "closed-form order 255 .* exceeds 255"),
+    ],
+)
+def test_closed_forms_reject_an_order_as_given(build, order, message):
+    with pytest.raises(ValueError, match=message):
+        build(order)
+
+
+@pytest.mark.parametrize("stats", closedforms.FORMS, ids="-".join)
+def test_closed_forms_have_non_negative_int_coefficients(stats):
+    # MultiPoly equality reads 2 == Fraction(2) as equal, so only a type
+    # check catches an int coefficient that drifts to a whole Fraction
+    for cls in CLASSES:
+        assert_counting_series(
+            closedforms.closed_form(12, stats, cls), f"{stats} {cls}"
+        )
+
+
+@pytest.mark.parametrize("lane", ["x", "y", "u", "v"])
+def test_the_single_split_matches_its_two_divisions(lane):
+    s = closedforms._single_gf_by_lane(20, lane)
+    split = closedforms._single_split_by_lane(20, lane)
+    assert split == ((s * s).divide(s + 1), s.divide(s + 1))
+    for part in split:
+        assert_counting_series(part, f"split in {lane}")

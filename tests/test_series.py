@@ -109,6 +109,19 @@ def test_series_divide_respects_valuation():
         t.divide(TruncSeries.zero(10))
 
 
+def test_division_needs_a_nonzero_constant_t0_coefficient():
+    t = TruncSeries.t(6)
+    y = TruncSeries.term(6, 0, MultiPoly.variable("y"))
+    for bad in (
+        lambda: (t * 3).invert(),  # zero t^0 coefficient
+        lambda: (y + t).invert(),  # non-constant t^0 coefficient
+        # after the shared t cancels, the divisor starts with y
+        lambda: (t * y + t * t).divide(t * y + t * t * y),
+    ):
+        with pytest.raises(ValueError, match="nonzero constant t\\^0"):
+            bad()
+
+
 def test_series_truncation_on_mixed_order_arithmetic():
     a = TruncSeries.t(8)
     b = TruncSeries.t(5)
