@@ -16,10 +16,26 @@ Conventions for multi-statistic forms:
 * triples: (lmax, rmax, lmin), (lmin, rmin, lmax), (rmin, rmax, lmin),
   (rmax, rmin, lmax) with lanes z1, z2, z3 in listed order.
 
-Memos: a series is memoized only when it does not depend on the class
-and is asked for again, under canonical keys (order, lane names): the
-radical, S(t,z) and its split S^2/(1+S), S/(1+S) per lane, and E per lane
-triple.  Each class of a pair, triple or quad form is built from them.
+Memos: the paper's equidistribution results make each family one series
+in different lanes, so each family is built once per order in canonical
+lanes and renamed (``TruncSeries.map_variables``) into every other tuple;
+a class is that renaming plus at most one sum or difference.  No builder
+uses the reverse or complement symmetry.  The memos, keyed by order:
+
+* the radical ``discriminant_root``;
+* S(t,x) and its split S^2/(1+S), S/(1+S), keyed by (order, lane), as
+  their one-lane renamings are kept too: ``_single_gf_by_lane`` and
+  ``_single_split_by_lane``;
+* the set-2 irreducible and reducible series in (x, y): ``_set2_parts``;
+* the set-1 core S(y) I(u) and quotient in (y, u): ``_set1_core``,
+  ``_set1_quotient``;
+* E, the triples' full quotient and their bracket in (x, y, u):
+  ``_e_xyu``, ``_triple_quotient``, ``_triple_bracket``;
+* the quadruple's irreducible and reducible parts, each on its own so
+  that one class never builds the other's product: ``_quad_irreducible``,
+  ``_quad_reducible``.
+
+Renamed copies of multi-lane series are not kept.
 
 >>> counts = [int(schroeder_gf(6).coefficient(n).constant_term()) for n in range(1, 7)]
 >>> counts
@@ -37,6 +53,7 @@ from .series import (
     MAX_ORDER,
     MultiPoly,
     TruncSeries,
+    VARIABLES,
     check_order,
     solve_fixpoint,
     stat_lanes,
@@ -142,8 +159,29 @@ def little_schroeder_gf(order: int) -> TruncSeries:
     return (1 + t - discriminant_root(order)) * Fraction(1, 4)
 
 
+def _renamed(
+    series: TruncSeries, canonical: tuple[str, ...], lanes: tuple[str, ...]
+) -> TruncSeries:
+    """``series``, built in the ``canonical`` lanes, moved lane by lane
+    into ``lanes``."""
+    mapping = {src: dst for src, dst in zip(canonical, lanes) if src != dst}
+    return series.map_variables(mapping) if mapping else series
+
+
+def _t_times(order: int, lanes: Sequence[str]) -> TruncSeries:
+    """t times the product of the variables ``lanes``."""
+    mono = MultiPoly.one()
+    for lane in lanes:
+        mono = mono * MultiPoly.variable(lane)
+    return TruncSeries.term(order, 1, mono)
+
+
 @functools.lru_cache(maxsize=None)
 def _single_gf_by_lane(order: int, lane: str) -> TruncSeries:
+    # S(t,z) is one formula whichever lane z is: it is evaluated in x and
+    # renamed into the others.
+    if lane != "x":
+        return _single_gf_by_lane(order, "x").map_variables({"x": lane})
     # Every closed form but the counting series starts here, so this is
     # where the caller's order is checked.  The final division cancels
     # one power of t, so the work runs one order higher.
@@ -155,7 +193,7 @@ def _single_gf_by_lane(order: int, lane: str) -> TruncSeries:
         )
     w = order + 1
     t = TruncSeries.t(w)
-    z = MultiPoly.variable(lane)
+    z = MultiPoly.variable("x")
     r = discriminant_root(w)
     base = r * Fraction(-1, 4) - t * z + t * Fraction(1, 4) + Fraction(5, 4)
     inner = base * base + r - t - 1
@@ -185,9 +223,12 @@ def _single_split_by_lane(order: int, lane: str) -> tuple[TruncSeries, TruncSeri
     """S^2/(1+S) and S/(1+S) for S = S(t,z) in the given lane; the class
     readings of the single form add or subtract zt to them.
 
-    Both come from one inverse: S/(1+S) = 1 - 1/(1+S), and
+    Both come from one inverse, taken in x: S/(1+S) = 1 - 1/(1+S), and
     S^2/(1+S) = S - S/(1+S)."""
-    s = _single_gf_by_lane(order, lane)
+    if lane != "x":
+        square, linear = _single_split_by_lane(order, "x")
+        return square.map_variables({"x": lane}), linear.map_variables({"x": lane})
+    s = _single_gf_by_lane(order, "x")
     linear = 1 - (s + 1).invert()
     return s - linear, linear
 
@@ -218,7 +259,7 @@ def closed_form_R_single(order: int, stat: str = "rmax") -> TruncSeries:
     (lane,) = _lanes((stat,), SINGLES)
     square, linear = _single_split_by_lane(order, lane)
     if stat in ("rmax", "lmin"):
-        return linear - TruncSeries.term(order, 1, MultiPoly.variable(lane))
+        return linear - _t_times(order, (lane,))
     return square
 
 
@@ -226,7 +267,24 @@ def _irr_aux(order: int, lane: str) -> TruncSeries:
     """The I(t,z) that feeds the set-1 pair and A-function formulas:
     S^2/(1+S) + zt in the given lane."""
     square = _single_split_by_lane(order, lane)[0]
-    return square + TruncSeries.term(order, 1, MultiPoly.variable(lane))
+    return square + _t_times(order, (lane,))
+
+
+#: The lanes each multi-lane family is built in, once per order; every
+#: other tuple of the family is the same series with its lanes renamed.
+_SET2_LANES = ("x", "y")  # (lmax, rmax)
+_SET1_LANES = ("y", "u")  # (rmax, lmin)
+_TRIPLE_LANES = ("x", "y", "u")  # (lmax, rmax, lmin)
+
+
+@functools.lru_cache(maxsize=None)
+def _set2_parts(order: int) -> tuple[TruncSeries, TruncSeries]:
+    """The irreducible and reducible set-2 series in (x, y), from one
+    division: (S(y)+1) t x y / (1 - S(x)S(y)), and S(x) times it."""
+    s1 = _single_gf_by_lane(order, "x")
+    s2 = _single_gf_by_lane(order, "y")
+    irreducible = ((s2 + 1) * _t_times(order, _SET2_LANES)).divide(1 - s1 * s2)
+    return irreducible, s1 * irreducible
 
 
 def closed_form_pair_set2(
@@ -244,20 +302,32 @@ def closed_form_pair_set2(
     True
     """
     cls = canonical_class(perm_class)
-    lane1, lane2 = _lanes(tuple(pair), SET2_PAIRS)
-    s1 = _single_gf_by_lane(order, lane1)
-    s2 = _single_gf_by_lane(order, lane2)
-    tz = TruncSeries.term(
-        order, 1, MultiPoly.variable(lane1) * MultiPoly.variable(lane2)
-    )
-    den = 1 - s1 * s2
+    lanes = _lanes(tuple(pair), SET2_PAIRS)
+    irreducible, reducible = _set2_parts(order)
     if cls == "all":
-        num = (s1 + 1) * (s2 + 1) * tz
-    elif cls == "irreducible":
-        num = (s2 + 1) * tz
+        part = irreducible + reducible
     else:
-        num = s1 * (s2 + 1) * tz
-    return num.divide(den)
+        part = irreducible if cls == "irreducible" else reducible
+    return _renamed(part, _SET2_LANES, lanes)
+
+
+@functools.lru_cache(maxsize=None)
+def _set1_core(order: int) -> TruncSeries:
+    """K = S(y) I(u), the set-1 core in (y, u); it is also the triples'
+    A-function in (x, y, u)."""
+    return _single_gf_by_lane(order, "y") * _irr_aux(order, "u")
+
+
+def _set1_core_tz(order: int) -> TruncSeries:
+    """K + T with T = t y u; 1 - K - T is the set-1 and triple divisor."""
+    return _set1_core(order) + _t_times(order, _SET1_LANES)
+
+
+@functools.lru_cache(maxsize=None)
+def _set1_quotient(order: int) -> TruncSeries:
+    """(K + T)/(1 - K - T): the (rmax, lmin) series."""
+    core_tz = _set1_core_tz(order)
+    return core_tz.divide(1 - core_tz)
 
 
 def closed_form_pair_set1(
@@ -277,19 +347,26 @@ def closed_form_pair_set1(
     """
     cls = canonical_class(perm_class)
     pair = tuple(pair)
-    lane1, lane2 = _lanes(pair, SET1_PAIRS)
-    core = _single_gf_by_lane(order, lane1) * _irr_aux(order, lane2)
-    tz = TruncSeries.term(
-        order, 1, MultiPoly.variable(lane1) * MultiPoly.variable(lane2)
-    )
-    s_pair = (core + tz).divide(1 - core - tz)
+    lanes = _lanes(pair, SET1_PAIRS)
     if cls == "all":
-        return s_pair
-    if pair == ("rmax", "lmin"):
-        return s_pair - core if cls == "irreducible" else core
-    if cls == "irreducible":
-        return core + tz
-    return s_pair - core - tz
+        part = _set1_quotient(order)
+    elif pair == ("rmax", "lmin"):
+        core = _set1_core(order)
+        part = _set1_quotient(order) - core if cls == "irreducible" else core
+    else:
+        core_tz = _set1_core_tz(order)
+        part = core_tz if cls == "irreducible" else _set1_quotient(order) - core_tz
+    return _renamed(part, _SET1_LANES, lanes)
+
+
+@functools.lru_cache(maxsize=None)
+def _e_xyu(order: int) -> TruncSeries:
+    """E(t, x, y, u); see :func:`e_function`."""
+    s1, s2, s3 = (_single_gf_by_lane(order, lane) for lane in _TRIPLE_LANES)
+    x, y, u = map(MultiPoly.variable, _TRIPLE_LANES)
+    num = (s1 + 1) * (s2 + 1) * (s3 + 1) * TruncSeries.term(order, 2, x * x * y * u)
+    den = (1 - s1 * s3) * (1 - s1 * s2)
+    return _t_times(order, _TRIPLE_LANES) + num.divide(den)
 
 
 def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSeries:
@@ -298,25 +375,32 @@ def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSerie
     E = z1 z2 z3 t
         + (S(z1)+1)(S(z2)+1)(S(z3)+1) t^2 z1^2 z2 z3
           / ((1 - S(z1)S(z3)) (1 - S(z1)S(z2)))
+
+    in three distinct lanes z1, z2, z3: built in (x, y, u), then renamed.
     """
-    return _e_function_by_lanes(order, tuple(lanes))
+    lanes = tuple(lanes)
+    if len(lanes) != 3 or len(set(lanes)) != 3 or not set(lanes) <= set(VARIABLES):
+        raise ValueError(
+            f"E needs three distinct variables of {VARIABLES} as its lanes, "
+            f"got {lanes}"
+        )
+    return _renamed(_e_xyu(order), _TRIPLE_LANES, lanes)
 
 
 @functools.lru_cache(maxsize=None)
-def _e_function_by_lanes(order: int, lanes: tuple[str, str, str]) -> TruncSeries:
-    l1, l2, l3 = lanes
-    s1 = _single_gf_by_lane(order, l1)
-    s2 = _single_gf_by_lane(order, l2)
-    s3 = _single_gf_by_lane(order, l3)
-    z1 = MultiPoly.variable(l1)
-    z2 = MultiPoly.variable(l2)
-    z3 = MultiPoly.variable(l3)
-    first = TruncSeries.term(order, 1, z1 * z2 * z3)
-    num = (s1 + 1) * (s2 + 1) * (s3 + 1) * TruncSeries.term(
-        order, 2, z1 * z1 * z2 * z3
-    )
-    den = (1 - s1 * s3) * (1 - s1 * s2)
-    return first + num.divide(den)
+def _triple_quotient(order: int) -> TruncSeries:
+    """E / (1 - A - t y u) in (x, y, u): every triple's full series."""
+    return e_function(order, _TRIPLE_LANES).divide(1 - _set1_core_tz(order))
+
+
+@functools.lru_cache(maxsize=None)
+def _triple_bracket(order: int) -> TruncSeries:
+    """(t x y u + (A + t y u)(E - t x y u)) / (1 - A - t y u) in (x, y, u):
+    the class part of a triple that E does not give."""
+    a_tz = _set1_core_tz(order)
+    tz123 = _t_times(order, _TRIPLE_LANES)
+    e_ser = e_function(order, _TRIPLE_LANES)
+    return (tz123 + a_tz * (e_ser - tz123)).divide(1 - a_tz)
 
 
 def closed_form_triple(
@@ -327,31 +411,43 @@ def closed_form_triple(
     """Joint closed form for one of the four statistic triples.
 
     S = E / (1 - A - t z2 z3) with A = S(z2) I(z3), where
-    I(z3) = z3 t + S(z3)^2/(S(z3)+1) is the memoized :func:`_irr_aux`.
+    I(z3) = z3 t + S(z3)^2/(S(z3)+1) is :func:`_irr_aux`; A is the set-1
+    core, renamed.
     For the (., rmax, lmin)-tailed triples the reducible part is
     E - z1 z2 z3 t; for the (., rmin, lmax)-tailed ones the irreducible
     part is E; the remaining parts share one bracket expression.
     """
     cls = canonical_class(perm_class)
     triple = tuple(triple)
-    l1, l2, l3 = _lanes(triple, TRIPLES)
-    z1 = MultiPoly.variable(l1)
-    z2 = MultiPoly.variable(l2)
-    z3 = MultiPoly.variable(l3)
-    e_ser = e_function(order, (l1, l2, l3))
-    tz123 = TruncSeries.term(order, 1, z1 * z2 * z3)
+    lanes = _lanes(triple, TRIPLES)
     rmax_lmin_tail = triple in _TRIPLES_RMAX_LMIN_TAIL
     if rmax_lmin_tail and cls == "reducible":
-        return e_ser - tz123
+        return e_function(order, lanes) - _t_times(order, lanes)
     if not rmax_lmin_tail and cls == "irreducible":
-        return e_ser
-    a_func = _single_gf_by_lane(order, l2) * _irr_aux(order, l3)
-    tz23 = TruncSeries.term(order, 1, z2 * z3)
-    den = 1 - a_func - tz23
+        return e_function(order, lanes)
     if cls == "all":
-        return e_ser.divide(den)
-    bracket = (tz123 + (a_func + tz23) * (e_ser - tz123)).divide(den)
-    return bracket if rmax_lmin_tail else bracket - tz123
+        part = _triple_quotient(order)
+    elif rmax_lmin_tail:
+        part = _triple_bracket(order)
+    else:
+        part = _triple_bracket(order) - _t_times(order, _TRIPLE_LANES)
+    return _renamed(part, _TRIPLE_LANES, lanes)
+
+
+@functools.lru_cache(maxsize=None)
+def _quad_irreducible(order: int) -> TruncSeries:
+    """I = xyuvt + E(t,x,y,u) S(t,y,u,v)."""
+    e_xyu = e_function(order, ("x", "y", "u"))
+    s_yuv = closed_form_triple(order, ("rmin", "rmax", "lmin"))
+    return _t_times(order, ("x", "y", "u", "v")) + e_xyu * s_yuv
+
+
+@functools.lru_cache(maxsize=None)
+def _quad_reducible(order: int) -> TruncSeries:
+    """R = I(t,x,y,v) S(t,x,u,v)."""
+    i_xyv = closed_form_triple(order, ("rmax", "rmin", "lmax"), "irreducible")
+    s_xuv = closed_form_triple(order, ("lmin", "rmin", "lmax"))
+    return i_xyv * s_xuv
 
 
 def closed_form_quad(order: int, perm_class: str = "all") -> TruncSeries:
@@ -367,30 +463,20 @@ def closed_form_quad(order: int, perm_class: str = "all") -> TruncSeries:
       — not the literal variable listing), times the (lmin, rmin, lmax)
       triple closed form.
 
+    I and R are memoized each on its own, so one class never builds the
+    other's product.
+
     >>> from sepstats.series import MultiPoly
     >>> c1 = closed_form_quad(3).coefficient(1)
     >>> c1 == MultiPoly.from_exponents({(0, 0, 1, 1, 1, 1): 1})
     True
     """
     cls = canonical_class(perm_class)
-    parts = []
-    if cls != "reducible":
-        xyuvt = TruncSeries.term(
-            order,
-            1,
-            MultiPoly.variable("x")
-            * MultiPoly.variable("y")
-            * MultiPoly.variable("u")
-            * MultiPoly.variable("v"),
-        )
-        e_xyu = e_function(order, ("x", "y", "u"))
-        s_yuv = closed_form_triple(order, ("rmin", "rmax", "lmin"))
-        parts.append(xyuvt + e_xyu * s_yuv)
-    if cls != "irreducible":
-        i_xyv = closed_form_triple(order, ("rmax", "rmin", "lmax"), "irreducible")
-        s_xuv = closed_form_triple(order, ("lmin", "rmin", "lmax"))
-        parts.append(i_xyv * s_xuv)
-    return sum(parts[1:], parts[0])
+    if cls == "irreducible":
+        return _quad_irreducible(order)
+    if cls == "reducible":
+        return _quad_reducible(order)
+    return _quad_irreducible(order) + _quad_reducible(order)
 
 
 def closed_form(

@@ -20,6 +20,7 @@ report says so.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -352,6 +353,36 @@ def _exchange_identity(order: int) -> str:
     return "; exchange identity holds"
 
 
+@functools.lru_cache(maxsize=1)
+def _extreme_projections(
+    order: int, census_order: int
+) -> tuple[tuple[TruncSeries, TruncSeries], tuple[TruncSeries, TruncSeries]]:
+    """The irreducible and reducible series of the master fixpoint to
+    ``order`` and of the census to ``census_order``, projected onto the
+    four extreme lanes.  The five closed-form checks run at the same
+    orders and share them; the whole series, their sum, is not kept."""
+
+    def project(parts: dict[str, TruncSeries]) -> tuple[TruncSeries, TruncSeries]:
+        return tuple(
+            parts[cls].keep_only(_EXTREME_LANES) for cls in ("irreducible", "reducible")
+        )
+
+    return project(_master(order)), project(_census(census_order))
+
+
+def _classes_in(
+    parts: tuple[TruncSeries, TruncSeries], lanes: tuple[str, ...]
+) -> dict[str, TruncSeries]:
+    """Every class of a projected (irreducible, reducible) pair, in
+    ``lanes``; keep_only composes."""
+    irreducible, reducible = (part.keep_only(lanes) for part in parts)
+    return {
+        "all": irreducible + reducible,
+        "irreducible": irreducible,
+        "reducible": reducible,
+    }
+
+
 #: Closed-form check id -> (witness label, statistic tuples, extra step).
 #: Every tuple's closed form is checked in every class against the fixpoint
 #: and the census; the extra step, if any, adds to the report's detail.
@@ -371,23 +402,22 @@ def _check_closed_forms(check_id: str, order: int, census_order: int) -> CheckRe
     label, tuples, extra = _CLOSED_FORM_CHECKS[check_id]
 
     def body() -> str:
-        # Project each class onto the four lanes the tuples use once, then
-        # each tuple from that; keep_only composes.
-        lanes4 = _EXTREME_LANES
-        master = {cls: s.keep_only(lanes4) for cls, s in _master(order).items()}
-        census = {cls: s.keep_only(lanes4) for cls, s in _census(census_order).items()}
+        master, census = _extreme_projections(order, census_order)
         for stats_tuple in tuples:
             name = "-".join(stats_tuple)
             lanes = stat_lanes(stats_tuple)
+            want_fix = _classes_in(master, lanes)
+            want_cen = _classes_in(census, lanes)
             for cls in CLASSES:
                 closed = cf.closed_form(order, stats_tuple, cls)
-                want_fix = master[cls].keep_only(lanes)
                 _expect_agree(
-                    closed, want_fix, order, f"{label} {name} {cls} vs fixpoint"
+                    closed, want_fix[cls], order, f"{label} {name} {cls} vs fixpoint"
                 )
-                want_cen = census[cls].keep_only(lanes)
                 _expect_agree(
-                    closed, want_cen, census_order, f"{label} {name} {cls} vs census"
+                    closed,
+                    want_cen[cls],
+                    census_order,
+                    f"{label} {name} {cls} vs census",
                 )
         detail = (
             f"{len(tuples) * len(CLASSES)} series match fixpoint to order "

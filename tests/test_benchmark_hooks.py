@@ -91,20 +91,25 @@ def test_closed_forms_reach_the_series_spans_the_benchmark_probes():
     # Tier-1 mirror of the benchmark self-test's liveness probe for the
     # closed_forms workload: its toy body must record polynomial products,
     # inverses, square roots and divisions through the names the tracer
-    # wraps.
+    # wraps, whichever lane the seed picks.  S(t,z) is built in x and
+    # renamed, so lmin is a lane the build itself never uses.
     tracing = _load_tracer()
     memos = tracing.lru_caches(closedforms).values()
-    for memo in memos:
-        memo.cache_clear()
-    tracer = tracing.Tracer()
-    uninstall = tracing.install(tracer)
-    try:
-        closedforms.closed_form_S_single(8)
-        closedforms.closed_form_quad(5, "all")
-        totals = tracer.totals()
-    finally:
-        uninstall()
+    for stat in ("rmax", "lmin"):
         for memo in memos:
             memo.cache_clear()
-    for name in ("series.poly_mul", "series.invert", "series.sqrt", "series.divide"):
-        assert totals.get(name, [0])[0] > 0, name
+        tracer = tracing.Tracer()
+        uninstall = tracing.install(tracer)
+        try:
+            closedforms.closed_form_S_single(8, stat)
+            single = tracer.totals()
+            closedforms.closed_form_quad(5, "all")
+            totals = tracer.totals()
+        finally:
+            uninstall()
+            for memo in memos:
+                memo.cache_clear()
+        for name in ("series.sqrt", "series.divide"):
+            assert single.get(name, [0])[0] > 0, (stat, name)
+        for name in ("series.poly_mul", "series.invert", "series.sqrt", "series.divide"):
+            assert totals.get(name, [0])[0] > 0, (stat, name)

@@ -1,11 +1,14 @@
 """The closed-form builders: argument spellings, the order rule, the
 coefficient types and the memo story."""
 
+import hashlib
+import re
+
 import pytest
 
 from sepstats import closedforms
 from sepstats.enumeration import CLASSES
-from sepstats.series import assert_counting_series
+from sepstats.series import TruncSeries, assert_counting_series
 
 ORDER = 5
 
@@ -35,18 +38,92 @@ def test_e_function_accepts_a_list_of_lanes():
     )
 
 
-def test_only_the_class_independent_series_are_memoized():
-    memoized = {
-        name
-        for name, obj in vars(closedforms).items()
-        if hasattr(obj, "cache_info")
-    }
-    assert memoized == {
+@pytest.mark.parametrize(
+    "lanes", [("x", "x", "y"), ("x", "y"), ("x", "y", "u", "v"), ("x", "y", "w")]
+)
+def test_e_function_rejects_lanes_that_are_not_three_distinct_variables(lanes):
+    with pytest.raises(ValueError, match=re.escape(f"got {lanes}")):
+        closedforms.e_function(ORDER, lanes)
+
+
+def _memos() -> list:
+    return [obj for obj in vars(closedforms).values() if hasattr(obj, "cache_clear")]
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty closed-form memos for one test, and nothing it built kept."""
+    for memo in _memos():
+        memo.cache_clear()
+    yield
+    for memo in _memos():
+        memo.cache_clear()
+
+
+def test_only_the_canonical_family_series_are_memoized(cold_memos):
+    # one memo per canonical piece, keyed by order; only the one-lane
+    # series also keep their renamings, keyed by (order, lane)
+    assert {memo.__name__ for memo in _memos()} == {
         "discriminant_root",
         "_single_gf_by_lane",
         "_single_split_by_lane",
-        "_e_function_by_lanes",
+        "_set2_parts",
+        "_set1_core",
+        "_set1_quotient",
+        "_e_xyu",
+        "_triple_quotient",
+        "_triple_bracket",
+        "_quad_irreducible",
+        "_quad_reducible",
     }
+    for stats in closedforms.FORMS:
+        for cls in CLASSES:
+            closedforms.closed_form(ORDER, stats, cls)
+    keys = {memo.__name__: memo.cache_info().currsize for memo in _memos()}
+    assert keys.pop("_single_gf_by_lane") == 4
+    assert keys.pop("_single_split_by_lane") == 4
+    assert set(keys.values()) == {1}
+
+
+def test_each_family_is_built_once_per_order(monkeypatch, cold_memos):
+    # Every radical, division and inverse (a division of 1) runs once per
+    # canonical piece, however many tuples and classes read it.
+    calls = {"sqrt": 0, "divide": 0}
+
+    def counting(name):
+        real = getattr(TruncSeries, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(TruncSeries, name, counting(name))
+    for stats in closedforms.FORMS:
+        for cls in CLASSES:
+            closedforms.closed_form(8, stats, cls)
+    # sqrt: the discriminant root and the root inside S(t,x)
+    assert calls["sqrt"] == 2
+    # divide: S(t,x), the split's inverse, the set-2 and set-1 quotients,
+    # E, the triples' quotient and their bracket
+    assert calls["divide"] == 7
+
+
+def test_closed_forms_match_their_recorded_coefficients():
+    # sha256 of every coefficient, its key and its int/Fraction type, for
+    # every tuple and class at order 12, as the per-lane builders gave them
+    digest = hashlib.sha256()
+    for stats in closedforms.FORMS:
+        for cls in CLASSES:
+            series = closedforms.closed_form(12, stats, cls)
+            for n, poly in enumerate(series.coefficients()):
+                for key, c in sorted(poly._terms.items()):
+                    digest.update(repr((n, key, type(c).__name__, c)).encode())
+    assert digest.hexdigest() == (
+        "bb1722add22f7ef35a58cf2b07001d04d7b5c20aa1851421316092066dbc0635"
+    )
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,15 @@ def test_every_closed_form_check_fails_on_a_bumped_coefficient(
     assert f"t^{k}" in report.witness
 
 
+def test_the_closed_form_checks_project_the_master_and_the_census_once():
+    verify._extreme_projections.cache_clear()
+    check_ids = list(verify._CLOSED_FORM_CHECKS)
+    for check_id in check_ids:
+        assert verify.ALL_CHECKS[check_id](order=6, census_order=5).verdict == "pass"
+    info = verify._extreme_projections.cache_info()
+    assert (info.misses, info.hits) == (1, len(check_ids) - 1)
+
+
 def test_counting_gf_check_fails_on_a_bumped_coefficient(monkeypatch):
     real = closedforms.schroeder_gf
     k = 5
