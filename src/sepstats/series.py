@@ -168,6 +168,33 @@ def _normalize_coeff(c: Coeff) -> Coeff:
 # Every polynomial product, and every sum of products in the series algebra
 # and the fixpoint, accumulates term products into one dict, which is then
 # checked for lane overflow and cleared of zeros once.
+#
+# A series operation (a series product, divide, sqrt, the fixpoint loop)
+# also hands the kernel one pack memo, a dict that lives as long as the
+# operation.  The first sum of products in it with at least
+# _PACK_MIN_PAIRS term pairs and only int coefficients picks one lane for
+# the whole operation: the lane whose grouping (terms that agree on the
+# other five lanes) cuts the pair count the most, if that is at least
+# _PACK_MIN_GAIN-fold, else none.
+# Packed, each group is one Python int with one slot per exponent of the
+# lane (Kronecker substitution), the group ints multiply as big integers in
+# the same dict loop, and each output int is read back once as signed
+# digits.  Each coefficient is packed once per operation and slot width.
+# Products with a Fraction coefficient, small sums, MultiPoly products and
+# products spread over many lanes (the six-variable master) stay on the
+# term dicts of _mul_into, which is also the packed path's test oracle.
+
+#: Fewest term pairs in one sum of products before an operation picks a lane.
+_PACK_MIN_PAIRS = 2048
+#: Least factor by which the chosen lane's grouping must cut the pair count.
+_PACK_MIN_GAIN = 4
+#: Slot widths are multiples of this many bits, so packs outlive small growth.
+_SLOT_STEP = 64
+
+_LANE_OVERFLOW = (
+    f"product exponent exceeds {MAX_ORDER}, the largest exponent one "
+    f"{LANE_BITS}-bit lane holds"
+)
 
 
 def _mul_into(out: dict[int, Coeff], a: dict[int, Coeff], b: dict[int, Coeff]) -> None:
@@ -186,36 +213,193 @@ def _finished(out: dict[int, Coeff]) -> "MultiPoly":
     """The polynomial of a kernel output: reject an exponent past
     ``MAX_ORDER``, then drop the coefficients that cancelled."""
     if out and functools.reduce(operator.or_, out) & _GUARD:
-        raise ValueError(
-            f"product exponent exceeds {MAX_ORDER}, the largest exponent one "
-            f"{LANE_BITS}-bit lane holds"
-        )
+        raise ValueError(_LANE_OVERFLOW)
     if 0 in out.values():
         out = {k: c for k, c in out.items() if c}
     return MultiPoly(out)
 
 
-def _sum_of_products(pairs: Iterable[tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
-    """sum(a * b for a, b in pairs), accumulated in one dict."""
-    out: dict[int, Coeff] = {}
+def _best_lane(
+    pairs: list[tuple["MultiPoly", "MultiPoly"]], mid: "MultiPoly | None", work: int
+) -> int | None:
+    """The shift of the lane whose grouping leaves the fewest group pairs,
+    if that cuts ``work`` term pairs at least ``_PACK_MIN_GAIN``-fold."""
+    polys = {id(p): p for pair in pairs for p in pair}
+    if mid is not None:
+        polys[id(mid)] = mid
+    best, fewest = None, work // _PACK_MIN_GAIN + 1
+    for shift in _SHIFT.values():
+        rest = ~(MAX_ORDER << shift)
+        groups = {i: len({k & rest for k in p._terms}) for i, p in polys.items()}
+        grouped = sum(groups[id(a)] * groups[id(b)] for a, b in pairs)
+        if mid is not None:
+            grouped += groups[id(mid)] ** 2
+        if grouped < fewest:
+            best, fewest = shift, grouped
+    return best
+
+
+def _pack_lane(terms: dict[int, int], shift: int, width: int) -> tuple[dict[int, int], int]:
+    """Group ``terms`` by their key outside the lane at ``shift``: each
+    group is one int, sum(c << width * e) over its terms of lane exponent
+    e.  Also returns the largest exponent in the lane."""
+    rest = ~(MAX_ORDER << shift)
+    groups: dict[int, int] = {}
+    get = groups.get
+    top = 0
+    for k, c in terms.items():
+        e = k >> shift & MAX_ORDER
+        if e > top:
+            top = e
+        r = k & rest
+        v = get(r)
+        c <<= width * e
+        groups[r] = c if v is None else v + c
+    return groups, top
+
+
+def _packing(
+    memo: dict,
+    pairs: list[tuple["MultiPoly", "MultiPoly"]],
+    doubled: bool,
+    mid: "MultiPoly | None",
+) -> tuple[int, int, list[tuple[dict, dict]], dict | None] | None:
+    """How one sum of products runs packed: (lane shift, slot width, the
+    group dicts of each pair, those of ``mid``), or None for the term
+    dicts.  ``memo`` holds the operation's choice of lane ("lane", None
+    for none), each operand's l1 norm ("norms", None for a Fraction
+    coefficient) and its packs at the current slot width ("width",
+    "packs"); operands are keyed by ``id`` and kept alive there."""
+    decided = "lane" in memo
+    if decided and memo["lane"] is None:
+        return None
+    if not decided:
+        work = sum(len(a._terms) * len(b._terms) for a, b in pairs)
+        if mid is not None:
+            work += len(mid._terms) ** 2
+        if work < _PACK_MIN_PAIRS:
+            return None
+    norms = memo.setdefault("norms", {})
+
+    def norm(p: MultiPoly) -> int | None:
+        entry = norms.get(id(p))
+        if entry is None:
+            l1 = sum(map(abs, p._terms.values()))
+            entry = norms[id(p)] = (p, l1 if type(l1) is int else None)
+        return entry[1]
+
+    bound = 0
     for a, b in pairs:
-        _mul_into(out, a._terms, b._terms)
-    return _finished(out)
+        na, nb = norm(a), norm(b)
+        if na is None or nb is None:
+            return None
+        bound += na * nb
+    if doubled:
+        bound += bound
+    if mid is not None:
+        nm = norm(mid)
+        if nm is None:
+            return None
+        bound += nm * nm
+    if not decided:
+        memo["lane"] = _best_lane(pairs, mid, work)
+        if memo["lane"] is None:
+            return None
+    shift = memo["lane"]
+    # every output digit has |d| <= bound; one more bit holds its sign
+    width = -(-(bound.bit_length() + 1) // _SLOT_STEP) * _SLOT_STEP
+    if width > memo.get("width", 0):
+        memo["width"] = width
+        memo["packs"] = {}
+    width = memo["width"]
+    packs = memo["packs"]
+
+    def pack(p: MultiPoly) -> tuple[dict[int, int], int]:
+        entry = packs.get(id(p))
+        if entry is None:
+            entry = packs[id(p)] = (p, *_pack_lane(p._terms, shift, width))
+        return entry[1], entry[2]
+
+    grouped = []
+    top = 0
+    for a, b in pairs:
+        (ga, ta), (gb, tb) = pack(a), pack(b)
+        top = max(top, ta + tb)
+        grouped.append((ga, gb))
+    gm = None
+    if mid is not None:
+        gm, tm = pack(mid)
+        top = max(top, tm + tm)
+    if top > MAX_ORDER:
+        raise ValueError(_LANE_OVERFLOW)
+    return shift, width, grouped, gm
 
 
-def _square_sum(c: Sequence["MultiPoly"], n: int, lo: int) -> "MultiPoly":
+def _unpacked(out: dict[int, int], shift: int, width: int) -> "MultiPoly":
+    """The polynomial of packed group ints: each is read as balanced digits
+    in -2**(width-1)..2**(width-1)-1, one per exponent of the lane at
+    ``shift``, keeping the nonzero ones."""
+    full = 1 << width
+    half = full >> 1
+    mask = full - 1
+    step = 1 << shift
+    terms: dict[int, int] = {}
+    for key, v in out.items():
+        while v:
+            d = v & mask
+            v >>= width
+            if d >= half:
+                d -= full
+                v += 1
+            if d:
+                terms[key] = d
+            key += step
+    return MultiPoly(terms)
+
+
+def _kernel(
+    memo: dict,
+    pairs: list[tuple["MultiPoly", "MultiPoly"]],
+    doubled: bool,
+    mid: "MultiPoly | None",
+) -> "MultiPoly":
+    """sum(a * b for a, b in pairs), doubled if ``doubled``, plus
+    ``mid * mid``; packed where :func:`_packing` allows."""
+    plan = _packing(memo, pairs, doubled, mid)
+    if plan is None:
+        grouped = [(a._terms, b._terms) for a, b in pairs]
+        gm = None if mid is None else mid._terms
+    else:
+        shift, width, grouped, gm = plan
+    out: dict[int, Coeff] = {}
+    for ga, gb in grouped:
+        _mul_into(out, ga, gb)
+    if doubled:
+        for k, v in out.items():
+            out[k] = v + v
+    if gm is not None:
+        _mul_into(out, gm, gm)
+    # packed, the guard bits cover the other five lanes; _packing checked
+    # the packed one
+    done = _finished(out)
+    return done if plan is None else _unpacked(done._terms, shift, width)
+
+
+def _sum_of_products(
+    pairs: Iterable[tuple["MultiPoly", "MultiPoly"]], memo: dict
+) -> "MultiPoly":
+    """sum(a * b for a, b in pairs), accumulated in one dict; ``memo`` is
+    the calling operation's pack memo."""
+    return _kernel(memo, [(a, b) for a, b in pairs if a._terms and b._terms], False, None)
+
+
+def _square_sum(c: Sequence["MultiPoly"], n: int, lo: int, memo: dict) -> "MultiPoly":
     """sum(c[i] * c[n - i] for i in lo..n - lo), by symmetry: each pair
     below the middle is multiplied once and doubled, and the middle square
-    (n even) is added once."""
-    out: dict[int, Coeff] = {}
-    for i in range(lo, (n + 1) // 2):
-        _mul_into(out, c[i]._terms, c[n - i]._terms)
-    for k, v in out.items():
-        out[k] = v + v
-    if n % 2 == 0:
-        mid = c[n // 2]._terms
-        _mul_into(out, mid, mid)
-    return _finished(out)
+    (n even) is added once; ``memo`` is the calling operation's pack memo."""
+    pairs = [(c[i], c[n - i]) for i in range(lo, (n + 1) // 2) if c[i] and c[n - i]]
+    mid = c[n // 2] if n % 2 == 0 and c[n // 2] else None
+    return _kernel(memo, pairs, True, mid)
 
 
 class MultiPoly:
@@ -412,20 +596,28 @@ class MultiPoly:
         dests = list(mapping.values())
         if len(set(dests)) != len(dests):
             raise ValueError("variable renaming maps two sources to one lane")
-        blocked = [_LANE[dst] for dst in dests if dst not in mapping]
+        blocked = 0
+        for dst in dests:
+            if dst not in mapping:
+                blocked |= _LANE[dst]
+        used = functools.reduce(operator.or_, self._terms, 0)
+        if used & blocked:
+            raise ValueError("variable renaming collides with existing lanes")
+        # (source lane mask, left shift, right shift) per lane that moves
+        moves = [
+            (_LANE[src], max(d, 0), max(-d, 0))
+            for src, dst in mapping.items()
+            if (d := _SHIFT[dst] - _SHIFT[src]) and used & _LANE[src]
+        ]
+        stay = ~sum(mask for mask, _, _ in moves)
+        # Injective, onto free lanes: distinct keys stay distinct.
         out: dict[int, Coeff] = {}
         for k, c in self._terms.items():
-            if any(k & lane for lane in blocked):
-                raise ValueError("variable renaming collides with existing lanes")
-            k2 = k
-            moved = 0
-            for src, dst in mapping.items():
-                e = (k & _LANE[src]) >> _SHIFT[src]
-                k2 &= ~_LANE[src]
-                moved |= e << _SHIFT[dst]
-            k2 |= moved
-            out[k2] = out.get(k2, 0) + c
-        return MultiPoly({k: c for k, c in out.items() if c})
+            k2 = k & stay
+            for mask, left, right in moves:
+                k2 |= (k & mask) << left >> right
+            out[k2] = c
+        return MultiPoly(out)
 
     # -- comparison / hashing / display ------------------------------------
 
@@ -646,10 +838,11 @@ class TruncSeries:
         n = min(self.order, other.order)
         a = self._coeffs
         b = other._coeffs
+        memo: dict = {}
         if a is b:
-            return TruncSeries([_square_sum(a, k, 0) for k in range(n + 1)])
+            return TruncSeries([_square_sum(a, k, 0, memo) for k in range(n + 1)])
         return TruncSeries([
-            _sum_of_products((a[i], b[k - i]) for i in range(k + 1))
+            _sum_of_products(((a[i], b[k - i]) for i in range(k + 1)), memo)
             for k in range(n + 1)
         ])
 
@@ -707,8 +900,9 @@ class TruncSeries:
             )
         b0 = c0.constant_term()
         q: list[MultiPoly] = []
+        memo: dict = {}
         for n in range(order + 1):
-            acc = _sum_of_products((b[k], q[n - k]) for k in range(1, n + 1))
+            acc = _sum_of_products(((b[k], q[n - k]) for k in range(1, n + 1)), memo)
             q.append(_divide_exact(a[n] - acc, b0))
         return TruncSeries(q)
 
@@ -724,8 +918,9 @@ class TruncSeries:
         if self._coeffs[0] != MultiPoly.one():
             raise ValueError("sqrt requires constant term exactly 1")
         g = [MultiPoly.one()]
+        memo: dict = {}
         for n in range(1, self.order + 1):
-            g.append(_divide_exact(self._coeffs[n] - _square_sum(g, n, 1), 2))
+            g.append(_divide_exact(self._coeffs[n] - _square_sum(g, n, 1, memo), 2))
         return TruncSeries(g)
 
     # -- specialization ----------------------------------------------------
@@ -847,10 +1042,11 @@ def _solve_fixpoint_cached(
     # the q-term's first factor (S - I)|v=1 + xyut; S and I agree at t^1
     red_v1 = [zero, xyu]
 
+    memo: dict = {}
     for n in range(2, order + 1):
-        q_sum = _sum_of_products((red_v1[i], s_x1[n - i]) for i in range(1, n))
+        q_sum = _sum_of_products(((red_v1[i], s_x1[n - i]) for i in range(1, n)), memo)
         i_n = q_factor * q_sum
-        p_sum = _sum_of_products((s_y1[i], i_u1[n - i]) for i in range(1, n))
+        p_sum = _sum_of_products(((s_y1[i], i_u1[n - i]) for i in range(1, n)), memo)
         s_n = i_n + p_factor * p_sum
         s_coeffs.append(s_n)
         i_coeffs.append(i_n)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sepstats import series as series_module
 from sepstats.series import (
     MAX_ORDER,
     STAT_NAMES,
@@ -519,6 +520,39 @@ def test_keep_only_rejects_an_unknown_variable():
         TruncSeries([f, f]).keep_only(["z"])
 
 
+def _renamed(f, mapping):
+    """map_variables through exponent vectors: the reference."""
+    index = {v: i for i, v in enumerate(VARIABLES)}
+    out = {}
+    for exps, c in f.terms():
+        new = list(exps)
+        for src in mapping:
+            new[index[src]] = 0
+        for src, dst in mapping.items():
+            if dst not in mapping and exps[index[dst]]:
+                raise ValueError("variable renaming collides with existing lanes")
+            new[index[dst]] = exps[index[src]]
+        out[tuple(new)] = c
+    return MultiPoly.from_exponents(out)
+
+
+@_kernel
+@given(_six_variable_polys, st.data())
+def test_map_variables_matches_renaming_the_exponent_vectors(f, data):
+    sources = data.draw(st.lists(st.sampled_from(VARIABLES), unique=True))
+    # a permutation of the sources never collides; other lanes may
+    pool = sources if data.draw(st.booleans()) else VARIABLES
+    dests = data.draw(st.permutations(pool))[: len(sources)]
+    mapping = dict(zip(sources, dests))
+    try:
+        want = _renamed(f, mapping)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=str(error)):
+            f.map_variables(mapping)
+    else:
+        assert f.map_variables(mapping) == want
+
+
 # -- the lane guard ----------------------------------------------------------
 
 
@@ -663,3 +697,182 @@ _integer_polys = st.dictionaries(
 @given(_integer_polys)
 def test_str_parse_round_trip(f):
     assert parse_poly(str(f)) == f
+
+
+# -- the lane-packed product path against the term kernel --------------------
+
+_SHIFTS = series_module._SHIFT
+# Small and multi-word coefficients of both signs.
+_coefficients = st.integers(-9, 9) | st.integers(-(2**80), 2**80)
+
+
+@st.composite
+def _lane_polys(draw, lanes, max_exp=4, max_size=8):
+    """An integer polynomial in ``lanes`` only."""
+    exps = st.tuples(*[st.integers(0, max_exp) if v in lanes else st.just(0) for v in VARIABLES])
+    return MultiPoly.from_exponents(draw(st.dictionaries(exps, _coefficients, max_size=max_size)))
+
+
+def _term_kernel(pairs, doubled=False, mid=None):
+    """The sum of products on term dicts only: the packed path's oracle."""
+    out = {}
+    for a, b in pairs:
+        series_module._mul_into(out, a._terms, b._terms)
+    if doubled:
+        out = {k: v + v for k, v in out.items()}
+    if mid is not None:
+        series_module._mul_into(out, mid._terms, mid._terms)
+    return series_module._finished(out)
+
+
+def _typed(poly):
+    return {k: (type(c), c) for k, c in poly._terms.items()}
+
+
+_packed = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def _packed_case(draw):
+    """Lanes in use (1 to 6), a lane to pack, and a memo that packs it."""
+    lanes = draw(st.lists(st.sampled_from(VARIABLES), min_size=1, max_size=6, unique=True))
+    lane = draw(st.sampled_from(VARIABLES))
+    return lanes, {"lane": _SHIFTS[lane]}
+
+
+@_packed
+@given(_packed_case(), st.data())
+def test_packed_sums_of_products_match_the_term_kernel(case, data):
+    lanes, memo = case
+    polys = _lane_polys(lanes)
+    # several sums on one memo: packs are reused, and dropped when the
+    # coefficients grow past the slot width
+    for _ in range(data.draw(st.integers(1, 3))):
+        pairs = data.draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=4))
+        got = series_module._sum_of_products(pairs, memo)
+        assert _typed(got) == _typed(_term_kernel(pairs))
+    assert memo["width"] % 64 == 0 and "packs" in memo
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_slots_hold_products_at_the_width_boundary(sign):
+    """A coefficient just past 2**63 in size needs 128-bit slots: 64 bits
+    hold its magnitude but not its sign."""
+
+    def poly(*coeffs):  # coeffs[e] is the coefficient of x^e * y
+        return MultiPoly.from_exponents({(0, 0, e, 1, 0, 0): c for e, c in enumerate(coeffs) if c})
+
+    memo = {"lane": _SHIFTS["x"]}
+    small, one = poly(1, -1, 2), poly(1)
+    pairs = [(small, poly(3, 0, 1))]
+    assert series_module._sum_of_products(pairs, memo) == _term_kernel(pairs)
+    assert memo["width"] == 64
+    # the x*y^2 coefficient is sign * (2**63 + 1) - 1; ``small`` is
+    # repacked at the wider slots
+    pairs = [(poly(5, sign * (2**63 + 1)), one), (small, one)]
+    assert series_module._sum_of_products(pairs, memo) == _term_kernel(pairs)
+    assert memo["width"] == 128
+    # doubled: 2 * (2**31 + 1)**2 passes 2**63 though the product does not
+    c = [poly(0, 2**31 + 1), poly(sign * (2**31 + 1))]
+    memo = {"lane": _SHIFTS["x"]}
+    assert series_module._square_sum(c, 1, 0, memo) == _term_kernel([tuple(c)], True)
+    assert memo["width"] == 128
+
+
+@_packed
+@given(_packed_case(), st.data())
+def test_packed_square_sums_match_the_term_kernel(case, data):
+    lanes, memo = case
+    c = data.draw(st.lists(_lane_polys(lanes), min_size=1, max_size=7))
+    lo = data.draw(st.integers(0, 1))
+    for n in range(2 * lo, len(c)):  # odd n: no middle square; even n: one
+        got = series_module._square_sum(c, n, lo, memo)
+        pairs = [(c[i], c[n - i]) for i in range(lo, (n + 1) // 2)]
+        mid = c[n // 2] if n % 2 == 0 else None
+        assert _typed(got) == _typed(_term_kernel(pairs, True, mid))
+
+
+_box = [(0, 0, i, j, 0, 0) for i in range(8) for j in range(8)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.lists(_coefficients, min_size=64, max_size=64), min_size=2, max_size=4))
+def test_dense_sums_pick_a_lane_by_themselves(rows):
+    polys = [MultiPoly.from_exponents(dict(zip(_box, row))) for row in rows]
+    pairs = list(zip(polys, polys[1:]))
+    work = sum(len(a) * len(b) for a, b in pairs)
+    memo = {}
+    got = series_module._sum_of_products(pairs, memo)
+    assert _typed(got) == _typed(_term_kernel(pairs))
+    if work >= series_module._PACK_MIN_PAIRS:
+        assert memo["lane"] in (_SHIFTS["x"], _SHIFTS["y"])
+    else:
+        assert "lane" not in memo
+
+
+@_packed
+@given(_packed_case(), st.data())
+def test_a_fraction_operand_keeps_the_result_types(case, data):
+    lanes, memo = case
+    polys = _lane_polys(lanes)
+    pairs = data.draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=3))
+    half = MultiPoly.from_exponents({(0,) * 6: Fraction(1, 2), (0, 0, 1, 0, 0, 0): 1})
+    pairs.append((half, data.draw(polys)))
+    got = series_module._sum_of_products(pairs, memo)
+    assert _typed(got) == _typed(_term_kernel(pairs))
+    c = [half] + [data.draw(polys) for _ in range(3)]
+    got = series_module._square_sum(c, 3, 0, memo)
+    assert _typed(got) == _typed(_term_kernel([(c[0], c[3]), (c[1], c[2])], True))
+
+
+def test_a_large_fraction_sum_leaves_the_lane_undecided():
+    polys = [MultiPoly.from_exponents({e: Fraction(1, 3) for e in _box}) for _ in range(2)]
+    memo = {}
+    got = series_module._sum_of_products([tuple(polys)], memo)
+    assert _typed(got) == _typed(_term_kernel([tuple(polys)]))
+    assert "lane" not in memo
+
+
+@pytest.mark.parametrize("var", VARIABLES)
+def test_packed_products_past_the_lane_limit_raise_the_same_error(var):
+    def power(e, c=1):
+        return MultiPoly.from_exponents({tuple(e if v == var else 1 for v in VARIABLES): c})
+
+    cases = [
+        [(power(200), power(100))],
+        # the two products cancel, but an exponent past 255 was formed
+        [(power(200), power(56)), (power(200), power(56, -1))],
+        [(power(10), power(20)), (power(255), power(1))],
+    ]
+    for pairs in cases:
+        with pytest.raises(ValueError) as want:
+            _term_kernel(pairs)
+        for lane in VARIABLES:
+            with pytest.raises(ValueError) as got:
+                series_module._sum_of_products(pairs, {"lane": _SHIFTS[lane]})
+            assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError, match="exceeds 255"):
+        series_module._square_sum([power(0), power(128), power(200)], 2, 0, {"lane": _SHIFTS[var]})
+    assert series_module._sum_of_products(
+        [(power(200), power(55))], {"lane": _SHIFTS[var]}
+    ) == _term_kernel([(power(200), power(55))])
+
+
+def test_the_master_solve_stays_on_term_dicts_and_a_three_lane_product_packs(monkeypatch):
+    decisions = []
+    real = series_module._best_lane
+
+    def recorded(*args):
+        decisions.append(real(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(series_module, "_best_lane", recorded)
+    series_module._solve_fixpoint_cached.__wrapped__(12, VARIABLES)
+    assert decisions == [None]
+    S, I = solve_fixpoint(20, ("x", "y", "u"))
+    decisions.clear()
+    product = S * I
+    assert len(decisions) == 1 and decisions[0] is not None
+    assert product.coefficient(20) == _term_kernel(
+        [(S.coefficient(i), I.coefficient(20 - i)) for i in range(21)]
+    )

@@ -268,7 +268,18 @@ def test_symmetry_check_fails_on_a_bumped_profile(monkeypatch):
     )
 
 
-def test_transfer_check_fails_on_a_bumped_irreducible_coefficient(monkeypatch):
+@pytest.fixture
+def fresh_master_projection():
+    """No master projection memoized before or after the test, so a
+    tampered master is projected and does not outlive the test."""
+    verify._master_extremes.cache_clear()
+    yield
+    verify._master_extremes.cache_clear()
+
+
+def test_transfer_check_fails_on_a_bumped_irreducible_coefficient(
+    monkeypatch, fresh_master_projection
+):
     real = verify._master
     k = 4
 
@@ -326,6 +337,32 @@ def test_specialized_systems_fail_on_a_bumped_fixpoint(monkeypatch, active, bump
     assert report.verdict == "fail"
     assert report.first_fail == k
     assert report.witness == f"{label}: residual t^{k} coefficient {bump}"
+
+
+def test_specialized_systems_detail_counts_the_residuals_it_checks(monkeypatch):
+    real = verify._expect_zero
+    checked = []
+
+    def counting(series, label):
+        real(series, label)
+        checked.append(label)
+
+    monkeypatch.setattr(verify, "_expect_zero", counting)
+    report = verify.verify_specialized_systems(order=8)
+    assert report.verdict == "pass"
+    assert len(checked) == len(set(checked)) == 17
+    assert report.detail == f"all {len(checked)} specialized residuals zero to order 8"
+
+
+def test_transfer_reuses_the_master_projection_of_the_closed_form_checks(
+    fresh_master_projection,
+):
+    verify._extreme_projections.cache_clear()
+    assert verify.verify_single_stat_closed_forms(order=6, census_order=5).verdict == "pass"
+    before = verify._master_extremes.cache_info()
+    assert verify.verify_transfer(order=6).verdict == "pass"
+    after = verify._master_extremes.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
 def test_factorization_check_fails_on_a_bumped_fixpoint(monkeypatch):
