@@ -23,9 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .enumeration import (
@@ -38,7 +36,7 @@ from .enumeration import (
     count_separable,
     iter_separable_bytes,
 )
-from .permutations import _stats_of_sequence
+from .permutations import _Record, _stats_of_sequence
 from .series import (
     STAT_NAMES,
     STAT_TO_VARIABLE,
@@ -65,17 +63,28 @@ def class_count(perm_class: str, n: int) -> int:
     return class_part(perm_class, count_separable(n), count_irreducible(n))
 
 
-@dataclass(frozen=True)
-class DistTable:
+class DistTable(_Record):
     """Sparse distribution rows for one permutation class and statistic tuple.
 
     ``rows[n]`` maps a tuple of statistic values (in the order of ``stats``)
     to the exact number of class permutations of length n realizing it.
+    Instances are immutable: assigning an attribute raises
+    ``AttributeError``.
     """
+
+    __slots__ = ("perm_class", "stats", "rows")
 
     perm_class: str
     stats: tuple[str, ...]
-    rows: dict[int, dict[tuple[int, ...], int]] = field(default_factory=dict)
+    rows: dict[int, dict[tuple[int, ...], int]]
+
+    def __init__(
+        self,
+        perm_class: str,
+        stats: tuple[str, ...],
+        rows: dict[int, dict[tuple[int, ...], int]] | None = None,
+    ) -> None:
+        self._init(perm_class, stats, {} if rows is None else rows)
 
     def lengths(self) -> list[int]:
         return sorted(self.rows)
@@ -147,14 +156,23 @@ def _census(n: int, cls: str) -> MultiPoly:
     permutations of the canonical class ``cls``: the one walk of the
     stream per (n, class), tallying each word's composed statistic key."""
     tally: Counter[int] = Counter()
-    run: list[tuple[bytes, int]] = []
-    pairs = zip(iter_separable_bytes(n, cls), _key_stream(n, cls), strict=True)
-    for first in pairs:
-        _check_key(*first)
-        run = [first, *itertools.islice(pairs, _SAMPLE_EVERY - 1)]
-        tally.update(map(operator.itemgetter(1), run))
-    if len(run) > 1:
-        _check_key(*run[-1])
+    words = iter_separable_bytes(n, cls)
+    keys = _key_stream(n, cls)
+    last: tuple[list[bytes], list[int]] = ([], [])
+    while True:
+        word_chunk = list(itertools.islice(words, _SAMPLE_EVERY))
+        key_chunk = list(itertools.islice(keys, _SAMPLE_EVERY))
+        if len(word_chunk) != len(key_chunk):
+            raise ValueError(
+                f"the word and key streams of ({n}, {cls}) differ in length"
+            )
+        if not key_chunk:
+            break
+        _check_key(word_chunk[0], key_chunk[0])
+        tally.update(key_chunk)
+        last = (word_chunk, key_chunk)
+    if len(last[1]) > 1:
+        _check_key(last[0][-1], last[1][-1])
     counts = {_key_exponents(key): c for key, c in tally.items()}
     DistTable(cls, STAT_NAMES, {n: counts}).check_totals()
     return MultiPoly.from_exponents(counts)
@@ -171,11 +189,12 @@ def dist_from_enumeration(
     {1: 1}
     """
     cls = canonical_class(perm_class)
-    indices = [VARIABLES.index(v) for v in stat_lanes(stats)]
-    counts: dict[tuple[int, ...], int] = {}
-    for profile, c in _census(n, cls).terms():
-        key = tuple(profile[i] for i in indices)
-        counts[key] = counts.get(key, 0) + c
+    lanes = stat_lanes(stats)
+    indices = [VARIABLES.index(v) for v in lanes]
+    counts = {
+        tuple(profile[i] for i in indices): c
+        for profile, c in _census(n, cls).keep_only(lanes).terms()
+    }
     return DistTable(cls, tuple(stats), {n: counts})
 
 

@@ -29,7 +29,6 @@ False
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -53,11 +52,50 @@ __all__ = [
 FORBIDDEN_PATTERNS: tuple[tuple[int, ...], ...] = ((2, 4, 1, 3), (3, 1, 4, 2))
 
 
-@dataclasses.dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """An immutable record whose fields are its ``__slots__``: equal only to
+    instances of its own class with equal fields, hashed by its fields,
+    and picklable.  Assigning or deleting an attribute raises
+    ``AttributeError``."""
+
+    __slots__ = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{type(self).__name__}({fields})"
+
+
+class Permutation(_Record):
     """A permutation in one-line notation with 1-based values.
 
-    ``values`` must be a bijection on {1, ..., n} with n >= 1.
+    ``values`` must be a bijection on {1, ..., n} with n >= 1.  Instances
+    are immutable: assigning an attribute raises ``AttributeError``.
 
     >>> Permutation((2, 1, 3))
     Permutation((2, 1, 3))
@@ -69,11 +107,13 @@ class Permutation:
     ValueError: the empty permutation is not supported
     """
 
+    __slots__ = ("values",)
+
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        values = tuple(values)
+        self._init(values)
         n = len(values)
         if n == 0:
             raise ValueError("the empty permutation is not supported")

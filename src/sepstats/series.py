@@ -543,12 +543,14 @@ class MultiPoly:
         """Substitute ``value`` (default 1) for ``var``."""
         if var not in _SHIFT:
             raise ValueError(f"unknown variable {var!r}; expected one of {VARIABLES}")
+        if value == 1:
+            return self._masked(~_LANE[var])
         shift = _SHIFT[var]
         mask = _LANE[var]
         out: dict[int, Coeff] = {}
         for k, c in self._terms.items():
             e = (k & mask) >> shift
-            if e and value != 1:
+            if e:
                 c = c * value**e
             k2 = k & ~mask
             s = out.get(k2, 0) + c
@@ -574,6 +576,12 @@ class MultiPoly:
             if name not in _LANE:
                 raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
             mask |= _LANE[name]
+        return self._masked(mask)
+
+    def _masked(self, mask: int) -> "MultiPoly":
+        """Set to 1 every variable whose lane ``mask`` clears: the one
+        projection loop behind :meth:`keep_only` and :meth:`specialize`
+        at 1."""
         out: dict[int, Coeff] = {}
         get = out.get
         for k, c in self._terms.items():

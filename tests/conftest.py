@@ -2,14 +2,18 @@
 
 import pytest
 
-from sepstats import distributions, enumeration
+from sepstats import distributions, enumeration, verify
 
 
 @pytest.fixture
 def fresh_memos(monkeypatch):
-    """Empty enumeration tables and census memo for one test; the real
-    tables come back afterwards and nothing the test computed stays cached."""
+    """Empty enumeration tables, census memo and S_n profile memo for one
+    test; the real tables come back afterwards and nothing the test
+    computed stays cached."""
     monkeypatch.setattr(enumeration, "_TABLES", {1: enumeration._TABLES[1]})
-    distributions._census.cache_clear()
+    memos = (distributions._census, verify._sn_profiles)
+    for memo in memos:
+        memo.cache_clear()
     yield
-    distributions._census.cache_clear()
+    for memo in memos:
+        memo.cache_clear()

@@ -309,6 +309,25 @@ def test_cli_loads_verify_only_for_verify_and_conjectures():
     assert rows.stdout.count("PASS") == 3
 
 
+def test_package_import_leaves_out_dataclasses_and_inspect():
+    # ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+    # a start-up cost every interpreter importing the package would pay
+    src = Path(sepstats.__file__).resolve().parent.parent
+    probe = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, sepstats.cli, sepstats.verify\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (probe.returncode, probe.stdout) == (0, "[]\n")
+
+
 @pytest.mark.parametrize("where", ["file", "below-a-file", "name-is-a-directory"])
 def test_series_unwritable_cache_is_an_error_not_a_traceback(tmp_path, where):
     name = f"joint-all-order3-v{ENGINE_VERSION}.json"

@@ -1,5 +1,6 @@
 """Distribution tables: census consistency, marginals, emission, bindings."""
 
+import itertools
 import json
 from collections import Counter
 
@@ -10,6 +11,7 @@ from sepstats.closedforms import SET2_PAIRS, closed_form_pair_set2
 from sepstats.distributions import (
     STAT_NAMES,
     STAT_TO_VARIABLE,
+    DistTable,
     canonical_class,
     class_count,
     counts_by_variable,
@@ -157,6 +159,43 @@ def test_census_checks_words_at_the_sampling_stride(monkeypatch):
     words = list(distributions.iter_separable_bytes(8, "all"))
     stride = distributions._SAMPLE_EVERY
     assert checked == words[::stride] + [words[-1]]
+
+
+def test_dist_tables_equal_a_per_term_projection_of_the_census():
+    for cls in ("all", "irreducible", "reducible"):
+        for n in range(1, 9):
+            terms = list(distributions._census(n, cls).terms())
+            for r in range(1, len(STAT_NAMES) + 1):
+                for names in itertools.combinations(STAT_NAMES, r):
+                    idx = [STAT_NAMES.index(s) for s in names]
+                    want: dict[tuple[int, ...], int] = {}
+                    for profile, c in terms:
+                        key = tuple(profile[i] for i in idx)
+                        want[key] = want.get(key, 0) + c
+                    ref = DistTable(cls, names, {n: want})
+                    got = dist_from_enumeration(n, cls, names)
+                    assert got.row(n) == want, (cls, n, names)
+                    assert {type(c) for c in got.row(n).values()} <= {int}
+                    assert list(got.csv_lines()) == list(ref.csv_lines())
+                    assert got.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize("stride", [11, 1021])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_census_rejects_streams_of_different_lengths(
+    monkeypatch, fresh_memos, stride, extra
+):
+    # s_4 = 22 words: at stride 11 a stray key falls in a chunk of its own
+    real = enumeration._key_stream
+
+    def misaligned(n, cls="all"):
+        keys = list(real(n, cls))
+        return iter(keys[:-1] if extra < 0 else [*keys, keys[-1]])
+
+    monkeypatch.setattr(distributions, "_SAMPLE_EVERY", stride)
+    monkeypatch.setattr(distributions, "_key_stream", misaligned)
+    with pytest.raises(ValueError, match="differ in length"):
+        distributions._census(4, "all")
 
 
 def test_series_from_enumeration_cap():

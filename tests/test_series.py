@@ -499,6 +499,35 @@ def test_series_keep_only_equals_chained_specialize(coeffs, kept):
     assert f.keep_only(kept) == _specialize_others(f, kept)
 
 
+# Exponents 0 or 1 and few coefficient values: substituting for one
+# variable often merges terms, and some of the merged sums cancel to 0.
+_cancelling_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * 6),
+    st.sampled_from([-2, -1, 1, 2, Fraction(1, 2), Fraction(-1, 2)]),
+    max_size=12,
+).map(MultiPoly.from_exponents)
+
+
+def _substituted(f, var, value):
+    """specialize through exponent vectors: the reference."""
+    i = VARIABLES.index(var)
+    out = {}
+    for exps, c in f.terms():
+        key = (*exps[:i], 0, *exps[i + 1 :])
+        out[key] = out.get(key, 0) + c * Fraction(value) ** exps[i]
+    return MultiPoly.from_exponents(out)
+
+
+@_kernel
+@given(
+    _six_variable_polys | _cancelling_polys,
+    st.sampled_from(VARIABLES),
+    st.sampled_from([1, Fraction(1)]) | st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3),
+)
+def test_specialize_equals_the_exponent_vector_reference(f, var, value):
+    assert f.specialize(var, value) == _substituted(f, var, value)
+
+
 def test_keep_only_drops_terms_that_cancel():
     f = parse_poly("x*y - x*u + 2*v") + Fraction(1, 2) * parse_poly("p*q - q")
     kept = f.keep_only(("x", "q"))

@@ -1,9 +1,13 @@
 """The verifier itself: green on the real code, red under injected faults."""
 
+import copy
+import pickle
+
 import pytest
 
 from sepstats import closedforms, distributions, enumeration, numbers, verify
-from sepstats.distributions import STAT_TO_VARIABLE
+from sepstats.distributions import STAT_TO_VARIABLE, DistTable
+from sepstats.permutations import Permutation
 from sepstats.series import VARIABLES, MultiPoly, TruncSeries
 
 # -- report plumbing --------------------------------------------------------
@@ -25,6 +29,46 @@ def test_report_jsonable_shape():
     assert doc["verdict"] == "fail"
     assert doc["first_fail"] == 3
     assert doc["witness"] == "t^3 differs"
+
+
+@pytest.mark.parametrize(
+    "make, other, text",
+    [
+        (
+            lambda: verify.CheckReport("demo", "fail", "mismatch", 3, "t^3 differs", 0.1),
+            verify.CheckReport("demo", "fail", "mismatch", 3, "t^3 differs", 0.2),
+            "CheckReport(check_id='demo', verdict='fail', detail='mismatch', "
+            "first_fail=3, witness='t^3 differs', runtime=0.1)",
+        ),
+        (
+            lambda: Permutation([2, 1, 3]),
+            Permutation((1, 2, 3)),
+            "Permutation((2, 1, 3))",
+        ),
+        (
+            lambda: DistTable("all", ("rmax",), {2: {(1,): 1, (2,): 1}}),
+            DistTable("all", ("rmax",)),
+            "DistTable(perm_class='all', stats=('rmax',), rows={2: {(1,): 1, (2,): 1}})",
+        ),
+    ],
+    ids=["CheckReport", "Permutation", "DistTable"],
+)
+def test_value_classes_compare_by_fields_and_are_immutable(make, other, text):
+    a, b = make(), make()
+    assert a == b and a != other and repr(a) == text
+    assert a.__eq__(()) is NotImplemented  # only instances of its class
+    if isinstance(a, DistTable):
+        with pytest.raises(TypeError):  # its rows are a dict
+            hash(a)
+        assert other.rows == {}
+    else:
+        assert hash(a) == hash(b)
+    for name in ("detail", "values", "rows", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
 
 
 # -- unimodality helper -----------------------------------------------------
@@ -297,21 +341,56 @@ def test_transfer_check_fails_on_a_bumped_irreducible_coefficient(
     assert f"I - zt vs image R: t^{k}" in report.witness
 
 
-def test_specialization_consistency_fails_on_an_off_subset_solve(monkeypatch):
+@pytest.mark.parametrize(
+    "which, active",
+    [
+        ("S", ("p", "q")),
+        ("I", ("y",)),
+        ("S", ("x", "y")),
+        ("I", ("y", "u")),
+        ("S", ("x", "y", "u")),
+    ],
+)
+def test_specialization_consistency_fails_on_an_off_subset_solve(
+    monkeypatch, which, active
+):
     real = verify.solve_fixpoint
     k = 5
 
-    def tampered(order, active=VARIABLES):
-        s, i = real(order, active)
-        if tuple(active) == ("x", "y"):
-            s = s + TruncSeries.term(order, k, 1)
+    def tampered(order, active_set=VARIABLES):
+        s, i = real(order, active_set)
+        if tuple(active_set) == active:
+            if which == "S":
+                s = s + TruncSeries.term(order, k, 1)
+            else:
+                i = i + TruncSeries.term(order, k, 1)
         return s, i
 
     monkeypatch.setattr(verify, "solve_fixpoint", tampered)
     report = verify.verify_specialization_consistency(order=6)
     assert report.verdict == "fail"
     assert report.first_fail == k
-    assert report.witness.startswith(f"S with active ('x', 'y'): t^{k} coefficient")
+    assert report.witness.startswith(f"{which} with active {active}: t^{k} coefficient")
+
+
+def test_specialization_consistency_projects_the_master_once_per_lane_set(
+    monkeypatch,
+):
+    # (p, q) and (x, y, u) from the master; (y), (x, y) and (y, u) from
+    # the (x, y, u) projection
+    order = 6
+    master = verify.solve_fixpoint(order, VARIABLES)
+    projections = []
+    real = TruncSeries.keep_only
+
+    def counted(self, names):
+        if any(self is big for big in master):
+            projections.append(tuple(names))
+        return real(self, names)
+
+    monkeypatch.setattr(TruncSeries, "keep_only", counted)
+    assert verify.verify_specialization_consistency(order=order).verdict == "pass"
+    assert sorted(projections) == [("p", "q")] * 2 + [("x", "y", "u")] * 2
 
 
 @pytest.mark.parametrize(
@@ -493,3 +572,40 @@ def test_classical_cross_oracles_fail_on_a_bumped_reference(
     assert report.first_fail == 3
     bumped = {**want, at: want[at] + 1}
     assert report.witness == f"n=3: exhaustive {want} != {label} {bumped}"
+
+
+def test_classical_oracles_walk_s_n_once(monkeypatch, fresh_memos):
+    calls = 0
+    real = verify._stats_of_sequence
+
+    def counted(vals):
+        nonlocal calls
+        calls += 1
+        return real(vals)
+
+    monkeypatch.setattr(verify, "_stats_of_sequence", counted)
+    assert verify.verify_rising_factorial(max_n=8).verdict == "pass"
+    assert verify.verify_eulerian(max_n=8).verdict == "pass"
+    assert calls == sum(numbers.factorial(n) for n in range(1, 9)) == 46_233
+
+
+def test_classical_oracles_fail_on_a_bumped_kernel(monkeypatch, fresh_memos):
+    real = verify._stats_of_sequence
+
+    def bumped(vals):
+        prof = real(vals)
+        if tuple(vals) == (1, 3, 2):
+            return prof._replace(des=prof.des + 1, rmax=prof.rmax + 1)
+        return prof
+
+    monkeypatch.setattr(verify, "_stats_of_sequence", bumped)
+    rising = verify.verify_rising_factorial(max_n=4)
+    eulerian = verify.verify_eulerian(max_n=4)
+    assert (rising.verdict, rising.first_fail) == ("fail", 3)
+    assert rising.witness == (
+        "n=3: exhaustive {1: 2, 2: 2, 3: 2} != rising factorial {1: 2, 2: 3, 3: 1}"
+    )
+    assert (eulerian.verdict, eulerian.first_fail) == ("fail", 3)
+    assert eulerian.witness == (
+        "n=3: exhaustive {0: 1, 1: 3, 2: 2} != Eulerian {0: 1, 1: 4, 2: 1}"
+    )
