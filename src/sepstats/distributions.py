@@ -28,7 +28,6 @@ from typing import Iterator, Sequence
 
 from .enumeration import (
     HARD_CAP,
-    _key_exponents,
     _key_stream,
     canonical_class,
     class_part,
@@ -43,6 +42,7 @@ from .series import (
     VARIABLES,
     MultiPoly,
     TruncSeries,
+    _unpack,
     stat_lanes,
 )
 
@@ -143,9 +143,9 @@ _SAMPLE_EVERY = 1021
 def _check_key(word: bytes, key: int) -> None:
     """Anchor a composed statistic key to the kernel on its word."""
     want = _stats_of_sequence(word).monomial()
-    if _key_exponents(key) != want:
+    if _unpack(key) != want:
         raise AssertionError(
-            f"composed statistics {_key_exponents(key)} of {list(word)} "
+            f"composed statistics {_unpack(key)} of {list(word)} "
             f"differ from the kernel's {want}"
         )
 
@@ -154,7 +154,9 @@ def _check_key(word: bytes, key: int) -> None:
 def _census(n: int, cls: str) -> MultiPoly:
     """Sum of p^asc q^des x^lmax y^rmax u^lmin v^rmin over the length-n
     permutations of the canonical class ``cls``: the one walk of the
-    stream per (n, class), tallying each word's composed statistic key."""
+    stream per (n, class), tallying each word's composed statistic key.
+    The keys are the series' packed monomials, so the tally is the
+    polynomial's term dict."""
     tally: Counter[int] = Counter()
     words = iter_separable_bytes(n, cls)
     keys = _key_stream(n, cls)
@@ -173,9 +175,8 @@ def _census(n: int, cls: str) -> MultiPoly:
         last = (word_chunk, key_chunk)
     if len(last[1]) > 1:
         _check_key(last[0][-1], last[1][-1])
-    counts = {_key_exponents(key): c for key, c in tally.items()}
-    DistTable(cls, STAT_NAMES, {n: counts}).check_totals()
-    return MultiPoly.from_exponents(counts)
+    DistTable(cls, STAT_NAMES, {n: tally}).check_totals()
+    return MultiPoly(dict(tally))
 
 
 def dist_from_enumeration(

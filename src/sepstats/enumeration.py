@@ -42,6 +42,7 @@ from array import array
 from typing import Iterator, TypeVar
 
 from .permutations import Permutation, is_separable
+from .series import _LANE, _SHIFT, STAT_TO_VARIABLE, _pack
 
 __all__ = [
     "HARD_CAP",
@@ -115,52 +116,29 @@ def _shift_table(s: int) -> bytes:
     return bytes((i + s) & 0xFF for i in range(256))
 
 
-# Packed statistic keys.  A key holds the six statistics of one word in
-# 5-bit fields, in the order (asc, des, lmax, rmax, lmin, rmin) of
-# ``StatProfile.monomial``; every value is at most HARD_CAP < 32, so a key
-# fits the 32-bit items of ``array("I")``.
-_FIELD_BITS = 5
-_FIELD = (1 << _FIELD_BITS) - 1
-_ASC, _DES, _LMAX, _RMAX, _LMIN, _RMIN = range(6)
-_EVERY_FIELD = (1 << 6 * _FIELD_BITS) - 1
-
-
-def _field(stat: int) -> int:
-    return _FIELD << _FIELD_BITS * stat
-
-
-def _stat_key(exps: tuple[int, ...]) -> int:
-    """Pack a six-statistic exponent vector into one key.
-
-    >>> _key_exponents(_stat_key((1, 2, 3, 4, 5, 6)))
-    (1, 2, 3, 4, 5, 6)
-    """
-    key = 0
-    for stat, e in enumerate(exps):
-        key |= e << _FIELD_BITS * stat
-    return key
-
-
-def _key_exponents(key: int) -> tuple[int, ...]:
-    """The exponent vector a key packs."""
-    return tuple(key >> _FIELD_BITS * stat & _FIELD for stat in range(6))
-
+# Packed statistic keys.  A key is the series key (``series._pack``) of the
+# word's monomial p^asc q^des x^lmax y^rmax u^lmin v^rmin, each statistic in
+# its variable's lane; every value is at most HARD_CAP, far inside a lane,
+# and a key fits the 64-bit items of ``array("Q")``.
+_EVERY_LANE = sum(_LANE.values())
 
 # Composition rules: (head mask, tail mask, junction).  The key of a sum of
 # two words is (head key & head mask) + (tail key & tail mask) + junction.
+# The masks are nonnegative ints: a negative one (``~lane``) makes every
+# ``&`` slower.
 #: alpha + beta: asc adds plus 1 at the junction; des, lmax and rmin add;
 #: lmin is alpha's and rmax is beta's.
 _SUM_RULE = (
-    _EVERY_FIELD & ~_field(_RMAX),
-    _EVERY_FIELD & ~_field(_LMIN),
-    1 << _FIELD_BITS * _ASC,
+    _EVERY_LANE & ~_LANE[STAT_TO_VARIABLE["rmax"]],
+    _EVERY_LANE & ~_LANE[STAT_TO_VARIABLE["lmin"]],
+    1 << _SHIFT[STAT_TO_VARIABLE["asc"]],
 )
 #: alpha - beta: des adds plus 1 at the junction; asc, rmax and lmin add;
 #: lmax is alpha's and rmin is beta's.
 _SKEW_RULE = (
-    _EVERY_FIELD & ~_field(_RMIN),
-    _EVERY_FIELD & ~_field(_LMAX),
-    1 << _FIELD_BITS * _DES,
+    _EVERY_LANE & ~_LANE[STAT_TO_VARIABLE["rmin"]],
+    _EVERY_LANE & ~_LANE[STAT_TO_VARIABLE["lmax"]],
+    1 << _SHIFT[STAT_TO_VARIABLE["des"]],
 )
 
 #: The parts of a length's separables: all of them, the sum-indecomposable
@@ -173,7 +151,7 @@ _ALL, _SUM_INDEC, _SKEW_INDEC = range(3)
 # keys aligned with it, and one 0/1 selector per word for each of the two
 # indecomposable parts.
 _TABLES: dict[int, tuple[list[bytes], array, bytes, bytes]] = {
-    1: ([_ONE], array("I", [_stat_key((0, 0, 1, 1, 1, 1))]), b"\1", b"\1")
+    1: ([_ONE], array("Q", [_pack((0, 0, 1, 1, 1, 1))]), b"\1", b"\1")
 }
 
 
@@ -196,7 +174,7 @@ def _build_table(n: int) -> tuple[list[bytes], array, bytes, bytes]:
     """Words, keys and selectors of length n, block by block, from the
     shorter tables."""
     words: list[bytes] = []
-    keys = array("I")
+    keys = array("Q")
     # 1 for a sum-indecomposable word, 0 for a skew-indecomposable one: at
     # length >= 2 every separable is exactly one of the two
     sum_indec = bytearray()
@@ -337,7 +315,8 @@ def _key_stream(n: int, cls: str = "all") -> Iterator[int]:
     """The packed statistic keys of :func:`iter_separable_bytes`, word for
     word: each composed in O(1) from the keys of the word's two summands.
 
-    >>> [_key_exponents(k) for k in _key_stream(2)]
+    >>> from sepstats.series import _unpack
+    >>> [_unpack(k) for k in _key_stream(2)]
     [(1, 0, 2, 1, 1, 2), (0, 1, 1, 2, 2, 1)]
     """
     part = _class_part(n, cls)

@@ -376,7 +376,8 @@ def _project_extremes(parts: dict[str, TruncSeries]) -> tuple[TruncSeries, Trunc
 @functools.lru_cache(maxsize=1)
 def _master_extremes(order: int) -> tuple[TruncSeries, TruncSeries]:
     """The master fixpoint to ``order`` on the four extreme lanes, shared
-    by the closed-form checks and ``transfer-identity``."""
+    by the closed-form checks, ``e-function-identities`` and
+    ``transfer-identity``."""
     return _project_extremes(_master(order))
 
 
@@ -488,7 +489,7 @@ def verify_e_function_identities(order: int = 12) -> CheckReport:
     (., rmin, lmax)-tailed ones E is the irreducible series itself."""
 
     def body() -> str:
-        master = _master(order)
+        irreducible, reducible = _master_extremes(order)
         for triple in cf.TRIPLES:
             lanes = stat_lanes(triple)
             e_ser = cf.e_function(order, lanes)
@@ -500,10 +501,10 @@ def verify_e_function_identities(order: int = 12) -> CheckReport:
                 * MultiPoly.variable(lanes[2]),
             )
             if triple in cf._TRIPLES_RMAX_LMIN_TAIL:
-                want = master["reducible"].keep_only(lanes) + tz
+                want = reducible.keep_only(lanes) + tz
                 label = f"E{lanes} as reducible + t*z1z2z3"
             else:
-                want = master["irreducible"].keep_only(lanes)
+                want = irreducible.keep_only(lanes)
                 label = f"E{lanes} as irreducible"
             _expect_agree(e_ser, want, order, label)
         return f"all four E readings match the fixpoint to order {order}"
@@ -1205,7 +1206,8 @@ def run_all(
     """Run the selected checks (default: everything) and collect reports.
 
     ``conjecture_n`` deepens the conjecture-evidence range only; all other
-    checks run at their calibrated default orders.
+    checks run at their calibrated default orders.  It is validated before
+    any check runs, whatever the selection.
     """
     if selection is None:
         names = list(ALL_CHECKS)
@@ -1216,8 +1218,7 @@ def run_all(
             raise ValueError(
                 f"unknown checks {unknown}; available: {sorted(ALL_CHECKS)}"
             )
-    if "conjectures" in names:
-        _check_conjecture_n(conjecture_n)
+    _check_conjecture_n(conjecture_n)
     reports: list[CheckReport] = []
     for name in names:
         if name == "conjectures":

@@ -442,6 +442,9 @@ def test_conjectures_output(capsys):
         ("conjectures --max-n 0", "error:"),
         ("conjectures --max-n 300", "error:"),
         ("verify --max-n 2 conjectures", "error:"),
+        # the depth is checked whatever the selection
+        ("verify --max-n 256 counting-identities", "error: series order 256 "),
+        ("verify --max-n 2 counting-identities", "error:"),
         ("dist 0", "error:"),
         ("enumerate 0", "error:"),
         ("--threads 2 enumerate 3", "usage:"),  # the flag is gone

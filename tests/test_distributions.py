@@ -161,6 +161,13 @@ def test_census_checks_words_at_the_sampling_stride(monkeypatch):
     assert checked == words[::stride] + [words[-1]]
 
 
+def test_census_is_the_tally_of_its_key_stream():
+    for cls in ("all", "irreducible", "reducible"):
+        for n in range(1, 9):
+            tally = Counter(enumeration._key_stream(n, cls))
+            assert distributions._census(n, cls)._terms == dict(tally), (cls, n)
+
+
 def test_dist_tables_equal_a_per_term_projection_of_the_census():
     for cls in ("all", "irreducible", "reducible"):
         for n in range(1, 9):

@@ -8,7 +8,7 @@ import pytest
 
 import sepstats
 
-from sepstats import enumeration
+from sepstats import enumeration, series
 from sepstats.enumeration import (
     CLASSES,
     FILTER_CAP,
@@ -119,9 +119,7 @@ def test_reducible_stream_empty_at_n1():
 def test_composed_keys_match_the_kernel_on_every_word():
     for n in range(1, 11):
         words = list(iter_separable_bytes(n, "all"))
-        want = [
-            enumeration._stat_key(_stats_of_sequence(w).monomial()) for w in words
-        ]
+        want = [series._pack(_stats_of_sequence(w).monomial()) for w in words]
         assert list(enumeration._key_stream(n, "all")) == want, n
         if n <= 9:
             # the class streams against the kernel's keys of their words
