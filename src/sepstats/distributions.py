@@ -2,10 +2,13 @@
 
 Two independent routes produce distribution data:
 
-* a census route that tallies the six statistics over the structural
-  enumeration stream once per (length, class) and memoizes the tally, from
-  which every :func:`dist_from_enumeration` table and
-  :func:`series_from_enumeration` coefficient is read, and
+* a census route that tallies the six statistics of every word of a
+  (length, class) once and memoizes the tally, from which every
+  :func:`dist_from_enumeration` table and :func:`series_from_enumeration`
+  coefficient is read.  It walks the length group by group (one group per
+  composition rule and head length), composing each word's statistics
+  from its head's and its tail's in the shorter enumeration tables, and
+  checks sampled words against the per-word statistics kernel; and
 * the series route in :mod:`sepstats.series` / :mod:`sepstats.closedforms`
   built from functional equations.
 
@@ -23,11 +26,18 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from collections import Counter
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
+from . import enumeration
 from .enumeration import (
+    _ALL,
+    _EVERY_LANE,
     HARD_CAP,
+    _class_of_part,
+    _class_part,
+    _groups,
     _key_stream,
     canonical_class,
     class_part,
@@ -135,9 +145,16 @@ class DistTable(_Record):
         return json.dumps(self.to_jsonable(), sort_keys=True, indent=2)
 
 
-#: The census checks the first word, the last word and every word at this
-#: stride of each walk against the statistics kernel.
+#: The census checks the first and the last word of every group, and every
+#: word at this stride of its walk in group order, against the statistics
+#: kernel.
 _SAMPLE_EVERY = 1021
+
+#: Census sides up to this length (and the memo cap) are read from their
+#: enumeration tables; a longer side is walked group by group in turn.  So
+#: a census fills only the small tables, and every group keeps one side
+#: within this length up to n = 2 * 8 + 1 > HARD_CAP.
+_TABLE_SIDES = 8
 
 
 def _check_key(word: bytes, key: int) -> None:
@@ -150,33 +167,153 @@ def _check_key(word: bytes, key: int) -> None:
         )
 
 
+def _composed(keys: Iterable[int], mask: int, offset: int) -> Iterator[int]:
+    """(key & mask) + offset for each key: the keys of a column's words
+    composed into a longer word's.  (``operator`` functions map faster
+    than bound ``int`` methods.)"""
+    return map(
+        operator.add,
+        map(operator.and_, keys, itertools.repeat(mask)),
+        itertools.repeat(offset),
+    )
+
+
+def _column(m: int, part: int) -> Iterator[tuple[bytes, int]]:
+    """(word, key) for each word of a part at a length with a table."""
+    cls = _class_of_part(m, part)
+    return zip(iter_separable_bytes(m, cls), _key_stream(m, cls))
+
+
+def _part_count(m: int, part: int) -> int:
+    return class_count(_class_of_part(m, part), m)
+
+
+#: A wrap: a side's word -> the census word it stands for.
+_Wrap = Callable[[bytes], bytes]
+
+
+def _whole(word: bytes) -> bytes:
+    return word
+
+
+def _with_head(wrap: _Wrap, head: bytes, tail_shift, tail: bytes) -> bytes:
+    return wrap(head + tail.translate(tail_shift))
+
+
+def _with_tail(wrap: _Wrap, head_shift, tail: bytes, head: bytes) -> bytes:
+    return wrap(head.translate(head_shift) + tail)
+
+
+class _Walk:
+    """One census walk: every word's composed key, tallied group by group
+    from the shorter tables, and the words sampled for the kernel check.
+
+    A word of a side is tallied as (its key & mask) + offset, and
+    ``wrap(word)`` is the census word it stands for: the masks, offsets
+    and wraps compose the side's words with the fixed summands around them.
+    """
+
+    def __init__(self, n: int) -> None:
+        #: the census's length: only its own groups have their ends checked
+        self.n = n
+        #: the longest side read from its table
+        self.cap = min(_TABLE_SIDES, enumeration._MEMO_CAP)
+        self.tally: Counter[int] = Counter()
+        #: position in group order of the next word tallied
+        self.pos = 0
+        #: the first and last positions of the groups not yet walked past
+        self.ends: list[int] = []
+        #: (length, part) -> (index, mask, offset, wrap) for each sampled
+        #: word of that column
+        self.samples: dict[tuple[int, int], list[tuple]] = {}
+
+    def groups(self, n: int, part: int, mask: int, offset: int, wrap: _Wrap) -> None:
+        """Tally the words of a part at length n >= 2, group by group.
+
+        Python loops over the side with fewer words, which is a table, and
+        each of its words maps the other side at C speed.  A side longer
+        than ``self.cap`` is walked the same way, once per word of the
+        other side: that one is always a table while n <= 2 * cap + 1.
+        """
+        cap = self.cap
+        for rule, i, head_part, head_shift, tail_shift, _ in _groups(n, part):
+            head_mask, tail_mask, junction = rule
+            heads, tails = _part_count(i, head_part), _part_count(n - i, _ALL)
+            if n == self.n:
+                self.ends += (self.pos, self.pos + heads * tails - 1)
+            if n - i > cap or (i <= cap and heads <= tails):
+                for head, key in _column(i, head_part):
+                    share = ((key & head_mask) + junction) & mask
+                    head = head.translate(head_shift)
+                    fixed = functools.partial(_with_head, wrap, head, tail_shift)
+                    self.side(n - i, _ALL, mask & tail_mask, offset + share, fixed)
+            else:
+                for tail, key in _column(n - i, _ALL):
+                    share = ((key & tail_mask) + junction) & mask
+                    tail = tail.translate(tail_shift)
+                    fixed = functools.partial(_with_tail, wrap, head_shift, tail)
+                    self.side(i, head_part, mask & head_mask, offset + share, fixed)
+
+    def side(self, m: int, part: int, mask: int, offset: int, wrap: _Wrap) -> None:
+        """Tally the words of a part at a side's length m: from its table
+        within the cap, else group by group."""
+        if m <= self.cap:
+            self.table(m, part, mask, offset, wrap)
+        else:
+            self.groups(m, part, mask, offset, wrap)
+
+    def table(self, m: int, part: int, mask: int, offset: int, wrap: _Wrap) -> None:
+        """Tally a table's key column, and note its sampled words."""
+        self.tally.update(
+            _composed(_key_stream(m, _class_of_part(m, part)), mask, offset)
+        )
+        start = self.pos
+        self.pos += _part_count(m, part)
+        picks = {p - start for p in self.ends if p < self.pos}
+        self.ends = [p for p in self.ends if p >= self.pos]
+        picks.update(range(-start % _SAMPLE_EVERY, self.pos - start, _SAMPLE_EVERY))
+        self.samples.setdefault((m, part), []).extend(
+            (j, mask, offset, wrap) for j in picks
+        )
+
+    def check(self) -> None:
+        """Check every sampled word's composed key against the kernel,
+        reading each column once."""
+        for (m, part), picks in self.samples.items():
+            column = _column(m, part)
+            at, pair = -1, None
+            for j, mask, offset, wrap in sorted(picks, key=operator.itemgetter(0)):
+                if j != at:
+                    pair = next(itertools.islice(column, j - at - 1, None), None)
+                    at = j
+                if pair is None:
+                    raise ValueError(
+                        f"the word and key columns of length {m} differ in length"
+                    )
+                word, key = pair
+                _check_key(wrap(word), next(_composed((key,), mask, offset)))
+
+
 @functools.lru_cache(maxsize=None)
 def _census(n: int, cls: str) -> MultiPoly:
     """Sum of p^asc q^des x^lmax y^rmax u^lmin v^rmin over the length-n
-    permutations of the canonical class ``cls``: the one walk of the
-    stream per (n, class), tallying each word's composed statistic key.
-    The keys are the series' packed monomials, so the tally is the
-    polynomial's term dict."""
-    tally: Counter[int] = Counter()
-    words = iter_separable_bytes(n, cls)
-    keys = _key_stream(n, cls)
-    last: tuple[list[bytes], list[int]] = ([], [])
-    while True:
-        word_chunk = list(itertools.islice(words, _SAMPLE_EVERY))
-        key_chunk = list(itertools.islice(keys, _SAMPLE_EVERY))
-        if len(word_chunk) != len(key_chunk):
-            raise ValueError(
-                f"the word and key streams of ({n}, {cls}) differ in length"
-            )
-        if not key_chunk:
-            break
-        _check_key(word_chunk[0], key_chunk[0])
-        tally.update(key_chunk)
-        last = (word_chunk, key_chunk)
-    if len(last[1]) > 1:
-        _check_key(last[0][-1], last[1][-1])
-    DistTable(cls, STAT_NAMES, {n: tally}).check_totals()
-    return MultiPoly(dict(tally))
+    permutations of the canonical class ``cls``: one walk per (n, class),
+    tallying each word's key composed from its head's and its tail's.  The
+    keys are the series' packed monomials, so the tally is the
+    polynomial's term dict.  The walk reads only the tables of lengths
+    up to ``_TABLE_SIDES`` and below n (length 1 is always there)."""
+    walk = _Walk(n)
+    part = _class_part(n, cls)
+    if part is not None:
+        if n == 1:
+            walk.table(1, part, _EVERY_LANE, 0, _whole)
+        else:
+            walk.groups(n, part, _EVERY_LANE, 0, _whole)
+    # a key column of the wrong length fails the total before any word is
+    # read for the kernel
+    DistTable(cls, STAT_NAMES, {n: walk.tally}).check_totals()
+    walk.check()
+    return MultiPoly(dict(walk.tally))
 
 
 def dist_from_enumeration(

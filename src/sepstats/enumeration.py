@@ -17,9 +17,12 @@ path as :func:`iter_separable_bytes` for census-scale consumers.
 
 Every structural word is built as head + tail, so its six statistics follow
 from its two summands' in O(1) (the composition rules ``_SUM_RULE`` and
-``_SKEW_RULE``).  A private key stream, aligned word for word with
-:func:`iter_separable_bytes`, carries them packed into one int per word for
-the census.
+``_SKEW_RULE``).  The memo tables of lengths up to ``_MEMO_CAP`` hold them
+packed into one int per word, in a key column aligned word for word with
+:func:`iter_separable_bytes`.  The words of one composition rule and one
+head length form a group (:func:`_groups`); the census tallies a length
+group by group from the shorter tables, without the lex order, so it never
+tables its own length nor composes a key column above the cap.
 
 Lexicographic order comes for free from a block decomposition of the output
 space: for two distinct (shifted) first summands, neither is a byte-prefix
@@ -206,13 +209,6 @@ def _words(n: int, part: int) -> Iterator[bytes]:
     return _block_words(n, part)
 
 
-def _keys(n: int, part: int) -> Iterator[int]:
-    """The keys of a part at length n, aligned with :func:`_words`."""
-    if n <= _MEMO_CAP:
-        return _from_table(n, part, 1)
-    return _block_keys(n, part)
-
-
 def _block_words(n: int, part: int) -> Iterator[bytes]:
     _table(_MEMO_CAP)  # tails up to the cap come from the tables
     for head, _, _, shift, _ in _blocks(n, part):
@@ -226,55 +222,71 @@ def _block_words(n: int, part: int) -> Iterator[bytes]:
                 yield head + rho.translate(shift)
 
 
-def _block_keys(n: int, part: int) -> Iterator[int]:
-    _table(_MEMO_CAP)  # tails up to the cap come from the tables
-    for head, head_key, mask, _, _ in _blocks(n, part):
-        m = n - len(head)
-        for k in _TABLES[m][1] if m <= _MEMO_CAP else _block_keys(m, _ALL):
-            yield head_key + (k & mask)
+def _heads(n: int, part: int) -> Iterator[tuple[bytes, int | None]]:
+    """The words of a part at length n with their keys, lex order.  Keys
+    exist only up to the cap: above it, only the census composes them,
+    on its own walk."""
+    keys = _from_table(n, part, 1) if n <= _MEMO_CAP else itertools.repeat(None)
+    return zip(_words(n, part), keys)
 
 
-def _pairs(n: int, part: int) -> Iterator[tuple[bytes, int]]:
-    return zip(_words(n, part), _keys(n, part))
+def _groups(n: int, part: int) -> list[tuple]:
+    """The groups of a part at length n >= 2, one for each composition rule
+    and head length i: (rule, i, head part, head shift, tail shift, the
+    part the group's words belong to besides all).
+
+    A group's words are head.translate(head shift) + tail.translate(tail
+    shift) for every head of the head part at length i and every separable
+    tail of length n - i; a shift of None leaves its summand as it is.
+    """
+    groups = []
+    if part != _SUM_INDEC:
+        # direct sums alpha + rho: alpha sum-indecomposable, rho shifted
+        # above alpha's i values
+        groups += [
+            (_SUM_RULE, i, _SUM_INDEC, None, _shift_table(i), _SKEW_INDEC)
+            for i in range(1, n)
+        ]
+    if part != _SKEW_INDEC:
+        # skew sums beta - rho: beta skew-indecomposable, shifted above the
+        # n - i values of rho
+        groups += [
+            (_SKEW_RULE, i, _SKEW_INDEC, _shift_table(n - i), None, _SUM_INDEC)
+            for i in range(1, n)
+        ]
+    return groups
 
 
 def _blocks(n: int, part: int) -> Iterator[tuple]:
     """The lex-ordered blocks of a part at length n >= 2.
 
     A block is every word with one head (first summand): (head, the head's
-    key with its share of the composition rule applied, the tail key mask,
-    the shift table for the tails or None, the part the block's words belong
-    to besides all).  Its words are head + tail for every separable tail of
-    length n - len(head), in the tails' lex order.  No head is a prefix of
-    another, so each block spans a lex interval and the blocks come in the
-    order of their heads.
+    key with its share of the composition rule applied, or None above the
+    cap, the tail key mask, the shift table for the tails or None, the part
+    the block's words belong to besides all).  Its words are head + tail
+    for every separable tail of length n - len(head), in the tails' lex
+    order.  No head is a prefix of another, so each block spans a lex
+    interval and the blocks come in the order of their heads.
     """
-    streams = []
-    if part != _SUM_INDEC:
-        streams += [_sum_blocks(n, i) for i in range(1, n)]
-    if part != _SKEW_INDEC:
-        streams += [_skew_blocks(n, i) for i in range(1, n)]
-    return heapq.merge(*streams)
+    return heapq.merge(*(_group_blocks(*group) for group in _groups(n, part)))
 
 
-def _sum_blocks(n: int, i: int) -> Iterator[tuple]:
-    """Direct sums alpha + rho of length n: alpha sum-indecomposable of
-    length i, rho any separable."""
-    head_mask, tail_mask, junction = _SUM_RULE
-    shift = _shift_table(i)
-    for alpha, key in _pairs(i, _SUM_INDEC):
-        head_key = (key & head_mask) + junction
-        yield alpha, head_key, tail_mask, shift, _SKEW_INDEC
-
-
-def _skew_blocks(n: int, i: int) -> Iterator[tuple]:
-    """Skew sums beta - rho of length n: beta skew-indecomposable of length
-    i, shifted above the n - i values of rho, any separable."""
-    head_mask, tail_mask, junction = _SKEW_RULE
-    shift = _shift_table(n - i)
-    for beta, key in _pairs(i, _SKEW_INDEC):
-        head_key = (key & head_mask) + junction
-        yield beta.translate(shift), head_key, tail_mask, None, _SUM_INDEC
+def _group_blocks(
+    rule: tuple[int, int, int],
+    i: int,
+    head_part: int,
+    head_shift: bytes | None,
+    tail_shift: bytes | None,
+    part: int,
+) -> Iterator[tuple]:
+    """The blocks of one group (see :func:`_groups`), in the lex order of
+    its heads."""
+    head_mask, tail_mask, junction = rule
+    for head, key in _heads(i, head_part):
+        if head_shift is not None:
+            head = head.translate(head_shift)
+        head_key = None if key is None else (key & head_mask) + junction
+        yield head, head_key, tail_mask, tail_shift, part
 
 
 def _check_structural_n(n: int) -> None:
@@ -296,6 +308,12 @@ def _class_part(n: int, cls: str) -> int | None:
     return None if n == 1 else _SKEW_INDEC
 
 
+def _class_of_part(n: int, part: int) -> str:
+    """The class whose stream at length n is the part.  At n = 1 the one
+    word is indecomposable both ways, while the reducible class is empty."""
+    return "all" if n == 1 else CLASSES[part]
+
+
 def iter_separable_bytes(n: int, cls: str = "all") -> Iterator[bytes]:
     """Low-level stream of separable permutations as bytes, lex order.
 
@@ -313,14 +331,20 @@ def iter_separable_bytes(n: int, cls: str = "all") -> Iterator[bytes]:
 
 def _key_stream(n: int, cls: str = "all") -> Iterator[int]:
     """The packed statistic keys of :func:`iter_separable_bytes`, word for
-    word: each composed in O(1) from the keys of the word's two summands.
+    word, at n <= _MEMO_CAP: the memo table's key column, each key composed
+    in O(1) from the keys of the word's two summands.  Above the cap no
+    key column exists; the census composes those keys on its own walk.
 
     >>> from sepstats.series import _unpack
     >>> [_unpack(k) for k in _key_stream(2)]
     [(1, 0, 2, 1, 1, 2), (0, 1, 1, 2, 2, 1)]
     """
     part = _class_part(n, cls)
-    return iter(()) if part is None else _keys(n, part)
+    if n > _MEMO_CAP:
+        raise ValueError(
+            f"key columns stop at the memo cap {_MEMO_CAP}, asked for {n}"
+        )
+    return iter(()) if part is None else _from_table(n, part, 1)
 
 
 def enumerate_structural(n: int) -> Iterator[Permutation]:

@@ -587,7 +587,9 @@ class MultiPoly:
         for k, c in self._terms.items():
             k &= mask
             out[k] = get(k, 0) + c
-        return MultiPoly({k: c for k, c in out.items() if c})
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return MultiPoly(out)
 
     def map_variables(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Rename variables according to ``mapping`` (a lane renaming).
@@ -1055,13 +1057,15 @@ def _solve_fixpoint_cached(
         q_sum = _sum_of_products(((red_v1[i], s_x1[n - i]) for i in range(1, n)), memo)
         i_n = q_factor * q_sum
         p_sum = _sum_of_products(((s_y1[i], i_u1[n - i]) for i in range(1, n)), memo)
-        s_n = i_n + p_factor * p_sum
+        # the p-term is exactly s_n - i_n, the reducible coefficient
+        p_term = p_factor * p_sum
+        s_n = i_n + p_term
         s_coeffs.append(s_n)
         i_coeffs.append(i_n)
         s_y1.append(spec(s_n, "y"))
         s_x1.append(spec(s_n, "x"))
         i_u1.append(spec(i_n, "u"))
-        red_v1.append(spec(s_n - i_n, "v"))
+        red_v1.append(spec(p_term, "v"))
 
     s_series = TruncSeries(s_coeffs[: order + 1])
     i_series = TruncSeries(i_coeffs[: order + 1])

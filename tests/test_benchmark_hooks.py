@@ -71,10 +71,14 @@ def test_tracer_hooks_install_and_uninstall_cleanly():
         distributions.series_from_enumeration(4)
         totals = tracer.totals()
         assert totals["distributions.census"][0] == 1
-        assert totals["distributions.iter_separable_bytes"][0] == 4
-        # the kernel checks the first and the last word of each walk (one
-        # word at n = 1), as no walk reaches the sampling stride
-        assert totals["permutations._stats_of_sequence"][0] == 1 + 2 + 2 + 2
+        # n = 1 reads its one column to check its word; n = 2, 3, 4 read,
+        # for each of their 2, 4, 6 groups, the side looped over in Python,
+        # then each of the 1, 2, 4 distinct columns they sample, once
+        assert totals["distributions.iter_separable_bytes"][0] == 1 + 3 + 6 + 10
+        # the kernel checks the first and the last word of each group: the
+        # groups have 1 and 1 words at n = 2, 2, 1, 2, 1 at n = 3 and 6, 2,
+        # 3, 6, 2, 3 at n = 4; no walk reaches the sampling stride
+        assert totals["permutations._stats_of_sequence"][0] == 1 + 2 + 6 + 12
 
         # the brute-force filter tests every candidate through the wrapped
         # name; the census workload's filter_candidates reads these calls
@@ -85,6 +89,37 @@ def test_tracer_hooks_install_and_uninstall_cleanly():
         uninstall()
         distributions._census.cache_clear()
     _assert_same_objects(before, _snapshot())
+
+
+def _load_workloads():
+    path = TRACER_PATH.with_name("workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_census_reaches_the_stream_and_kernel_the_benchmark_probes(fresh_memos):
+    # Tier-1 mirror of the benchmark self-test's liveness probe for the
+    # census workload: its toy body, on cold tables, must read stream words
+    # through the wrapped distributions.iter_separable_bytes, check words
+    # through the wrapped kernel and test filter candidates.
+    tracing, workloads = _load_tracer(), _load_workloads()
+    ops = workloads.census_ops(workloads.make_inputs("census", 3, "toy"))
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        for _, op in ops:
+            op()
+        totals = tracer.totals()
+    finally:
+        uninstall()
+    assert totals["distributions.census"][0] == 2
+    assert totals["distributions.dist"][0] == 2
+    assert totals["distributions.iter_separable_bytes"][0] > 0
+    assert totals["enumeration.stream"][3] > 0  # words yielded
+    assert totals["permutations._stats_of_sequence"][0] > 0
+    assert totals["enumeration.is_separable"][0] == 120
 
 
 def test_closed_forms_reach_the_series_spans_the_benchmark_probes():

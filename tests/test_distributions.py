@@ -25,9 +25,10 @@ from sepstats.enumeration import (
     count_irreducible,
     count_separable,
     enumerate_filter,
+    iter_separable_bytes,
 )
 from sepstats.permutations import is_irreducible, stats
-from sepstats.series import VARIABLES, parse_poly
+from sepstats.series import VARIABLES, parse_poly, solve_fixpoint
 
 
 def test_canonical_class_aliases():
@@ -114,14 +115,15 @@ def test_dist_matches_a_tally_over_the_filter_stream():
 
 
 def test_census_walks_the_stream_once_per_length_and_class(monkeypatch):
+    # every walk resolves its (length, class) once, before its first group
     walks = []
-    real = distributions.iter_separable_bytes
+    real = distributions._class_part
 
-    def counting(n, cls="all"):
-        walks.append((n, cls))
+    def counting(n, cls):
+        walks.append((n, canonical_class(cls)))
         return real(n, cls)
 
-    monkeypatch.setattr(distributions, "iter_separable_bytes", counting)
+    monkeypatch.setattr(distributions, "_class_part", counting)
     distributions._census.cache_clear()
     try:
         for cls in ("all", "irr", "irreducible", "red"):
@@ -146,19 +148,72 @@ def test_census_rejects_keys_composed_by_a_mutated_rule(
         distributions._census(2, "all")
 
 
-def test_census_checks_words_at_the_sampling_stride(monkeypatch):
+def _checked_words(monkeypatch, n: int, cls: str, stride: int) -> list[bytes]:
     checked = []
+    monkeypatch.setattr(distributions, "_SAMPLE_EVERY", stride)
     monkeypatch.setattr(
         distributions, "_check_key", lambda word, key: checked.append(word)
     )
     distributions._census.cache_clear()
     try:
-        distributions._census(8, "all")
+        distributions._census(n, cls)
     finally:
         distributions._census.cache_clear()
-    words = list(distributions.iter_separable_bytes(8, "all"))
-    stride = distributions._SAMPLE_EVERY
-    assert checked == words[::stride] + [words[-1]]
+    return checked
+
+
+@pytest.mark.parametrize("cls", ["all", "irreducible", "reducible"])
+def test_census_checks_every_word_at_stride_one(monkeypatch, cls):
+    checked = _checked_words(monkeypatch, 6, cls, 1)
+    assert sorted(checked) == list(distributions.iter_separable_bytes(6, cls))
+
+
+def _group_order(n: int) -> tuple[list[bytes], set[int]]:
+    """The words of length n in the census's group order, while no side is
+    past the table sides, and the groups' first and last positions: the
+    side with fewer words (the heads on a tie) varies slowest."""
+    words, ends = [], set()
+    for _, i, head_part, head_shift, tail_shift, _ in enumeration._groups(
+        n, enumeration._ALL
+    ):
+        head_class = enumeration._class_of_part(i, head_part)
+        heads = [h.translate(head_shift) for h in iter_separable_bytes(i, head_class)]
+        tails = [t.translate(tail_shift) for t in iter_separable_bytes(n - i)]
+        ends |= {len(words), len(words) + len(heads) * len(tails) - 1}
+        if len(heads) <= len(tails):
+            words += [h + t for h in heads for t in tails]
+        else:
+            words += [h + t for t in tails for h in heads]
+    return words, ends
+
+
+@pytest.mark.parametrize(
+    "n, stride",
+    # the last stride passes the end: only the groups' first and last words
+    [(7, 7), (8, distributions._SAMPLE_EVERY), (7, 10**9)],
+)
+def test_census_checks_words_at_the_sampling_stride(monkeypatch, n, stride):
+    words, ends = _group_order(n)
+    assert sorted(words) == list(iter_separable_bytes(n))
+    checked = _checked_words(monkeypatch, n, "all", stride)
+    assert len(set(checked)) == len(checked)
+    # every stride-th word of the walk, plus the groups' first and last
+    picks = set(range(0, len(words), stride)) | ends
+    assert set(checked) == {words[p] for p in picks}
+
+
+def test_census_walking_sides_past_the_table_sides_matches_the_fixpoint():
+    # at this length the sides one longer than _TABLE_SIDES are walked
+    # group by group, from the tables
+    n = distributions._TABLE_SIDES + 2
+    S, I = solve_fixpoint(n)
+    want = {
+        "all": S.coefficient(n),
+        "irreducible": I.coefficient(n),
+        "reducible": S.coefficient(n) - I.coefficient(n),
+    }
+    for cls, poly in want.items():
+        assert distributions._census(n, cls) == poly, cls
 
 
 def test_census_is_the_tally_of_its_key_stream():
@@ -187,22 +242,78 @@ def test_dist_tables_equal_a_per_term_projection_of_the_census():
                     assert got.to_json() == ref.to_json()
 
 
-@pytest.mark.parametrize("stride", [11, 1021])
+def _corrupt_column(monkeypatch, name: str, n: int, corrupt) -> None:
+    """Corrupt the census's word or key column of length n, class all."""
+    real = getattr(distributions, name)
+
+    def corrupted(m, cls="all"):
+        column = list(real(m, cls))
+        return iter(corrupt(column) if (m, cls) == (n, "all") else column)
+
+    monkeypatch.setattr(distributions, name, corrupted)
+
+
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_census_rejects_streams_of_different_lengths(
-    monkeypatch, fresh_memos, stride, extra
+    monkeypatch, fresh_memos, extra
 ):
-    # s_4 = 22 words: at stride 11 a stray key falls in a chunk of its own
-    real = enumeration._key_stream
+    # (3, all) is the tail column of the groups with a head of length 1:
+    # a key too few or too many changes the row total
+    _corrupt_column(
+        monkeypatch,
+        "_key_stream",
+        3,
+        lambda keys: keys[:-1] if extra < 0 else [*keys, keys[-1]],
+    )
+    with pytest.raises(AssertionError, match="row total"):
+        distributions._census(4, "all")
 
-    def misaligned(n, cls="all"):
-        keys = list(real(n, cls))
-        return iter(keys[:-1] if extra < 0 else [*keys, keys[-1]])
 
-    monkeypatch.setattr(distributions, "_SAMPLE_EVERY", stride)
-    monkeypatch.setattr(distributions, "_key_stream", misaligned)
+def test_census_rejects_a_word_column_shorter_than_its_keys(
+    monkeypatch, fresh_memos
+):
+    # the tally is whole, but the last word of a group has no word to check
+    _corrupt_column(monkeypatch, "iter_separable_bytes", 3, lambda words: words[:-1])
     with pytest.raises(ValueError, match="differ in length"):
         distributions._census(4, "all")
+
+
+def test_census_rejects_a_swapped_sampled_key(monkeypatch, fresh_memos):
+    # the tally is the same multiset, so only the check of a group's first
+    # word, 1 + 123 reading the key of 132, sees the swap
+    def swapped(keys):
+        assert keys[0] != keys[1]
+        return [keys[1], keys[0], *keys[2:]]
+
+    _corrupt_column(monkeypatch, "_key_stream", 3, swapped)
+    with pytest.raises(AssertionError, match="differ from the kernel"):
+        distributions._census(4, "all")
+
+
+def test_census_above_the_memo_cap_equals_the_default_census(
+    monkeypatch, fresh_memos
+):
+    # with the cap at 3, sides of length 4 to 6 are walked group by group
+    want = {
+        (n, cls): distributions._census(n, cls)
+        for n in range(1, 8)
+        for cls in ("all", "irreducible", "reducible")
+    }
+    distributions._census.cache_clear()
+    monkeypatch.setattr(enumeration, "_MEMO_CAP", 3)
+    monkeypatch.setattr(enumeration, "_TABLES", {1: enumeration._TABLES[1]})
+    for (n, cls), poly in want.items():
+        assert distributions._census(n, cls) == poly, (n, cls)
+    assert set(enumeration._TABLES) == {1, 2, 3}
+
+
+def test_a_cold_census_never_tables_its_own_length(fresh_memos):
+    for cls in ("all", "irreducible", "reducible"):
+        distributions._census(7, cls)
+    assert set(enumeration._TABLES) == {1, 2, 3, 4, 5, 6}
+    # nor any length past the table sides
+    distributions._census(distributions._TABLE_SIDES + 2, "all")
+    assert max(enumeration._TABLES) == distributions._TABLE_SIDES
 
 
 def test_series_from_enumeration_cap():
