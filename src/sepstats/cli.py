@@ -376,7 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"one of: {', '.join(SERIES_REGISTRY)}",
     )
     p_ser.add_argument(
-        "--order", type=int, default=None, help="truncation order (default 16)"
+        "--order",
+        type=int,
+        default=None,
+        help=f"truncation order (default 16; joint {_DEFAULT_ORDER['joint']})",
     )
     p_ser.add_argument(
         "--class", dest="perm_class", choices=_CLASS_CHOICES, default="all"

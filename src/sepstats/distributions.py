@@ -8,7 +8,9 @@ Two independent routes produce distribution data:
   coefficient is read.  It walks the length group by group (one group per
   composition rule and head length), composing each word's statistics
   from its head's and its tail's in the shorter enumeration tables, and
-  checks sampled words against the per-word statistics kernel; and
+  checks sampled words against the per-word statistics kernel.  Its
+  groups and sides are named by the classes of :mod:`sepstats.enumeration`
+  and read through that module's streams; and
 * the series route in :mod:`sepstats.series` / :mod:`sepstats.closedforms`
   built from functional equations.
 
@@ -28,15 +30,14 @@ import itertools
 import json
 import operator
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import enumeration
 from .enumeration import (
-    _ALL,
     _EVERY_LANE,
     HARD_CAP,
-    _class_of_part,
-    _class_part,
+    _check_structural_n,
+    _composed,
     _groups,
     _key_stream,
     canonical_class,
@@ -167,25 +168,9 @@ def _check_key(word: bytes, key: int) -> None:
         )
 
 
-def _composed(keys: Iterable[int], mask: int, offset: int) -> Iterator[int]:
-    """(key & mask) + offset for each key: the keys of a column's words
-    composed into a longer word's.  (``operator`` functions map faster
-    than bound ``int`` methods.)"""
-    return map(
-        operator.add,
-        map(operator.and_, keys, itertools.repeat(mask)),
-        itertools.repeat(offset),
-    )
-
-
-def _column(m: int, part: int) -> Iterator[tuple[bytes, int]]:
-    """(word, key) for each word of a part at a length with a table."""
-    cls = _class_of_part(m, part)
+def _column(m: int, cls: str) -> Iterator[tuple[bytes, int]]:
+    """(word, key) for each word of a class at a length with a table."""
     return zip(iter_separable_bytes(m, cls), _key_stream(m, cls))
-
-
-def _part_count(m: int, part: int) -> int:
-    return class_count(_class_of_part(m, part), m)
 
 
 #: A wrap: a side's word -> the census word it stands for.
@@ -223,12 +208,12 @@ class _Walk:
         self.pos = 0
         #: the first and last positions of the groups not yet walked past
         self.ends: list[int] = []
-        #: (length, part) -> (index, mask, offset, wrap) for each sampled
+        #: (length, class) -> (index, mask, offset, wrap) for each sampled
         #: word of that column
-        self.samples: dict[tuple[int, int], list[tuple]] = {}
+        self.samples: dict[tuple[int, str], list[tuple]] = {}
 
-    def groups(self, n: int, part: int, mask: int, offset: int, wrap: _Wrap) -> None:
-        """Tally the words of a part at length n >= 2, group by group.
+    def groups(self, n: int, cls: str, mask: int, offset: int, wrap: _Wrap) -> None:
+        """Tally the words of a class at length n >= 2, group by group.
 
         Python loops over the side with fewer words, which is a table, and
         each of its words maps the other side at C speed.  A side longer
@@ -236,51 +221,49 @@ class _Walk:
         other side: that one is always a table while n <= 2 * cap + 1.
         """
         cap = self.cap
-        for rule, i, head_part, head_shift, tail_shift, _ in _groups(n, part):
+        for rule, i, head_cls, head_shift, tail_shift, _ in _groups(n, cls):
             head_mask, tail_mask, junction = rule
-            heads, tails = _part_count(i, head_part), _part_count(n - i, _ALL)
+            heads, tails = class_count(head_cls, i), class_count("all", n - i)
             if n == self.n:
                 self.ends += (self.pos, self.pos + heads * tails - 1)
             if n - i > cap or (i <= cap and heads <= tails):
-                for head, key in _column(i, head_part):
+                for head, key in _column(i, head_cls):
                     share = ((key & head_mask) + junction) & mask
                     head = head.translate(head_shift)
                     fixed = functools.partial(_with_head, wrap, head, tail_shift)
-                    self.side(n - i, _ALL, mask & tail_mask, offset + share, fixed)
+                    self.side(n - i, "all", mask & tail_mask, offset + share, fixed)
             else:
-                for tail, key in _column(n - i, _ALL):
+                for tail, key in _column(n - i, "all"):
                     share = ((key & tail_mask) + junction) & mask
                     tail = tail.translate(tail_shift)
                     fixed = functools.partial(_with_tail, wrap, head_shift, tail)
-                    self.side(i, head_part, mask & head_mask, offset + share, fixed)
+                    self.side(i, head_cls, mask & head_mask, offset + share, fixed)
 
-    def side(self, m: int, part: int, mask: int, offset: int, wrap: _Wrap) -> None:
-        """Tally the words of a part at a side's length m: from its table
+    def side(self, m: int, cls: str, mask: int, offset: int, wrap: _Wrap) -> None:
+        """Tally the words of a class at a side's length m: from its table
         within the cap, else group by group."""
         if m <= self.cap:
-            self.table(m, part, mask, offset, wrap)
+            self.table(m, cls, mask, offset, wrap)
         else:
-            self.groups(m, part, mask, offset, wrap)
+            self.groups(m, cls, mask, offset, wrap)
 
-    def table(self, m: int, part: int, mask: int, offset: int, wrap: _Wrap) -> None:
+    def table(self, m: int, cls: str, mask: int, offset: int, wrap: _Wrap) -> None:
         """Tally a table's key column, and note its sampled words."""
-        self.tally.update(
-            _composed(_key_stream(m, _class_of_part(m, part)), mask, offset)
-        )
+        self.tally.update(_composed(_key_stream(m, cls), mask, offset))
         start = self.pos
-        self.pos += _part_count(m, part)
+        self.pos += class_count(cls, m)
         picks = {p - start for p in self.ends if p < self.pos}
         self.ends = [p for p in self.ends if p >= self.pos]
         picks.update(range(-start % _SAMPLE_EVERY, self.pos - start, _SAMPLE_EVERY))
-        self.samples.setdefault((m, part), []).extend(
+        self.samples.setdefault((m, cls), []).extend(
             (j, mask, offset, wrap) for j in picks
         )
 
     def check(self) -> None:
         """Check every sampled word's composed key against the kernel,
         reading each column once."""
-        for (m, part), picks in self.samples.items():
-            column = _column(m, part)
+        for (m, cls), picks in self.samples.items():
+            column = _column(m, cls)
             at, pair = -1, None
             for j, mask, offset, wrap in sorted(picks, key=operator.itemgetter(0)):
                 if j != at:
@@ -302,13 +285,12 @@ def _census(n: int, cls: str) -> MultiPoly:
     keys are the series' packed monomials, so the tally is the
     polynomial's term dict.  The walk reads only the tables of lengths
     up to ``_TABLE_SIDES`` and below n (length 1 is always there)."""
+    _check_structural_n(n)
     walk = _Walk(n)
-    part = _class_part(n, cls)
-    if part is not None:
-        if n == 1:
-            walk.table(1, part, _EVERY_LANE, 0, _whole)
-        else:
-            walk.groups(n, part, _EVERY_LANE, 0, _whole)
+    if n == 1:
+        walk.table(1, cls, _EVERY_LANE, 0, _whole)
+    else:
+        walk.groups(n, cls, _EVERY_LANE, 0, _whole)
     # a key column of the wrong length fails the total before any word is
     # read for the kernel
     DistTable(cls, STAT_NAMES, {n: walk.tally}).check_totals()

@@ -15,11 +15,19 @@ so they can be compared without sorting.  The structural generator works on
 raw ``bytes`` internally (value k stored as byte k) and exposes that fast
 path as :func:`iter_separable_bytes` for census-scale consumers.
 
+Every layer, from :func:`iter_separable_bytes` down to the memo tables,
+names its words by the three classes of :data:`CLASSES`.  The irreducible
+words are the sum-indecomposable ones.  Past length 1 the reducible words
+are the skew-indecomposable ones, so a skew sum's head is a reducible word
+or the singleton, whose class is all.
+
 Every structural word is built as head + tail, so its six statistics follow
 from its two summands' in O(1) (the composition rules ``_SUM_RULE`` and
 ``_SKEW_RULE``).  The memo tables of lengths up to ``_MEMO_CAP`` hold them
 packed into one int per word, in a key column aligned word for word with
-:func:`iter_separable_bytes`.  The words of one composition rule and one
+:func:`iter_separable_bytes`, and one selector per class besides all.
+:func:`_composed` composes a column's keys into longer words' keys, for the
+tables and the census alike.  The words of one composition rule and one
 head length form a group (:func:`_groups`); the census tallies a length
 group by group from the shorter tables, without the lex order, so it never
 tables its own length nor composes a key column above the cap.
@@ -41,8 +49,9 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import operator
 from array import array
-from typing import Iterator, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 from .permutations import Permutation, is_separable
 from .series import _LANE, _SHIFT, STAT_TO_VARIABLE, _pack
@@ -144,17 +153,13 @@ _SKEW_RULE = (
     1 << _SHIFT[STAT_TO_VARIABLE["des"]],
 )
 
-#: The parts of a length's separables: all of them, the sum-indecomposable
-#: ones (the irreducible class) and the skew-indecomposable ones (the
-#: reducible class, for length >= 2).
-_ALL, _SUM_INDEC, _SKEW_INDEC = range(3)
-
-# Memo tables: length -> (words, keys, sum_indec, skew_indec): the
+# Memo tables: length -> (words, keys, irreducible, reducible): the
 # separables of that length as a lex-sorted list of bytes, an array of their
 # keys aligned with it, and one 0/1 selector per word for each of the two
-# indecomposable parts.
+# classes besides all.  The singleton is irreducible, and no word of length
+# 1 is reducible.
 _TABLES: dict[int, tuple[list[bytes], array, bytes, bytes]] = {
-    1: ([_ONE], array("Q", [_pack((0, 0, 1, 1, 1, 1))]), b"\1", b"\1")
+    1: ([_ONE], array("Q", [_pack((0, 0, 1, 1, 1, 1))]), b"\1", b"\0")
 }
 
 
@@ -173,47 +178,58 @@ def _table(n: int) -> tuple[list[bytes], array, bytes, bytes]:
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
+def _composed(keys: Iterable[int], mask: int, offset: int) -> Iterator[int]:
+    """(key & mask) + offset for each key: the keys of a column's words
+    composed into a longer word's.  (``operator`` functions map faster
+    than bound ``int`` methods.)"""
+    return map(
+        operator.add,
+        map(operator.and_, keys, itertools.repeat(mask)),
+        itertools.repeat(offset),
+    )
+
+
 def _build_table(n: int) -> tuple[list[bytes], array, bytes, bytes]:
     """Words, keys and selectors of length n, block by block, from the
     shorter tables."""
     words: list[bytes] = []
     keys = array("Q")
-    # 1 for a sum-indecomposable word, 0 for a skew-indecomposable one: at
-    # length >= 2 every separable is exactly one of the two
-    sum_indec = bytearray()
-    for head, head_key, mask, shift, part in _blocks(n, _ALL):
+    # at length >= 2 every separable is irreducible or reducible
+    irreducible = bytearray()
+    for head, head_key, mask, shift, cls in _blocks(n, "all"):
         tail_words, tail_keys = _TABLES[n - len(head)][:2]
         if shift is None:
             words += [head + rho for rho in tail_words]
         else:
             words += [head + rho.translate(shift) for rho in tail_words]
-        keys.extend(head_key + (k & mask) for k in tail_keys)
-        sum_indec += (b"\1" if part == _SUM_INDEC else b"\0") * len(tail_words)
-    selector = bytes(sum_indec)
+        keys.extend(_composed(tail_keys, mask, head_key))
+        irreducible += (b"\1" if cls == "irreducible" else b"\0") * len(tail_words)
+    selector = bytes(irreducible)
     return words, keys, selector, selector.translate(_FLIP)
 
 
-def _from_table(n: int, part: int, column: int) -> Iterator:
+def _from_table(n: int, cls: str, column: int) -> Iterator:
     """Column 0 (words) or 1 (keys) of the length-n table, restricted to a
-    part."""
+    canonical class."""
     entry = _table(n)
-    if part == _ALL:
+    if cls == "all":
         return iter(entry[column])
-    return itertools.compress(entry[column], entry[1 + part])
+    # the selectors follow the two columns, in the order of CLASSES
+    return itertools.compress(entry[column], entry[1 + CLASSES.index(cls)])
 
 
-def _words(n: int, part: int) -> Iterator[bytes]:
-    """The words of a part at length n, lex order."""
+def _words(n: int, cls: str) -> Iterator[bytes]:
+    """The words of a canonical class at length n, lex order."""
     if n <= _MEMO_CAP:
-        return _from_table(n, part, 0)
-    return _block_words(n, part)
+        return _from_table(n, cls, 0)
+    return _block_words(n, cls)
 
 
-def _block_words(n: int, part: int) -> Iterator[bytes]:
+def _block_words(n: int, cls: str) -> Iterator[bytes]:
     _table(_MEMO_CAP)  # tails up to the cap come from the tables
-    for head, _, _, shift, _ in _blocks(n, part):
+    for head, _, _, shift, _ in _blocks(n, cls):
         m = n - len(head)
-        tails = _TABLES[m][0] if m <= _MEMO_CAP else _block_words(m, _ALL)
+        tails = _TABLES[m][0] if m <= _MEMO_CAP else _block_words(m, "all")
         if shift is None:
             for rho in tails:
                 yield head + rho
@@ -222,71 +238,80 @@ def _block_words(n: int, part: int) -> Iterator[bytes]:
                 yield head + rho.translate(shift)
 
 
-def _heads(n: int, part: int) -> Iterator[tuple[bytes, int | None]]:
-    """The words of a part at length n with their keys, lex order.  Keys
-    exist only up to the cap: above it, only the census composes them,
-    on its own walk."""
-    keys = _from_table(n, part, 1) if n <= _MEMO_CAP else itertools.repeat(None)
-    return zip(_words(n, part), keys)
+def _heads(n: int, cls: str) -> Iterator[tuple[bytes, int | None]]:
+    """The words of a canonical class at length n with their keys, lex
+    order.  Keys exist only up to the cap: above it, only the census
+    composes them, on its own walk."""
+    keys = _from_table(n, cls, 1) if n <= _MEMO_CAP else itertools.repeat(None)
+    return zip(_words(n, cls), keys)
 
 
-def _groups(n: int, part: int) -> list[tuple]:
-    """The groups of a part at length n >= 2, one for each composition rule
-    and head length i: (rule, i, head part, head shift, tail shift, the
-    part the group's words belong to besides all).
+def _groups(n: int, cls: str) -> list[tuple]:
+    """The groups of a canonical class at length n >= 2, one for each
+    composition rule and head length i: (rule, i, head class, head shift,
+    tail shift, the class the group's words belong to besides all).
 
     A group's words are head.translate(head shift) + tail.translate(tail
-    shift) for every head of the head part at length i and every separable
-    tail of length n - i; a shift of None leaves its summand as it is.
+    shift) for every head of the head class at length i and every
+    separable tail of length n - i; a shift of None leaves its summand as
+    it is.
     """
     groups = []
-    if part != _SUM_INDEC:
-        # direct sums alpha + rho: alpha sum-indecomposable, rho shifted
-        # above alpha's i values
+    if cls != "irreducible":
+        # direct sums alpha + rho: alpha irreducible (sum-indecomposable),
+        # rho shifted above alpha's i values
         groups += [
-            (_SUM_RULE, i, _SUM_INDEC, None, _shift_table(i), _SKEW_INDEC)
+            (_SUM_RULE, i, "irreducible", None, _shift_table(i), "reducible")
             for i in range(1, n)
         ]
-    if part != _SKEW_INDEC:
+    if cls != "reducible":
         # skew sums beta - rho: beta skew-indecomposable, shifted above the
-        # n - i values of rho
+        # n - i values of rho.  Past length 1 those are the reducible
+        # words; at length 1 the singleton, which is no reducible word.
         groups += [
-            (_SKEW_RULE, i, _SKEW_INDEC, _shift_table(n - i), None, _SUM_INDEC)
+            (
+                _SKEW_RULE,
+                i,
+                "reducible" if i > 1 else "all",
+                _shift_table(n - i),
+                None,
+                "irreducible",
+            )
             for i in range(1, n)
         ]
     return groups
 
 
-def _blocks(n: int, part: int) -> Iterator[tuple]:
-    """The lex-ordered blocks of a part at length n >= 2.
+def _blocks(n: int, cls: str) -> Iterator[tuple]:
+    """The lex-ordered blocks of a canonical class at length n >= 2.
 
     A block is every word with one head (first summand): (head, the head's
     key with its share of the composition rule applied, or None above the
-    cap, the tail key mask, the shift table for the tails or None, the part
-    the block's words belong to besides all).  Its words are head + tail
-    for every separable tail of length n - len(head), in the tails' lex
-    order.  No head is a prefix of another, so each block spans a lex
+    cap, the tail key mask, the shift table for the tails or None, the
+    class the block's words belong to besides all).  Its words are head +
+    tail for every separable tail of length n - len(head), in the tails'
+    lex order.  No head is a prefix of another, so each block spans a lex
     interval and the blocks come in the order of their heads.
     """
-    return heapq.merge(*(_group_blocks(*group) for group in _groups(n, part)))
+    return heapq.merge(*(_group_blocks(*group) for group in _groups(n, cls)))
 
 
 def _group_blocks(
     rule: tuple[int, int, int],
     i: int,
-    head_part: int,
+    head_cls: str,
     head_shift: bytes | None,
     tail_shift: bytes | None,
-    part: int,
+    cls: str,
 ) -> Iterator[tuple]:
     """The blocks of one group (see :func:`_groups`), in the lex order of
     its heads."""
     head_mask, tail_mask, junction = rule
-    for head, key in _heads(i, head_part):
+    for head, key in _heads(i, head_cls):
         if head_shift is not None:
             head = head.translate(head_shift)
         head_key = None if key is None else (key & head_mask) + junction
-        yield head, head_key, tail_mask, tail_shift, part
+        yield head, head_key, tail_mask, tail_shift, cls
 
 
 def _check_structural_n(n: int) -> None:
@@ -294,24 +319,6 @@ def _check_structural_n(n: int) -> None:
         raise ValueError(
             f"structural enumeration is capped at 1 <= n <= {HARD_CAP}, got {n}"
         )
-
-
-def _class_part(n: int, cls: str) -> int | None:
-    """The part holding the class at length n; None for the empty
-    reducible class at n = 1."""
-    _check_structural_n(n)
-    cls = canonical_class(cls)
-    if cls == "all":
-        return _ALL
-    if cls == "irreducible":
-        return _SUM_INDEC
-    return None if n == 1 else _SKEW_INDEC
-
-
-def _class_of_part(n: int, part: int) -> str:
-    """The class whose stream at length n is the part.  At n = 1 the one
-    word is indecomposable both ways, while the reducible class is empty."""
-    return "all" if n == 1 else CLASSES[part]
 
 
 def iter_separable_bytes(n: int, cls: str = "all") -> Iterator[bytes]:
@@ -325,8 +332,8 @@ def iter_separable_bytes(n: int, cls: str = "all") -> Iterator[bytes]:
     >>> [list(b) for b in iter_separable_bytes(3, "irr")]
     [[2, 3, 1], [3, 1, 2], [3, 2, 1]]
     """
-    part = _class_part(n, cls)
-    return iter(()) if part is None else _words(n, part)
+    _check_structural_n(n)
+    return _words(n, canonical_class(cls))
 
 
 def _key_stream(n: int, cls: str = "all") -> Iterator[int]:
@@ -339,12 +346,13 @@ def _key_stream(n: int, cls: str = "all") -> Iterator[int]:
     >>> [_unpack(k) for k in _key_stream(2)]
     [(1, 0, 2, 1, 1, 2), (0, 1, 1, 2, 2, 1)]
     """
-    part = _class_part(n, cls)
+    _check_structural_n(n)
+    cls = canonical_class(cls)
     if n > _MEMO_CAP:
         raise ValueError(
             f"key columns stop at the memo cap {_MEMO_CAP}, asked for {n}"
         )
-    return iter(()) if part is None else _from_table(n, part, 1)
+    return _from_table(n, cls, 1)
 
 
 def enumerate_structural(n: int) -> Iterator[Permutation]:
@@ -359,7 +367,7 @@ def enumerate_structural(n: int) -> Iterator[Permutation]:
     """
     _check_structural_n(n)
     # every word of the stream is a bijection by construction
-    return map(Permutation._trusted, map(tuple, _words(n, _ALL)))
+    return map(Permutation._trusted, map(tuple, _words(n, "all")))
 
 
 def enumerate_filter(n: int) -> Iterator[Permutation]:
@@ -421,7 +429,8 @@ def count_irreducible(n: int) -> int:
 
     For n >= 2 this equals half the separable count: the sum-decomposable
     and skew-decomposable permutations split S_n(2413, 3142) evenly, and the
-    irreducible ones are exactly the skew-decomposables plus nothing else.
+    irreducible ones are exactly the skew-decomposable ones.  At n = 1 the
+    one irreducible permutation is the singleton.
 
     >>> [count_irreducible(n) for n in range(1, 8)]
     [1, 1, 3, 11, 45, 197, 903]

@@ -186,6 +186,13 @@ def test_series_text(capsys):
     ]
 
 
+@pytest.mark.parametrize("name, order", [("counting", 16), ("joint", 12)])
+def test_series_default_orders(capsys, name, order):
+    code, out, _ = run(capsys, "series", name, "--no-cache")
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"t^{order}:")
+
+
 def test_series_json_document(capsys):
     code, out, _ = run(
         capsys, "series", "rmax", "--order", "3", "--no-cache", "--format", "json"

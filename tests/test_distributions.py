@@ -115,15 +115,21 @@ def test_dist_matches_a_tally_over_the_filter_stream():
 
 
 def test_census_walks_the_stream_once_per_length_and_class(monkeypatch):
-    # every walk resolves its (length, class) once, before its first group
+    # every walk starts once, at its own (length, class): its sides are
+    # shorter than its length
     walks = []
-    real = distributions._class_part
 
-    def counting(n, cls):
-        walks.append((n, canonical_class(cls)))
-        return real(n, cls)
+    def starting(real):
+        def step(walk, n, cls, *rest):
+            if n == walk.n:
+                walks.append((n, cls))
+            return real(walk, n, cls, *rest)
 
-    monkeypatch.setattr(distributions, "_class_part", counting)
+        return step
+
+    for step in ("groups", "table"):
+        real = getattr(distributions._Walk, step)
+        monkeypatch.setattr(distributions._Walk, step, starting(real))
     distributions._census.cache_clear()
     try:
         for cls in ("all", "irr", "irreducible", "red"):
@@ -173,11 +179,8 @@ def _group_order(n: int) -> tuple[list[bytes], set[int]]:
     past the table sides, and the groups' first and last positions: the
     side with fewer words (the heads on a tie) varies slowest."""
     words, ends = [], set()
-    for _, i, head_part, head_shift, tail_shift, _ in enumeration._groups(
-        n, enumeration._ALL
-    ):
-        head_class = enumeration._class_of_part(i, head_part)
-        heads = [h.translate(head_shift) for h in iter_separable_bytes(i, head_class)]
+    for _, i, head_cls, head_shift, tail_shift, _ in enumeration._groups(n, "all"):
+        heads = [h.translate(head_shift) for h in iter_separable_bytes(i, head_cls)]
         tails = [t.translate(tail_shift) for t in iter_separable_bytes(n - i)]
         ends |= {len(words), len(words) + len(heads) * len(tails) - 1}
         if len(heads) <= len(tails):

@@ -8,11 +8,13 @@ import pytest
 
 import sepstats
 
-from sepstats import enumeration, series
+from sepstats import distributions, enumeration, series
 from sepstats.enumeration import (
+    CLASS_ALIASES,
     CLASSES,
     FILTER_CAP,
     HARD_CAP,
+    canonical_class,
     count_irreducible,
     count_separable,
     enumerate_filter,
@@ -112,8 +114,17 @@ def test_caps_enforced():
         iter_separable_bytes(3, "bogus")
 
 
-def test_reducible_stream_empty_at_n1():
-    assert list(iter_separable_bytes(1, "red")) == []
+@pytest.mark.parametrize("spelling", sorted(CLASS_ALIASES))
+def test_reducible_stream_empty_at_n1(spelling):
+    # the singleton is in all and irreducible, never in reducible: every
+    # layer reads that from the length-1 table's selectors
+    cls = canonical_class(spelling)
+    want = {"all": 1, "irreducible": 1, "reducible": 0}[cls]
+    assert list(iter_separable_bytes(1, spelling)) == [b"\1"] * want
+    assert len(list(enumeration._key_stream(1, spelling))) == want
+    census = distributions._census(1, cls)
+    assert sum(c for _, c in census.terms()) == want
+    assert distributions.dist_from_enumeration(1, spelling).total(1) == want
 
 
 def test_composed_keys_match_the_kernel_on_every_word():

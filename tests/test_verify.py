@@ -128,6 +128,18 @@ def test_corrupted_count_formula_fails_with_witness(monkeypatch):
     assert report.first_fail == 3  # 2^(n-1) = 1, 2, 4 first diverges at length 3
 
 
+def test_corrupted_class_selector_fails_the_stream_count(fresh_memos):
+    # one flipped byte of the length-4 irreducible selector moves a word
+    # into or out of the irreducible stream
+    words, keys, irreducible, reducible = enumeration._table(4)
+    flipped = bytes([irreducible[0] ^ 1]) + irreducible[1:]
+    enumeration._TABLES[4] = (words, keys, flipped, reducible)
+    report = verify.verify_counts()
+    assert report.verdict == "fail"
+    assert report.witness.startswith("irreducible stream count at n=4")
+    assert report.first_fail == 4
+
+
 def test_corrupted_closed_form_fails_with_witness(monkeypatch):
     real = closedforms.closed_form_S_single
 
