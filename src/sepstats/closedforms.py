@@ -29,13 +29,20 @@ uses the reverse or complement symmetry.  The memos, keyed by order:
 * the set-2 irreducible and reducible series in (x, y): ``_set2_parts``;
 * the set-1 core S(y) I(u) and quotient in (y, u): ``_set1_core``,
   ``_set1_quotient``;
-* E, the triples' full quotient and their bracket in (x, y, u):
-  ``_e_xyu``, ``_triple_quotient``, ``_triple_bracket``;
+* E and the triples' one product E Q in (x, y, u), Q the set-1
+  quotient: ``_e_xyu``, ``_triple_tail``;
 * the quadruple's irreducible and reducible parts, each on its own so
   that one class never builds the other's product: ``_quad_irreducible``,
   ``_quad_reducible``.
 
 Renamed copies of multi-lane series are not kept.
+
+E and the triples take no division of their own.  E's denominator
+(1 - S(x)S(u))(1 - S(x)S(y)) splits across two set-2 quotients, so
+E = t x y u + S2(x, u) I2(x, y), the whole set-2 series in (x, u) times
+the irreducible one in (x, y).  With Q = (A + T)/(1 - A - T) the set-1
+quotient, 1/(1 - A - T) = 1 + Q, so the triples' quotient E/(1 - A - T)
+is E + E Q and their bracket is t x y u + E Q.
 
 >>> counts = [int(schroeder_gf(6).coefficient(n).constant_term()) for n in range(1, 7)]
 >>> counts
@@ -362,11 +369,9 @@ def closed_form_pair_set1(
 @functools.lru_cache(maxsize=None)
 def _e_xyu(order: int) -> TruncSeries:
     """E(t, x, y, u); see :func:`e_function`."""
-    s1, s2, s3 = (_single_gf_by_lane(order, lane) for lane in _TRIPLE_LANES)
-    x, y, u = map(MultiPoly.variable, _TRIPLE_LANES)
-    num = (s1 + 1) * (s2 + 1) * (s3 + 1) * TruncSeries.term(order, 2, x * x * y * u)
-    den = (1 - s1 * s3) * (1 - s1 * s2)
-    return _t_times(order, _TRIPLE_LANES) + num.divide(den)
+    irreducible, reducible = _set2_parts(order)
+    s_xu = (irreducible + reducible).map_variables({"y": "u"})
+    return _t_times(order, _TRIPLE_LANES) + s_xu * irreducible
 
 
 def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSeries:
@@ -377,6 +382,9 @@ def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSerie
           / ((1 - S(z1)S(z3)) (1 - S(z1)S(z2)))
 
     in three distinct lanes z1, z2, z3: built in (x, y, u), then renamed.
+    It is evaluated as z1 z2 z3 t + S(z1,z3) I(z1,z2), the whole set-2
+    series of (z1, z3) times the irreducible one of (z1, z2), each of which
+    carries one factor of the denominator.
     """
     lanes = tuple(lanes)
     if len(lanes) != 3 or len(set(lanes)) != 3 or not set(lanes) <= set(VARIABLES):
@@ -388,19 +396,10 @@ def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSerie
 
 
 @functools.lru_cache(maxsize=None)
-def _triple_quotient(order: int) -> TruncSeries:
-    """E / (1 - A - t y u) in (x, y, u): every triple's full series."""
-    return e_function(order, _TRIPLE_LANES).divide(1 - _set1_core_tz(order))
-
-
-@functools.lru_cache(maxsize=None)
-def _triple_bracket(order: int) -> TruncSeries:
-    """(t x y u + (A + t y u)(E - t x y u)) / (1 - A - t y u) in (x, y, u):
-    the class part of a triple that E does not give."""
-    a_tz = _set1_core_tz(order)
-    tz123 = _t_times(order, _TRIPLE_LANES)
-    e_ser = e_function(order, _TRIPLE_LANES)
-    return (tz123 + a_tz * (e_ser - tz123)).divide(1 - a_tz)
+def _triple_tail(order: int) -> TruncSeries:
+    """E Q in (x, y, u), Q the set-1 series (A + t y u)/(1 - A - t y u):
+    the triples' one product; see :func:`closed_form_triple`."""
+    return _e_xyu(order) * _set1_quotient(order)
 
 
 def closed_form_triple(
@@ -415,22 +414,25 @@ def closed_form_triple(
     core, renamed.
     For the (., rmax, lmin)-tailed triples the reducible part is
     E - z1 z2 z3 t; for the (., rmin, lmax)-tailed ones the irreducible
-    part is E; the remaining parts share one bracket expression.
+    part is E.  The remaining parts share one bracket,
+    (z1 z2 z3 t + (A + t z2 z3)(E - z1 z2 z3 t)) / (1 - A - t z2 z3).
+
+    Evaluated with Q = (A + t z2 z3)/(1 - A - t z2 z3), the set-1 series:
+    S = E + E Q and the bracket is z1 z2 z3 t + E Q.
     """
     cls = canonical_class(perm_class)
     triple = tuple(triple)
     lanes = _lanes(triple, TRIPLES)
-    rmax_lmin_tail = triple in _TRIPLES_RMAX_LMIN_TAIL
-    if rmax_lmin_tail and cls == "reducible":
-        return e_function(order, lanes) - _t_times(order, lanes)
-    if not rmax_lmin_tail and cls == "irreducible":
-        return e_function(order, lanes)
     if cls == "all":
-        part = _triple_quotient(order)
-    elif rmax_lmin_tail:
-        part = _triple_bracket(order)
+        part = _e_xyu(order) + _triple_tail(order)
+    elif triple in _TRIPLES_RMAX_LMIN_TAIL:
+        tz123 = _t_times(order, _TRIPLE_LANES)
+        if cls == "irreducible":
+            part = tz123 + _triple_tail(order)
+        else:
+            part = _e_xyu(order) - tz123
     else:
-        part = _triple_bracket(order) - _t_times(order, _TRIPLE_LANES)
+        part = _e_xyu(order) if cls == "irreducible" else _triple_tail(order)
     return _renamed(part, _TRIPLE_LANES, lanes)
 
 

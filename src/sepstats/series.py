@@ -169,22 +169,22 @@ def _normalize_coeff(c: Coeff) -> Coeff:
 # and the fixpoint, accumulates term products into one dict, which is then
 # checked for lane overflow and cleared of zeros once.
 #
-# A series operation (a series product, divide, sqrt, the fixpoint loop)
-# also hands the kernel one pack memo, a dict that lives as long as the
-# operation.  The first sum of products in it with at least
-# _PACK_MIN_PAIRS term pairs and only int coefficients picks one lane for
-# the whole operation: the lane whose grouping (terms that agree on the
-# other five lanes) cuts the pair count the most, if that is at least
-# _PACK_MIN_GAIN-fold, else none.
+# Each stream of sums of products (a series product, divide or sqrt; each
+# of the fixpoint loop's two sums) also hands the kernel one pack memo, a
+# dict that lives as long as the stream.  The first sum of products in it
+# with at least _PACK_MIN_PAIRS term pairs and only int coefficients picks
+# one lane for the whole stream: the lane whose grouping (terms that agree
+# on the other five lanes) cuts the pair count the most, if that is at
+# least _PACK_MIN_GAIN-fold, else none.
 # Packed, each group is one Python int with one slot per exponent of the
 # lane (Kronecker substitution), the group ints multiply as big integers in
 # the same dict loop, and each output int is read back once as signed
-# digits.  Each coefficient is packed once per operation and slot width.
+# digits.  Each coefficient is packed once per stream and slot width.
 # Products with a Fraction coefficient, small sums, MultiPoly products and
 # products spread over many lanes (the six-variable master) stay on the
 # term dicts of _mul_into, which is also the packed path's test oracle.
 
-#: Fewest term pairs in one sum of products before an operation picks a lane.
+#: Fewest term pairs in one sum of products before a stream picks a lane.
 _PACK_MIN_PAIRS = 2048
 #: Least factor by which the chosen lane's grouping must cut the pair count.
 _PACK_MIN_GAIN = 4
@@ -266,7 +266,7 @@ def _packing(
 ) -> tuple[int, int, list[tuple[dict, dict]], dict | None] | None:
     """How one sum of products runs packed: (lane shift, slot width, the
     group dicts of each pair, those of ``mid``), or None for the term
-    dicts.  ``memo`` holds the operation's choice of lane ("lane", None
+    dicts.  ``memo`` holds the stream's choice of lane ("lane", None
     for none), each operand's l1 norm ("norms", None for a Fraction
     coefficient) and its packs at the current slot width ("width",
     "packs"); operands are keyed by ``id`` and kept alive there."""
@@ -389,14 +389,14 @@ def _sum_of_products(
     pairs: Iterable[tuple["MultiPoly", "MultiPoly"]], memo: dict
 ) -> "MultiPoly":
     """sum(a * b for a, b in pairs), accumulated in one dict; ``memo`` is
-    the calling operation's pack memo."""
+    the calling stream's pack memo."""
     return _kernel(memo, [(a, b) for a, b in pairs if a._terms and b._terms], False, None)
 
 
 def _square_sum(c: Sequence["MultiPoly"], n: int, lo: int, memo: dict) -> "MultiPoly":
     """sum(c[i] * c[n - i] for i in lo..n - lo), by symmetry: each pair
     below the middle is multiplied once and doubled, and the middle square
-    (n even) is added once; ``memo`` is the calling operation's pack memo."""
+    (n even) is added once; ``memo`` is the calling stream's pack memo."""
     pairs = [(c[i], c[n - i]) for i in range(lo, (n + 1) // 2) if c[i] and c[n - i]]
     mid = c[n // 2] if n % 2 == 0 and c[n // 2] else None
     return _kernel(memo, pairs, True, mid)
@@ -1056,11 +1056,14 @@ def _solve_fixpoint_cached(
     # the q-term's first factor (S - I)|v=1 + xyut; S and I agree at t^1
     red_v1 = [zero, xyu]
 
-    memo: dict = {}
+    # the two product streams group best by different lanes, so each
+    # keeps its own pack memo
+    q_memo: dict = {}
+    p_memo: dict = {}
     for n in range(2, order + 1):
-        q_sum = _sum_of_products(((red_v1[i], s_x1[n - i]) for i in range(1, n)), memo)
+        q_sum = _sum_of_products(((red_v1[i], s_x1[n - i]) for i in range(1, n)), q_memo)
         i_n = q_factor * q_sum
-        p_sum = _sum_of_products(((s_y1[i], i_u1[n - i]) for i in range(1, n)), memo)
+        p_sum = _sum_of_products(((s_y1[i], i_u1[n - i]) for i in range(1, n)), p_memo)
         # the p-term is exactly s_n - i_n, the reducible coefficient
         p_term = p_factor * p_sum
         s_n = i_n + p_term

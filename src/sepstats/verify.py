@@ -703,15 +703,18 @@ def verify_transfer(order: int = 12) -> CheckReport:
 
     def body() -> str:
         # The master on the four lanes the tuples use, as the closed-form
-        # checks hold it, then each lane set once; keep_only composes.
+        # checks hold it, then each lane set once, largest first, from the
+        # smallest set already projected that holds it; keep_only composes.
         i4, r4 = _master_extremes(order)
         projected: dict[frozenset[str], tuple[TruncSeries, TruncSeries]] = {}
-
-        def project(lanes: tuple[str, ...]) -> tuple[TruncSeries, TruncSeries]:
-            key = frozenset(lanes)
-            if key not in projected:
-                projected[key] = (i4.keep_only(key), r4.keep_only(key))
-            return projected[key]
+        for key in sorted(
+            {frozenset(stat_lanes(stats)) for stats in _TRANSFER_TUPLES},
+            key=len,
+            reverse=True,
+        ):
+            held = [big for big in projected if key < big]
+            i_big, r_big = projected[min(held, key=len)] if held else (i4, r4)
+            projected[key] = (i_big.keep_only(key), r_big.keep_only(key))
 
         checked = 0
         for op_name, stat_map in (
@@ -738,8 +741,8 @@ def verify_transfer(order: int = 12) -> CheckReport:
                         }
                     ),
                 )
-                i_here, r_here = project(lanes)
-                i_image, r_image = project(image_lanes)
+                i_here, r_here = projected[frozenset(lanes)]
+                i_image, r_image = projected[frozenset(image_lanes)]
                 _expect_agree(
                     i_here - zt,
                     r_image.map_variables(relabel),

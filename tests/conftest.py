@@ -2,7 +2,7 @@
 
 import pytest
 
-from sepstats import distributions, enumeration, verify
+from sepstats import closedforms, distributions, enumeration, verify
 
 
 @pytest.fixture
@@ -12,6 +12,17 @@ def fresh_memos(monkeypatch):
     computed stays cached."""
     monkeypatch.setattr(enumeration, "_TABLES", {1: enumeration._TABLES[1]})
     memos = (distributions._census, verify._sn_profiles)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty closed-form memos for one test, and nothing it built kept."""
+    memos = [obj for obj in vars(closedforms).values() if hasattr(obj, "cache_clear")]
     for memo in memos:
         memo.cache_clear()
     yield

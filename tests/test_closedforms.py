@@ -8,7 +8,7 @@ import pytest
 
 from sepstats import closedforms
 from sepstats.enumeration import CLASSES
-from sepstats.series import TruncSeries, assert_counting_series
+from sepstats.series import MultiPoly, TruncSeries, assert_counting_series
 
 ORDER = 5
 
@@ -50,16 +50,6 @@ def _memos() -> list:
     return [obj for obj in vars(closedforms).values() if hasattr(obj, "cache_clear")]
 
 
-@pytest.fixture
-def cold_memos():
-    """Empty closed-form memos for one test, and nothing it built kept."""
-    for memo in _memos():
-        memo.cache_clear()
-    yield
-    for memo in _memos():
-        memo.cache_clear()
-
-
 def test_only_the_canonical_family_series_are_memoized(cold_memos):
     # one memo per canonical piece, keyed by order; only the one-lane
     # series also keep their renamings, keyed by (order, lane)
@@ -71,8 +61,7 @@ def test_only_the_canonical_family_series_are_memoized(cold_memos):
         "_set1_core",
         "_set1_quotient",
         "_e_xyu",
-        "_triple_quotient",
-        "_triple_bracket",
+        "_triple_tail",
         "_quad_irreducible",
         "_quad_reducible",
     }
@@ -106,9 +95,50 @@ def test_each_family_is_built_once_per_order(monkeypatch, cold_memos):
             closedforms.closed_form(8, stats, cls)
     # sqrt: the discriminant root and the root inside S(t,x)
     assert calls["sqrt"] == 2
-    # divide: S(t,x), the split's inverse, the set-2 and set-1 quotients,
-    # E, the triples' quotient and their bracket
-    assert calls["divide"] == 7
+    # divide: S(t,x), the split's inverse, the set-2 and set-1 quotients;
+    # E and the triples are products of these
+    assert calls["divide"] == 4
+
+
+def _typed(series: TruncSeries) -> list:
+    """Every coefficient with its key and int/Fraction type, as equality
+    reads 2 == Fraction(2) as equal."""
+    return [
+        sorted((key, type(c), c) for key, c in poly._terms.items())
+        for poly in series.coefficients()
+    ]
+
+
+def _literal_triple_parts(order: int) -> tuple[TruncSeries, TruncSeries, TruncSeries]:
+    """E(t, x, y, u), the (lmax, rmax, lmin) triple's full series and its
+    bracket as the paper writes them, each by its own division:
+
+    E = t x y u + (S(x)+1)(S(y)+1)(S(u)+1) t^2 x^2 y u
+                  / ((1 - S(x)S(u)) (1 - S(x)S(y))),
+    E / (1 - A - t y u) and (t x y u + (A + t y u)(E - t x y u)) / (1 - A - t y u)
+    with A = S(y) I(u)."""
+    s1, s2, s3 = (closedforms._single_gf_by_lane(order, lane) for lane in "xyu")
+    x, y, u = map(MultiPoly.variable, "xyu")
+    tz123 = TruncSeries.term(order, 1, x * y * u)
+    num = (s1 + 1) * (s2 + 1) * (s3 + 1) * TruncSeries.term(order, 2, x * x * y * u)
+    e_ser = tz123 + num.divide((1 - s1 * s3) * (1 - s1 * s2))
+    a_tz = s2 * closedforms._irr_aux(order, "u") + TruncSeries.term(order, 1, y * u)
+    quotient = e_ser.divide(1 - a_tz)
+    bracket = (tz123 + a_tz * (e_ser - tz123)).divide(1 - a_tz)
+    return e_ser, quotient, bracket
+
+
+@pytest.mark.parametrize("order", range(1, 15))
+def test_e_and_the_triples_equal_the_papers_literal_formulas(order):
+    # E from the two set-2 quotients and the triples from the set-1
+    # quotient against the paper's divisions, values and types
+    e_ser, quotient, bracket = _literal_triple_parts(order)
+    triple = ("lmax", "rmax", "lmin")
+    assert _typed(closedforms.e_function(order)) == _typed(e_ser)
+    assert _typed(closedforms.closed_form_triple(order, triple)) == _typed(quotient)
+    assert _typed(
+        closedforms.closed_form_triple(order, triple, "irreducible")
+    ) == _typed(bracket)
 
 
 def test_closed_forms_match_their_recorded_coefficients():

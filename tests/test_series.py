@@ -887,7 +887,9 @@ def test_packed_products_past_the_lane_limit_raise_the_same_error(var):
     ) == _term_kernel([(power(200), power(55))])
 
 
-def test_the_master_solve_stays_on_term_dicts_and_a_three_lane_product_packs(monkeypatch):
+@pytest.fixture
+def lane_decisions(monkeypatch):
+    """Every lane choice a pack memo makes, in order (None for none)."""
     decisions = []
     real = series_module._best_lane
 
@@ -896,12 +898,26 @@ def test_the_master_solve_stays_on_term_dicts_and_a_three_lane_product_packs(mon
         return decisions[-1]
 
     monkeypatch.setattr(series_module, "_best_lane", recorded)
+    return decisions
+
+
+def test_the_master_solve_stays_on_term_dicts_and_a_three_lane_product_packs(
+    lane_decisions,
+):
+    # one decision per fixpoint stream, the q-sum's and the p-sum's
     series_module._solve_fixpoint_cached.__wrapped__(12, VARIABLES)
-    assert decisions == [None]
+    assert lane_decisions == [None, None]
     S, I = solve_fixpoint(20, ("x", "y", "u"))
-    decisions.clear()
+    lane_decisions.clear()
     product = S * I
-    assert len(decisions) == 1 and decisions[0] is not None
+    assert len(lane_decisions) == 1 and lane_decisions[0] is not None
     assert product.coefficient(20) == _term_kernel(
         [(S.coefficient(i), I.coefficient(20 - i)) for i in range(21)]
     )
+
+
+def test_each_fixpoint_stream_picks_its_own_lane(lane_decisions):
+    # the q-sum, (S - I)|v=1 times S|x=1, groups best by y; the p-sum,
+    # S|y=1 times I|u=1, by x.  The q-sum decides first.
+    series_module._solve_fixpoint_cached.__wrapped__(20, ("x", "y", "u"))
+    assert lane_decisions == [_SHIFTS["y"], _SHIFTS["x"]]

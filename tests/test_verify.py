@@ -222,6 +222,50 @@ def test_e_function_check_fails_on_a_bumped_coefficient(monkeypatch):
     assert report.witness.startswith(f"E('x', 'y', 'u') as reducible + t*z1z2z3: t^{k}")
 
 
+def _plus_term(series: TruncSeries, k: int, lanes: str) -> TruncSeries:
+    """``series`` with its t^k coefficient raised by the product of ``lanes``."""
+    mono = MultiPoly.one()
+    for lane in lanes:
+        mono = mono * MultiPoly.variable(lane)
+    return series + TruncSeries.term(series.order, k, mono)
+
+
+_PAIR_SEAM_CHECKS = {
+    "e-function-identities": lambda: verify.verify_e_function_identities(order=6),
+    "triple-closed-forms": lambda: verify.verify_triple_closed_forms(
+        order=6, census_order=5
+    ),
+    "quad-closed-form": lambda: verify.verify_quad_closed_form(order=6, census_order=5),
+}
+
+
+def _bumped_set2(parts: tuple[TruncSeries, TruncSeries]) -> tuple[TruncSeries, TruncSeries]:
+    irreducible, reducible = parts
+    return _plus_term(irreducible, 3, "xy"), reducible
+
+
+@pytest.mark.parametrize(
+    "seam, tamper, check_id, first_fail",
+    [
+        ("_set2_parts", _bumped_set2, "e-function-identities", 4),
+        ("_set2_parts", _bumped_set2, "triple-closed-forms", 4),
+        ("_set2_parts", _bumped_set2, "quad-closed-form", 5),
+        ("_set1_quotient", lambda q: _plus_term(q, 3, "yu"), "triple-closed-forms", 4),
+    ],
+)
+def test_e_and_the_triples_fail_on_a_bumped_pair_series(
+    monkeypatch, cold_memos, seam, tamper, check_id, first_fail
+):
+    # E is built from the set-2 pair series and the triples from the set-1
+    # one: a t^3 bump there shows one power of t later, where a factor of
+    # valuation 1 multiplies it (two in the quad)
+    real = getattr(closedforms, seam)
+    monkeypatch.setattr(closedforms, seam, lambda order: tamper(real(order)))
+    report = _PAIR_SEAM_CHECKS[check_id]()
+    assert report.verdict == "fail"
+    assert report.first_fail == first_fail
+
+
 def test_corrupted_table_fails(monkeypatch):
     real = verify.render_table
 
