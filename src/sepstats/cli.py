@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from . import closedforms
-from .distributions import dist_from_enumeration, render_table
+from .distributions import class_count, dist_from_enumeration, render_table
 from .enumeration import (
     CLASS_ALIASES,
     canonical_class,
@@ -66,6 +66,7 @@ from .series import (
     STAT_NAMES,
     TruncSeries,
     VARIABLES,
+    assert_counting_series,
     canonical_json,
     check_order,
     document_to_series,
@@ -210,6 +211,21 @@ def _write_cache(cache_file: Path, text: str) -> None:
         raise ValueError(f"cannot write cache file {cache_file}: {exc}") from exc
 
 
+def _counting(series: TruncSeries, perm_class: str) -> TruncSeries:
+    """``series``, if it counts the permutations of ``perm_class`` as every
+    registry series does: non-negative int coefficients (else an
+    AssertionError) that sum to 0 at t^0 and to class_count(perm_class, n)
+    at t^n (else a ValueError)."""
+    assert_counting_series(series, "cached series")
+    totals = series.keep_only(())
+    for n in range(series.order + 1):
+        total = totals.coefficient(n).constant_term()
+        want = class_count(perm_class, n) if n else 0
+        if total != want:
+            raise ValueError(f"its t^{n} coefficients sum to {total}, not {want}")
+    return series
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
     name = args.name
     builder = SERIES_REGISTRY[name]
@@ -226,14 +242,20 @@ def _cmd_series(args: argparse.Namespace) -> int:
             cache_dir / f"{name}-{cls}-order{order}-v{ENGINE_VERSION}.json"
         )
         if cache_file.is_file():
-            # A file that does not decode to a series document is a miss.
+            # A file that does not decode to a series document counting
+            # the class's permutations is a miss.
             try:
                 doc = json.loads(cache_file.read_text(encoding="utf-8"))
                 key = (doc["engine"], doc["name"], doc["order"])
                 if key == (ENGINE_VERSION, doc_name, order):
-                    series = document_to_series(doc)
+                    series = _counting(document_to_series(doc), cls)
             except (
-                OSError, ValueError, KeyError, TypeError, ZeroDivisionError
+                OSError,
+                ValueError,
+                KeyError,
+                TypeError,
+                ZeroDivisionError,
+                AssertionError,
             ) as exc:
                 print(
                     f"note: recomputing unreadable cache file {cache_file} "
@@ -263,8 +285,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify as verify_mod
 
     if args.list:
-        for check in verify_mod.ALL_CHECKS:
-            print(check)
+        if args.json:
+            print(json.dumps(list(verify_mod.ALL_CHECKS), indent=2))
+        else:
+            for check in verify_mod.ALL_CHECKS:
+                print(check)
         return 0
     selection = args.checks or None
     reports = verify_mod.run_all(selection, conjecture_n=args.max_n)

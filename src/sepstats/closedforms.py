@@ -27,15 +27,16 @@ uses the reverse or complement symmetry.  The memos, keyed by order:
   their one-lane renamings are kept too: ``_single_gf_by_lane`` and
   ``_single_split_by_lane``;
 * the set-2 irreducible and reducible series in (x, y): ``_set2_parts``;
-* the set-1 core S(y) I(u) and quotient in (y, u): ``_set1_core``,
-  ``_set1_quotient``;
-* E and the triples' one product E Q in (x, y, u), Q the set-1
-  quotient: ``_e_xyu``, ``_triple_tail``;
+* the set-1 quotient Q and its numerator K + T in (y, u), K = S(y) I(u)
+  the core and T = t y u: ``_set1_parts``;
+* E and the triples' one product E Q in (x, y, u): ``_e_xyu``,
+  ``_triple_tail``;
 * the quadruple's irreducible and reducible parts, each on its own so
   that one class never builds the other's product: ``_quad_irreducible``,
   ``_quad_reducible``.
 
-Renamed copies of multi-lane series are not kept.
+Renamed copies of multi-lane series are not kept.  One rule,
+:func:`_reading`, reads the classes of the singles, set-1 pairs and triples.
 
 E and the triples take no division of their own.  E's denominator
 (1 - S(x)S(u))(1 - S(x)S(y)) splits across two set-2 quotients, so
@@ -44,8 +45,7 @@ the irreducible one in (x, y).  With Q = (A + T)/(1 - A - T) the set-1
 quotient, 1/(1 - A - T) = 1 + Q, so the triples' quotient E/(1 - A - T)
 is E + E Q and their bracket is t x y u + E Q.
 
->>> counts = [int(schroeder_gf(6).coefficient(n).constant_term()) for n in range(1, 7)]
->>> counts
+>>> [schroeder_gf(6).coefficient(n).constant_term() for n in range(1, 7)]
 [1, 2, 6, 22, 90, 394]
 """
 
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .enumeration import canonical_class
 from .series import (
@@ -116,7 +116,6 @@ TRIPLES: tuple[tuple[str, str, str], ...] = (
     ("rmin", "rmax", "lmin"),
     ("rmax", "rmin", "lmax"),
 )
-_TRIPLES_RMAX_LMIN_TAIL = {("lmax", "rmax", "lmin"), ("rmin", "rmax", "lmin")}
 
 #: The four-statistic tuple with a closed form.
 QUAD: tuple[tuple[str, str, str, str], ...] = (("lmax", "rmax", "lmin", "rmin"),)
@@ -149,7 +148,7 @@ def discriminant_root(order: int) -> TruncSeries:
 def schroeder_gf(order: int) -> TruncSeries:
     """Counting series of separable permutations: (1 - t - sqrt(1-6t+t^2))/2.
 
-    >>> int(schroeder_gf(8).coefficient(7).constant_term())
+    >>> schroeder_gf(8).coefficient(7).constant_term()
     1806
     """
     t = TruncSeries.t(order)
@@ -159,7 +158,7 @@ def schroeder_gf(order: int) -> TruncSeries:
 def little_schroeder_gf(order: int) -> TruncSeries:
     """Counting series of irreducible ones: (1 + t - sqrt(1-6t+t^2))/4.
 
-    >>> int(little_schroeder_gf(8).coefficient(7).constant_term())
+    >>> little_schroeder_gf(8).coefficient(7).constant_term()
     903
     """
     t = TruncSeries.t(order)
@@ -181,6 +180,32 @@ def _t_times(order: int, lanes: Sequence[str]) -> TruncSeries:
     for lane in lanes:
         mono = mono * MultiPoly.variable(lane)
     return TruncSeries.term(order, 1, mono)
+
+
+def _rmax_lmin_tailed(stats: Sequence[str]) -> bool:
+    """Whether ``stats`` ends in rmax or lmin; see :func:`_reading`."""
+    return stats[-1] in ("rmax", "lmin")
+
+
+#: A two-sided family's parts (P, M), each built only when called.
+_Parts = tuple[Callable[[], TruncSeries], Callable[[], TruncSeries]]
+
+
+def _reading(
+    order: int, stats: tuple[str, ...], cls: str, lanes: tuple[str, ...], parts: _Parts
+) -> TruncSeries:
+    """The irreducible or reducible (``cls``) series of ``stats`` from its
+    family's ``parts`` (P, M) in ``lanes``.  Reverse and complement swap
+    the classes of the singles, the set-1 pairs and the triples, so one
+    rule reads them all: a tuple that ends in rmax or lmin reads P + zt and
+    M - zt, z the product of ``lanes``, and any other reads M and P.
+    (P, M) is (S^2/(1+S), S/(1+S)) for the singles, (Q - K - T, K + T) for
+    the set-1 pairs and (E Q, E) for the triples."""
+    plus, minus = parts
+    if not _rmax_lmin_tailed(stats):
+        return minus() if cls == "irreducible" else plus()
+    zt = _t_times(order, lanes)
+    return plus() + zt if cls == "irreducible" else minus() - zt
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,6 +265,15 @@ def _single_split_by_lane(order: int, lane: str) -> tuple[TruncSeries, TruncSeri
     return s - linear, linear
 
 
+def _single_class(order: int, stat: str, cls: str) -> TruncSeries:
+    """The ``cls`` series of the single statistic ``stat``."""
+    if cls == "all":
+        return closed_form_S_single(order, stat)
+    (lane,) = _lanes((stat,), SINGLES)
+    square, linear = _single_split_by_lane(order, lane)
+    return _reading(order, (stat,), cls, (lane,), (lambda: square, lambda: linear))
+
+
 def closed_form_I_single(order: int, stat: str = "rmax") -> TruncSeries:
     """Irreducible-class single-statistic closed form.
 
@@ -253,28 +287,14 @@ def closed_form_I_single(order: int, stat: str = "rmax") -> TruncSeries:
     >>> counts_by_variable(closed_form_I_single(4, "lmax").coefficient(4), "x")
     {1: 6, 2: 4, 3: 1}
     """
-    (lane,) = _lanes((stat,), SINGLES)
-    if stat in ("rmax", "lmin"):
-        return _irr_aux(order, lane)
-    return _single_split_by_lane(order, lane)[1]
+    return _single_class(order, stat, "irreducible")
 
 
 def closed_form_R_single(order: int, stat: str = "rmax") -> TruncSeries:
     """Reducible-class single-statistic closed form (complement of
     :func:`closed_form_I_single` inside :func:`closed_form_S_single`):
     S/(1+S) - zt for stat in {rmax, lmin}, S^2/(1+S) for {lmax, rmin}."""
-    (lane,) = _lanes((stat,), SINGLES)
-    square, linear = _single_split_by_lane(order, lane)
-    if stat in ("rmax", "lmin"):
-        return linear - _t_times(order, (lane,))
-    return square
-
-
-def _irr_aux(order: int, lane: str) -> TruncSeries:
-    """The I(t,z) that feeds the set-1 pair and A-function formulas:
-    S^2/(1+S) + zt in the given lane."""
-    square = _single_split_by_lane(order, lane)[0]
-    return square + _t_times(order, (lane,))
+    return _single_class(order, stat, "reducible")
 
 
 #: The lanes each multi-lane family is built in, once per order; every
@@ -319,22 +339,13 @@ def closed_form_pair_set2(
 
 
 @functools.lru_cache(maxsize=None)
-def _set1_core(order: int) -> TruncSeries:
-    """K = S(y) I(u), the set-1 core in (y, u); it is also the triples'
-    A-function in (x, y, u)."""
-    return _single_gf_by_lane(order, "y") * _irr_aux(order, "u")
-
-
-def _set1_core_tz(order: int) -> TruncSeries:
-    """K + T with T = t y u; 1 - K - T is the set-1 and triple divisor."""
-    return _set1_core(order) + _t_times(order, _SET1_LANES)
-
-
-@functools.lru_cache(maxsize=None)
-def _set1_quotient(order: int) -> TruncSeries:
-    """(K + T)/(1 - K - T): the (rmax, lmin) series."""
-    core_tz = _set1_core_tz(order)
-    return core_tz.divide(1 - core_tz)
+def _set1_parts(order: int) -> tuple[TruncSeries, TruncSeries]:
+    """Q = (K + T)/(1 - K - T), the (rmax, lmin) series in (y, u), and
+    K + T, with K = S(y) I(u) the set-1 core and T = t y u.  K is also the
+    triples' A-function, and 1 - K - T their divisor."""
+    core = _single_gf_by_lane(order, "y") * closed_form_I_single(order, "lmin")
+    core_tz = core + _t_times(order, _SET1_LANES)
+    return core_tz.divide(1 - core_tz), core_tz
 
 
 def closed_form_pair_set1(
@@ -355,14 +366,12 @@ def closed_form_pair_set1(
     cls = canonical_class(perm_class)
     pair = tuple(pair)
     lanes = _lanes(pair, SET1_PAIRS)
+    quotient, core_tz = _set1_parts(order)
     if cls == "all":
-        part = _set1_quotient(order)
-    elif pair == ("rmax", "lmin"):
-        core = _set1_core(order)
-        part = _set1_quotient(order) - core if cls == "irreducible" else core
+        part = quotient
     else:
-        core_tz = _set1_core_tz(order)
-        part = core_tz if cls == "irreducible" else _set1_quotient(order) - core_tz
+        parts = (lambda: quotient - core_tz, lambda: core_tz)
+        part = _reading(order, pair, cls, _SET1_LANES, parts)
     return _renamed(part, _SET1_LANES, lanes)
 
 
@@ -399,7 +408,7 @@ def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSerie
 def _triple_tail(order: int) -> TruncSeries:
     """E Q in (x, y, u), Q the set-1 series (A + t y u)/(1 - A - t y u):
     the triples' one product; see :func:`closed_form_triple`."""
-    return _e_xyu(order) * _set1_quotient(order)
+    return _e_xyu(order) * _set1_parts(order)[0]
 
 
 def closed_form_triple(
@@ -410,8 +419,8 @@ def closed_form_triple(
     """Joint closed form for one of the four statistic triples.
 
     S = E / (1 - A - t z2 z3) with A = S(z2) I(z3), where
-    I(z3) = z3 t + S(z3)^2/(S(z3)+1) is :func:`_irr_aux`; A is the set-1
-    core, renamed.
+    I(z3) = z3 t + S(z3)^2/(S(z3)+1) is the lmin irreducible single form;
+    A is the set-1 core, renamed.
     For the (., rmax, lmin)-tailed triples the reducible part is
     E - z1 z2 z3 t; for the (., rmin, lmax)-tailed ones the irreducible
     part is E.  The remaining parts share one bracket,
@@ -425,14 +434,9 @@ def closed_form_triple(
     lanes = _lanes(triple, TRIPLES)
     if cls == "all":
         part = _e_xyu(order) + _triple_tail(order)
-    elif triple in _TRIPLES_RMAX_LMIN_TAIL:
-        tz123 = _t_times(order, _TRIPLE_LANES)
-        if cls == "irreducible":
-            part = tz123 + _triple_tail(order)
-        else:
-            part = _e_xyu(order) - tz123
     else:
-        part = _e_xyu(order) if cls == "irreducible" else _triple_tail(order)
+        parts = (lambda: _triple_tail(order), lambda: _e_xyu(order))
+        part = _reading(order, triple, cls, _TRIPLE_LANES, parts)
     return _renamed(part, _TRIPLE_LANES, lanes)
 
 
@@ -488,12 +492,7 @@ def closed_form(
     stats = tuple(stats)
     _lanes(stats, FORMS)  # a tuple without a closed form is a ValueError
     if stats in SINGLES:
-        cls = canonical_class(perm_class)
-        if cls == "all":
-            return closed_form_S_single(order, stats[0])
-        if cls == "irreducible":
-            return closed_form_I_single(order, stats[0])
-        return closed_form_R_single(order, stats[0])
+        return _single_class(order, stats[0], canonical_class(perm_class))
     if stats in SET2_PAIRS:
         return closed_form_pair_set2(order, stats, perm_class)
     if stats in SET1_PAIRS:

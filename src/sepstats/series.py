@@ -163,6 +163,14 @@ def _normalize_coeff(c: Coeff) -> Coeff:
     return c
 
 
+def _exact(c: object) -> Coeff:
+    """``c`` as a coefficient, a whole ``Fraction`` as an ``int``: only an
+    ``int`` (not a ``bool``) or a ``Fraction`` is one, else ``ValueError``."""
+    if type(c) is bool or not isinstance(c, (int, Fraction)):
+        raise ValueError(f"{c!r} is not an int or a Fraction")
+    return _normalize_coeff(c)
+
+
 # -- the product kernel ------------------------------------------------------
 #
 # Every polynomial product, and every sum of products in the series algebra
@@ -439,7 +447,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: Coeff) -> "MultiPoly":
-        c = _normalize_coeff(c)
+        c = _exact(c)
         return cls({0: c} if c else {})
 
     @classmethod
@@ -454,7 +462,7 @@ class MultiPoly:
         (p, q, x, y, u, v)."""
         terms: dict[int, Coeff] = {}
         for exps, c in data.items():
-            c = _normalize_coeff(c)
+            c = _exact(c)
             if c:
                 key = _pack(tuple(exps))
                 terms[key] = terms.get(key, 0) + c
@@ -543,6 +551,7 @@ class MultiPoly:
         """Substitute ``value`` (default 1) for ``var``."""
         if var not in _SHIFT:
             raise ValueError(f"unknown variable {var!r}; expected one of {VARIABLES}")
+        value = _exact(value)
         if value == 1:
             return self._masked(~_LANE[var])
         shift = _SHIFT[var]
@@ -553,7 +562,7 @@ class MultiPoly:
             if e:
                 c = c * value**e
             k2 = k & ~mask
-            s = out.get(k2, 0) + c
+            s = _normalize_coeff(out.get(k2, 0) + c)
             if s:
                 out[k2] = s
             elif k2 in out:
@@ -633,7 +642,7 @@ class MultiPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
+            other = MultiPoly({0: other} if other else {})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._terms == other._terms
@@ -766,7 +775,7 @@ class TruncSeries:
     @classmethod
     def term(cls, order: int, power: int, poly: MultiPoly | Coeff) -> "TruncSeries":
         """The single-term series poly * t^power."""
-        if isinstance(poly, (int, Fraction)):
+        if not isinstance(poly, MultiPoly):
             poly = MultiPoly.constant(poly)
         coeffs = [MultiPoly.zero()] * (order + 1)
         if power < 0:
@@ -818,8 +827,8 @@ class TruncSeries:
     def _coerce(value: "TruncSeries | MultiPoly | Coeff", order: int) -> "TruncSeries":
         if isinstance(value, TruncSeries):
             return value
-        if isinstance(value, (int, Fraction)):
-            value = MultiPoly.constant(value)
+        if not isinstance(value, (int, Fraction, MultiPoly)):
+            raise TypeError(f"cannot combine a TruncSeries with {type(value).__name__}")
         return TruncSeries.term(order, 0, value)
 
     def __add__(self, other: "TruncSeries | MultiPoly | Coeff") -> "TruncSeries":
@@ -845,10 +854,11 @@ class TruncSeries:
         return self._coerce(other, self.order) - self
 
     def __mul__(self, other: "TruncSeries | MultiPoly | Coeff") -> "TruncSeries":
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
-        if isinstance(other, MultiPoly):
+        # a scalar takes MultiPoly's scalar path, which keeps whole values int
+        if isinstance(other, (int, Fraction, MultiPoly)):
             return TruncSeries([c * other for c in self._coeffs])
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         n = min(self.order, other.order)
         a = self._coeffs
         b = other._coeffs

@@ -9,6 +9,11 @@ fixpoint, fixpoint vs. census, series vs. exhaustive search) with exact
 arithmetic and zero tolerance; a failing check always carries a concrete
 witness.
 
+A check is written once, as its body under ``@_check(check_id)``: the
+body returns its detail text or raises :class:`CheckFailure` with a
+witness, and the decorator turns that into the timed :class:`CheckReport`.
+The suite, ``ALL_CHECKS``, reads each check's id from the check itself.
+
 Conjecture checks are finite-range evidence by construction: a pass means
 the stated pattern holds over the computed range, nothing more, and the
 report says so.
@@ -173,6 +178,23 @@ def _report(check_id: str, body: Callable[[], str]) -> CheckReport:
         )
 
 
+def _check(check_id: str) -> Callable[[Callable[..., str]], Callable[..., CheckReport]]:
+    """Make a check of a body that returns its detail text or raises
+    :class:`CheckFailure`: the check takes the body's arguments and
+    returns the timed report under ``check_id``, which it also carries as
+    its ``check_id`` attribute."""
+
+    def decorate(body: Callable[..., str]) -> Callable[..., CheckReport]:
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckReport:
+            return _report(check_id, functools.partial(body, *args, **kwargs))
+
+        check.check_id = check_id
+        return check
+
+    return decorate
+
+
 def _expect_zero(series: TruncSeries, label: str) -> None:
     val = series.valuation()
     if val is not None:
@@ -239,80 +261,74 @@ def unimodality(row: Mapping[int, int] | Sequence[int]) -> tuple[bool, int | Non
 # ---------------------------------------------------------------------------
 
 
-def verify_counts(max_n: int = 12, stream_n: int = 7) -> CheckReport:
+@_check("counting-identities")
+def verify_counts(max_n: int = 12, stream_n: int = 7) -> str:
     """Structural enumeration vs. the two summation formulas and the
     halving relation between all and irreducible counts."""
-
-    def body() -> str:
-        for n in range(1, stream_n + 1):
-            streamed = sum(1 for _ in iter_separable_bytes(n, "all"))
-            if streamed != count_separable(n):
-                raise CheckFailure(
-                    f"stream count at n={n}: {streamed} != {count_separable(n)}",
-                    first_fail=n,
-                )
-            irr_streamed = sum(1 for _ in iter_separable_bytes(n, "irr"))
-            if irr_streamed != count_irreducible(n):
-                raise CheckFailure(
-                    f"irreducible stream count at n={n}: {irr_streamed} != "
-                    f"{count_irreducible(n)}",
-                    first_fail=n,
-                )
-        for n in range(1, max_n + 1):
-            # the summation formulas index from s_0 = 1, so length n
-            # corresponds to argument n - 1
-            want = count_separable(n)
-            eq1 = numbers.schroeder_eq1(n - 1)
-            if eq1 != want:
-                raise CheckFailure(
-                    f"binomial-Catalan sum at n={n}: {eq1} != {want}",
-                    first_fail=n,
-                )
-            eq2 = numbers.schroeder_eq2(n - 1)
-            if eq2 != want:
-                raise CheckFailure(
-                    f"peak-weighted sum at n={n}: {eq2} != {want}",
-                    first_fail=n,
-                )
-            irr = count_irreducible(n)
-            if n >= 2 and 2 * irr != want:
-                raise CheckFailure(
-                    f"irreducible halving at n={n}: 2*{irr} != {want}",
-                    first_fail=n,
-                )
-        return (
-            f"streams to n={stream_n}, formulas to n={max_n}, "
-            f"s_{max_n}={count_separable(max_n)}"
-        )
-
-    return _report("counting-identities", body)
+    for n in range(1, stream_n + 1):
+        streamed = sum(1 for _ in iter_separable_bytes(n, "all"))
+        if streamed != count_separable(n):
+            raise CheckFailure(
+                f"stream count at n={n}: {streamed} != {count_separable(n)}",
+                first_fail=n,
+            )
+        irr_streamed = sum(1 for _ in iter_separable_bytes(n, "irr"))
+        if irr_streamed != count_irreducible(n):
+            raise CheckFailure(
+                f"irreducible stream count at n={n}: {irr_streamed} != "
+                f"{count_irreducible(n)}",
+                first_fail=n,
+            )
+    for n in range(1, max_n + 1):
+        # the summation formulas index from s_0 = 1, so length n
+        # corresponds to argument n - 1
+        want = count_separable(n)
+        eq1 = numbers.schroeder_eq1(n - 1)
+        if eq1 != want:
+            raise CheckFailure(
+                f"binomial-Catalan sum at n={n}: {eq1} != {want}",
+                first_fail=n,
+            )
+        eq2 = numbers.schroeder_eq2(n - 1)
+        if eq2 != want:
+            raise CheckFailure(
+                f"peak-weighted sum at n={n}: {eq2} != {want}",
+                first_fail=n,
+            )
+        irr = count_irreducible(n)
+        if n >= 2 and 2 * irr != want:
+            raise CheckFailure(
+                f"irreducible halving at n={n}: 2*{irr} != {want}",
+                first_fail=n,
+            )
+    return (
+        f"streams to n={stream_n}, formulas to n={max_n}, "
+        f"s_{max_n}={count_separable(max_n)}"
+    )
 
 
-def verify_counting_gfs(order: int = 12) -> CheckReport:
+@_check("counting-gf-radicals")
+def verify_counting_gfs(order: int = 12) -> str:
     """Radical counting generating functions vs. the count recurrences."""
-
-    def body() -> str:
-        s_gf = cf.schroeder_gf(order)
-        i_gf = cf.little_schroeder_gf(order)
-        for n in range(1, order + 1):
-            got = s_gf.coefficient(n).constant_term()
-            if got != count_separable(n):
-                raise CheckFailure(
-                    f"separable gf t^{n}: {got} != {count_separable(n)}",
-                    first_fail=n,
-                )
-            got_i = i_gf.coefficient(n).constant_term()
-            if got_i != count_irreducible(n):
-                raise CheckFailure(
-                    f"irreducible gf t^{n}: {got_i} != {count_irreducible(n)}",
-                    first_fail=n,
-                )
-        # I(t) = t + (S(t) - t)/2 as a series identity
-        t = TruncSeries.t(order)
-        _expect_zero(i_gf - t - (s_gf - t) * Fraction(1, 2), "half-shift relation")
-        return f"radical gfs match counts to order {order}"
-
-    return _report("counting-gf-radicals", body)
+    s_gf = cf.schroeder_gf(order)
+    i_gf = cf.little_schroeder_gf(order)
+    for n in range(1, order + 1):
+        got = s_gf.coefficient(n).constant_term()
+        if got != count_separable(n):
+            raise CheckFailure(
+                f"separable gf t^{n}: {got} != {count_separable(n)}",
+                first_fail=n,
+            )
+        got_i = i_gf.coefficient(n).constant_term()
+        if got_i != count_irreducible(n):
+            raise CheckFailure(
+                f"irreducible gf t^{n}: {got_i} != {count_irreducible(n)}",
+                first_fail=n,
+            )
+    # I(t) = t + (S(t) - t)/2 as a series identity
+    t = TruncSeries.t(order)
+    _expect_zero(i_gf - t - (s_gf - t) * Fraction(1, 2), "half-shift relation")
+    return f"radical gfs match counts to order {order}"
 
 
 # ---------------------------------------------------------------------------
@@ -320,23 +336,20 @@ def verify_counting_gfs(order: int = 12) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_asc_des(order: int = 20) -> CheckReport:
+@_check("asc-des-relations")
+def verify_asc_des(order: int = 20) -> str:
     """The cubic relation for S(t,p,q), the closed form for I(t,p,q), the
     p=1 specialization, and the p=q=1 reduction to the counting series."""
-
-    def body() -> str:
-        _expect_zero(cf.asc_des_cubic_residual(order), "cubic in S(t,p,q)")
-        _expect_zero(cf.asc_des_irr_residual(order), "I(t,p,q) closed form")
-        _expect_zero(cf.des_cubic_residual(order), "descent-only cubic")
-        s = cf.schroeder_gf(order)
-        t = TruncSeries.t(order)
-        _expect_zero(
-            s * s * s + t * (s * s) + (2 * t - 1) * s + t,
-            "p=q=1 cubic on the radical series",
-        )
-        return f"all residuals zero to order {order}"
-
-    return _report("asc-des-relations", body)
+    _expect_zero(cf.asc_des_cubic_residual(order), "cubic in S(t,p,q)")
+    _expect_zero(cf.asc_des_irr_residual(order), "I(t,p,q) closed form")
+    _expect_zero(cf.des_cubic_residual(order), "descent-only cubic")
+    s = cf.schroeder_gf(order)
+    t = TruncSeries.t(order)
+    _expect_zero(
+        s * s * s + t * (s * s) + (2 * t - 1) * s + t,
+        "p=q=1 cubic on the radical series",
+    )
+    return f"all residuals zero to order {order}"
 
 
 # ---------------------------------------------------------------------------
@@ -404,112 +417,84 @@ def _classes_in(
     }
 
 
-#: Closed-form check id -> (witness label, statistic tuples, extra step).
-#: Every tuple's closed form is checked in every class against the fixpoint
-#: and the census; the extra step, if any, adds to the report's detail.
-_CLOSED_FORM_CHECKS: dict[
-    str,
-    tuple[str, Sequence[tuple[str, ...]], Callable[[int], str] | None],
-] = {
-    "single-stat-closed-forms": ("single", cf.SINGLES, None),
-    "pair-set2-closed-forms": ("pair", cf.SET2_PAIRS, None),
-    "pair-set1-closed-forms": ("pair", cf.SET1_PAIRS, _exchange_identity),
-    "triple-closed-forms": ("triple", cf.TRIPLES, None),
-    "quad-closed-form": ("quad", cf.QUAD, None),
-}
+def _closed_form_detail(
+    label: str, tuples: Sequence[tuple[str, ...]], order: int, census_order: int
+) -> str:
+    """Every class of each tuple's closed form against the fixpoint to
+    ``order`` and the census to ``census_order``; ``label`` opens each
+    witness."""
+    master, census = _extreme_projections(order, census_order)
+    for stats_tuple in tuples:
+        name = "-".join(stats_tuple)
+        lanes = stat_lanes(stats_tuple)
+        want_fix = _classes_in(master, lanes)
+        want_cen = _classes_in(census, lanes)
+        for cls in CLASSES:
+            closed = cf.closed_form(order, stats_tuple, cls)
+            _expect_agree(
+                closed, want_fix[cls], order, f"{label} {name} {cls} vs fixpoint"
+            )
+            _expect_agree(
+                closed,
+                want_cen[cls],
+                census_order,
+                f"{label} {name} {cls} vs census",
+            )
+    return (
+        f"{len(tuples) * len(CLASSES)} series match fixpoint to order "
+        f"{order} and census to order {census_order}"
+    )
 
 
-def _check_closed_forms(check_id: str, order: int, census_order: int) -> CheckReport:
-    label, tuples, extra = _CLOSED_FORM_CHECKS[check_id]
-
-    def body() -> str:
-        master, census = _extreme_projections(order, census_order)
-        for stats_tuple in tuples:
-            name = "-".join(stats_tuple)
-            lanes = stat_lanes(stats_tuple)
-            want_fix = _classes_in(master, lanes)
-            want_cen = _classes_in(census, lanes)
-            for cls in CLASSES:
-                closed = cf.closed_form(order, stats_tuple, cls)
-                _expect_agree(
-                    closed, want_fix[cls], order, f"{label} {name} {cls} vs fixpoint"
-                )
-                _expect_agree(
-                    closed,
-                    want_cen[cls],
-                    census_order,
-                    f"{label} {name} {cls} vs census",
-                )
-        detail = (
-            f"{len(tuples) * len(CLASSES)} series match fixpoint to order "
-            f"{order} and census to order {census_order}"
-        )
-        return detail + extra(order) if extra else detail
-
-    return _report(check_id, body)
-
-
-def verify_single_stat_closed_forms(
-    order: int = 12, census_order: int = 9
-) -> CheckReport:
+@_check("single-stat-closed-forms")
+def verify_single_stat_closed_forms(order: int = 12, census_order: int = 9) -> str:
     """Two-radical S(t,z) and its irreducible/reducible split, per statistic."""
-    return _check_closed_forms("single-stat-closed-forms", order, census_order)
+    return _closed_form_detail("single", cf.SINGLES, order, census_order)
 
 
-def verify_pair_set2_closed_forms(
-    order: int = 12, census_order: int = 9
-) -> CheckReport:
+@_check("pair-set2-closed-forms")
+def verify_pair_set2_closed_forms(order: int = 12, census_order: int = 9) -> str:
     """Product-style pair closed forms, all four ordered pairs, all classes."""
-    return _check_closed_forms("pair-set2-closed-forms", order, census_order)
+    return _closed_form_detail("pair", cf.SET2_PAIRS, order, census_order)
 
 
-def verify_pair_set1_closed_forms(
-    order: int = 12, census_order: int = 9
-) -> CheckReport:
+@_check("pair-set1-closed-forms")
+def verify_pair_set1_closed_forms(order: int = 12, census_order: int = 9) -> str:
     """Composite pair closed forms plus the S(t,a)I(t,b) = I(t,a)S(t,b)
     exchange identity they rely on."""
-    return _check_closed_forms("pair-set1-closed-forms", order, census_order)
+    detail = _closed_form_detail("pair", cf.SET1_PAIRS, order, census_order)
+    return detail + _exchange_identity(order)
 
 
-def verify_triple_closed_forms(
-    order: int = 12, census_order: int = 9
-) -> CheckReport:
+@_check("triple-closed-forms")
+def verify_triple_closed_forms(order: int = 12, census_order: int = 9) -> str:
     """Triple closed forms (E- and A-function based), all four triples."""
-    return _check_closed_forms("triple-closed-forms", order, census_order)
+    return _closed_form_detail("triple", cf.TRIPLES, order, census_order)
 
 
-def verify_quad_closed_form(order: int = 12, census_order: int = 9) -> CheckReport:
+@_check("quad-closed-form")
+def verify_quad_closed_form(order: int = 12, census_order: int = 9) -> str:
     """The four-statistic closed form and its class split."""
-    return _check_closed_forms("quad-closed-form", order, census_order)
+    return _closed_form_detail("quad", cf.QUAD, order, census_order)
 
 
-def verify_e_function_identities(order: int = 12) -> CheckReport:
+@_check("e-function-identities")
+def verify_e_function_identities(order: int = 12) -> str:
     """E(t,z1,z2,z3) against the fixpoint: for (., rmax, lmin)-tailed
     triples E is the reducible series plus z1z2z3 t; for the
     (., rmin, lmax)-tailed ones E is the irreducible series itself."""
-
-    def body() -> str:
-        irreducible, reducible = _master_extremes(order)
-        for triple in cf.TRIPLES:
-            lanes = stat_lanes(triple)
-            e_ser = cf.e_function(order, lanes)
-            tz = TruncSeries.term(
-                order,
-                1,
-                MultiPoly.variable(lanes[0])
-                * MultiPoly.variable(lanes[1])
-                * MultiPoly.variable(lanes[2]),
-            )
-            if triple in cf._TRIPLES_RMAX_LMIN_TAIL:
-                want = reducible.keep_only(lanes) + tz
-                label = f"E{lanes} as reducible + t*z1z2z3"
-            else:
-                want = irreducible.keep_only(lanes)
-                label = f"E{lanes} as irreducible"
-            _expect_agree(e_ser, want, order, label)
-        return f"all four E readings match the fixpoint to order {order}"
-
-    return _report("e-function-identities", body)
+    irreducible, reducible = _master_extremes(order)
+    for triple in cf.TRIPLES:
+        lanes = stat_lanes(triple)
+        e_ser = cf.e_function(order, lanes)
+        if cf._rmax_lmin_tailed(triple):
+            want = reducible.keep_only(lanes) + cf._t_times(order, lanes)
+            label = f"E{lanes} as reducible + t*z1z2z3"
+        else:
+            want = irreducible.keep_only(lanes)
+            label = f"E{lanes} as irreducible"
+        _expect_agree(e_ser, want, order, label)
+    return f"all four E readings match the fixpoint to order {order}"
 
 
 # ---------------------------------------------------------------------------
@@ -519,54 +504,48 @@ def verify_e_function_identities(order: int = 12) -> CheckReport:
 _SET2 = (("lmax", "rmax"), ("lmin", "rmin"), ("lmin", "lmax"), ("rmin", "rmax"))
 
 
-def verify_equidistribution(max_n: int = 8) -> CheckReport:
+@_check("equidistribution-classes")
+def verify_equidistribution(max_n: int = 8) -> str:
     """The four equidistribution families, exhaustively on separable
     permutations up to length max_n."""
-
-    def body() -> str:
-        for n in range(1, max_n + 1):
-            for family in (
-                cf.SINGLES,
-                _SET2,
-                cf.SET1_PAIRS,
-                cf.TRIPLES,
-            ):
-                reference = None
-                ref_name = family[0]
-                for stats_tuple in family:
-                    row = dist_from_enumeration(n, "all", stats_tuple).row(n)
-                    if reference is None:
-                        reference, ref_name = row, stats_tuple
-                    elif row != reference:
-                        raise CheckFailure(
-                            f"n={n}: {stats_tuple} differs from {ref_name}",
-                            first_fail=n,
-                        )
-        return f"singles, both pair families, triples identical for n <= {max_n}"
-
-    return _report("equidistribution-classes", body)
+    for n in range(1, max_n + 1):
+        for family in (
+            cf.SINGLES,
+            _SET2,
+            cf.SET1_PAIRS,
+            cf.TRIPLES,
+        ):
+            reference = None
+            ref_name = family[0]
+            for stats_tuple in family:
+                row = dist_from_enumeration(n, "all", stats_tuple).row(n)
+                if reference is None:
+                    reference, ref_name = row, stats_tuple
+                elif row != reference:
+                    raise CheckFailure(
+                        f"n={n}: {stats_tuple} differs from {ref_name}",
+                        first_fail=n,
+                    )
+    return f"singles, both pair families, triples identical for n <= {max_n}"
 
 
-def verify_negative_control(max_n: int = 4) -> CheckReport:
+@_check("equidistribution-negative-control")
+def verify_negative_control(max_n: int = 4) -> str:
     """(lmax, rmax) and (rmax, lmin) must NOT be jointly equidistributed;
     the check passes when a small witness length is found."""
-
-    def body() -> str:
-        for n in range(1, max_n + 1):
-            a = dist_from_enumeration(n, "all", ("lmax", "rmax")).row(n)
-            b = dist_from_enumeration(n, "all", ("rmax", "lmin")).row(n)
-            if a != b:
-                return (
-                    f"distinguished at n={n}: {dict(sorted(a.items()))} "
-                    f"vs {dict(sorted(b.items()))}"
-                )
-        raise CheckFailure(
-            f"(lmax,rmax) and (rmax,lmin) agree for all n <= {max_n}, "
-            "expected a difference",
-            first_fail=max_n,
-        )
-
-    return _report("equidistribution-negative-control", body)
+    for n in range(1, max_n + 1):
+        a = dist_from_enumeration(n, "all", ("lmax", "rmax")).row(n)
+        b = dist_from_enumeration(n, "all", ("rmax", "lmin")).row(n)
+        if a != b:
+            return (
+                f"distinguished at n={n}: {dict(sorted(a.items()))} "
+                f"vs {dict(sorted(b.items()))}"
+            )
+    raise CheckFailure(
+        f"(lmax,rmax) and (rmax,lmin) agree for all n <= {max_n}, "
+        "expected a difference",
+        first_fail=max_n,
+    )
 
 
 _REVERSE_STAT = {
@@ -597,73 +576,70 @@ _COMPLEMENT_PROFILE = itemgetter(
 )
 
 
-def verify_symmetries(max_n: int = 8) -> CheckReport:
+@_check("symmetry-reducibility-flips")
+def verify_symmetries(max_n: int = 8) -> str:
     """Pointwise statistic transport under reverse/complement/inverse and
     the reducibility flips, exhaustively on separable permutations."""
+    for n in range(1, max_n + 1):
+        # Every image of a length-n word is a length-n word, so each
+        # distinct word's (separable, profile, irreducible) is computed
+        # once per length.  The three functions are pure, so the first
+        # failure and its message are those of computing every time.
+        facts: dict[tuple[int, ...], tuple[bool, tuple[int, ...], bool]] = {}
 
-    def body() -> str:
-        for n in range(1, max_n + 1):
-            # Every image of a length-n word is a length-n word, so each
-            # distinct word's (separable, profile, irreducible) is computed
-            # once per length.  The three functions are pure, so the first
-            # failure and its message are those of computing every time.
-            facts: dict[tuple[int, ...], tuple[bool, tuple[int, ...], bool]] = {}
+        def fact(perm: Permutation) -> tuple[bool, tuple[int, ...], bool]:
+            found = facts.get(perm.values)
+            if found is None:
+                found = facts[perm.values] = (
+                    is_separable(perm),
+                    _stats_of_sequence(perm.values).monomial(),
+                    is_irreducible(perm),
+                )
+            return found
 
-            def fact(perm: Permutation) -> tuple[bool, tuple[int, ...], bool]:
-                found = facts.get(perm.values)
-                if found is None:
-                    found = facts[perm.values] = (
-                        is_separable(perm),
-                        _stats_of_sequence(perm.values).monomial(),
-                        is_irreducible(perm),
-                    )
-                return found
-
-            for word in iter_separable_bytes(n, "all"):
-                pi = Permutation._trusted(tuple(word))
-                _, prof, irr = fact(pi)
-                for op, transport in (
-                    (reverse, _REVERSE_PROFILE),
-                    (complement, _COMPLEMENT_PROFILE),
-                ):
-                    separable, got, image_irr = fact(op(pi))
-                    if not separable:
-                        raise CheckFailure(
-                            f"{op.__name__}({pi}) left the class", first_fail=n
-                        )
-                    want = transport(prof)
-                    if got != want:
-                        raise CheckFailure(
-                            f"{op.__name__}({pi}) statistics {got} != {want}",
-                            first_fail=n,
-                        )
-                    if n >= 2 and image_irr != (not irr):
-                        raise CheckFailure(
-                            f"{op.__name__}({pi}) did not flip reducibility",
-                            first_fail=n,
-                        )
-                separable, inv_prof, image_irr = fact(inverse(pi))
+        for word in iter_separable_bytes(n, "all"):
+            pi = Permutation._trusted(tuple(word))
+            _, prof, irr = fact(pi)
+            for op, transport in (
+                (reverse, _REVERSE_PROFILE),
+                (complement, _COMPLEMENT_PROFILE),
+            ):
+                separable, got, image_irr = fact(op(pi))
                 if not separable:
-                    raise CheckFailure(f"inverse({pi}) left the class", first_fail=n)
-                if image_irr != irr:
                     raise CheckFailure(
-                        f"inverse({pi}) changed reducibility", first_fail=n
+                        f"{op.__name__}({pi}) left the class", first_fail=n
                     )
-                # under inverse: rmax and lmin are preserved; lmax <-> rmin
-                if (
-                    inv_prof[3] != prof[3]
-                    or inv_prof[4] != prof[4]
-                    or inv_prof[2] != prof[5]
-                    or inv_prof[5] != prof[2]
-                ):
+                want = transport(prof)
+                if got != want:
                     raise CheckFailure(
-                        f"inverse({pi}) statistic transport failed: "
-                        f"{inv_prof} vs {prof}",
+                        f"{op.__name__}({pi}) statistics {got} != {want}",
                         first_fail=n,
                     )
-        return f"reverse/complement/inverse transport verified for n <= {max_n}"
-
-    return _report("symmetry-reducibility-flips", body)
+                if n >= 2 and image_irr != (not irr):
+                    raise CheckFailure(
+                        f"{op.__name__}({pi}) did not flip reducibility",
+                        first_fail=n,
+                    )
+            separable, inv_prof, image_irr = fact(inverse(pi))
+            if not separable:
+                raise CheckFailure(f"inverse({pi}) left the class", first_fail=n)
+            if image_irr != irr:
+                raise CheckFailure(
+                    f"inverse({pi}) changed reducibility", first_fail=n
+                )
+            # under inverse: rmax and lmin are preserved; lmax <-> rmin
+            if (
+                inv_prof[3] != prof[3]
+                or inv_prof[4] != prof[4]
+                or inv_prof[2] != prof[5]
+                or inv_prof[5] != prof[2]
+            ):
+                raise CheckFailure(
+                    f"inverse({pi}) statistic transport failed: "
+                    f"{inv_prof} vs {prof}",
+                    first_fail=n,
+                )
+    return f"reverse/complement/inverse transport verified for n <= {max_n}"
 
 
 # ---------------------------------------------------------------------------
@@ -671,230 +647,215 @@ def verify_symmetries(max_n: int = 8) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_factorization(order: int = 12) -> CheckReport:
+@_check("reducible-factorization")
+def verify_factorization(order: int = 12) -> str:
     """The reducible part factors two ways:
     S - I = p * I|y=1 * S|u=1 = p * I|u=1 * S|y=1."""
-
-    def body() -> str:
-        s, i = solve_fixpoint(order, VARIABLES)
-        p = MultiPoly.variable("p")
-        red = s - i
-        _expect_zero(
-            red - p * (i.specialize("y") * s.specialize("u")),
-            "first factorization",
-        )
-        _expect_zero(
-            red - p * (i.specialize("u") * s.specialize("y")),
-            "second factorization",
-        )
-        return f"both factorizations hold to order {order}"
-
-    return _report("reducible-factorization", body)
+    s, i = solve_fixpoint(order, VARIABLES)
+    p = MultiPoly.variable("p")
+    red = s - i
+    _expect_zero(
+        red - p * (i.specialize("y") * s.specialize("u")),
+        "first factorization",
+    )
+    _expect_zero(
+        red - p * (i.specialize("u") * s.specialize("y")),
+        "second factorization",
+    )
+    return f"both factorizations hold to order {order}"
 
 
 _TRANSFER_TUPLES = cf.SINGLES + cf.SET2_PAIRS + cf.SET1_PAIRS + cf.TRIPLES
 
 
-def verify_transfer(order: int = 12) -> CheckReport:
+@_check("transfer-identity")
+def verify_transfer(order: int = 12) -> str:
     """The reverse/complement transfer: if I and R give the irreducible
     and reducible distributions of a statistic tuple, then I - (z...z)t
     and R + (z...z)t give the reducible and irreducible distributions of
     the image tuple, with each variable following its statistic."""
+    # The master on the four lanes the tuples use, as the closed-form
+    # checks hold it, then each lane set once, largest first, from the
+    # smallest set already projected that holds it; keep_only composes.
+    i4, r4 = _master_extremes(order)
+    projected: dict[frozenset[str], tuple[TruncSeries, TruncSeries]] = {}
+    for key in sorted(
+        {frozenset(stat_lanes(stats)) for stats in _TRANSFER_TUPLES},
+        key=len,
+        reverse=True,
+    ):
+        held = [big for big in projected if key < big]
+        i_big, r_big = projected[min(held, key=len)] if held else (i4, r4)
+        projected[key] = (i_big.keep_only(key), r_big.keep_only(key))
 
-    def body() -> str:
-        # The master on the four lanes the tuples use, as the closed-form
-        # checks hold it, then each lane set once, largest first, from the
-        # smallest set already projected that holds it; keep_only composes.
-        i4, r4 = _master_extremes(order)
-        projected: dict[frozenset[str], tuple[TruncSeries, TruncSeries]] = {}
-        for key in sorted(
-            {frozenset(stat_lanes(stats)) for stats in _TRANSFER_TUPLES},
-            key=len,
-            reverse=True,
-        ):
-            held = [big for big in projected if key < big]
-            i_big, r_big = projected[min(held, key=len)] if held else (i4, r4)
-            projected[key] = (i_big.keep_only(key), r_big.keep_only(key))
-
-        checked = 0
-        for op_name, stat_map in (
-            ("reverse", _REVERSE_STAT),
-            ("complement", _COMPLEMENT_STAT),
-        ):
-            for stats_tuple in _TRANSFER_TUPLES:
-                image = tuple(stat_map[s] for s in stats_tuple)
-                lanes = stat_lanes(stats_tuple)
-                image_lanes = stat_lanes(image)
-                relabel = {
-                    src: dst
-                    for src, dst in zip(image_lanes, lanes)
-                    if src != dst
-                }
-                zt = TruncSeries.term(
-                    order,
-                    1,
-                    MultiPoly.from_exponents(
-                        {
-                            tuple(
-                                1 if v in lanes else 0 for v in VARIABLES
-                            ): 1
-                        }
-                    ),
-                )
-                i_here, r_here = projected[frozenset(lanes)]
-                i_image, r_image = projected[frozenset(image_lanes)]
-                _expect_agree(
-                    i_here - zt,
-                    r_image.map_variables(relabel),
-                    order,
-                    f"{op_name} {stats_tuple}: I - zt vs image R",
-                )
-                _expect_agree(
-                    r_here + zt,
-                    i_image.map_variables(relabel),
-                    order,
-                    f"{op_name} {stats_tuple}: R + zt vs image I",
-                )
-                checked += 1
-        return f"{checked} tuple/operation combinations hold to order {order}"
-
-    return _report("transfer-identity", body)
+    checked = 0
+    for op_name, stat_map in (
+        ("reverse", _REVERSE_STAT),
+        ("complement", _COMPLEMENT_STAT),
+    ):
+        for stats_tuple in _TRANSFER_TUPLES:
+            image = tuple(stat_map[s] for s in stats_tuple)
+            lanes = stat_lanes(stats_tuple)
+            image_lanes = stat_lanes(image)
+            relabel = {
+                src: dst
+                for src, dst in zip(image_lanes, lanes)
+                if src != dst
+            }
+            zt = TruncSeries.term(
+                order,
+                1,
+                MultiPoly.from_exponents(
+                    {
+                        tuple(
+                            1 if v in lanes else 0 for v in VARIABLES
+                        ): 1
+                    }
+                ),
+            )
+            i_here, r_here = projected[frozenset(lanes)]
+            i_image, r_image = projected[frozenset(image_lanes)]
+            _expect_agree(
+                i_here - zt,
+                r_image.map_variables(relabel),
+                order,
+                f"{op_name} {stats_tuple}: I - zt vs image R",
+            )
+            _expect_agree(
+                r_here + zt,
+                i_image.map_variables(relabel),
+                order,
+                f"{op_name} {stats_tuple}: R + zt vs image I",
+            )
+            checked += 1
+    return f"{checked} tuple/operation combinations hold to order {order}"
 
 
-def verify_master_vs_enumeration(order: int = 9) -> CheckReport:
+@_check("master-vs-enumeration")
+def verify_master_vs_enumeration(order: int = 9) -> str:
     """The fixpoint solution of the functional equations against the
     permutation-by-permutation census, in all six variables."""
-
-    def body() -> str:
-        s_fix, i_fix = solve_fixpoint(order, VARIABLES)
-        s_cen = series_from_enumeration(order, "all")
-        i_cen = series_from_enumeration(order, "irreducible")
-        _expect_agree(s_fix, s_cen, order, "S fixpoint vs census")
-        _expect_agree(i_fix, i_cen, order, "I fixpoint vs census")
-        return f"S and I agree with the census to order {order}"
-
-    return _report("master-vs-enumeration", body)
+    s_fix, i_fix = solve_fixpoint(order, VARIABLES)
+    s_cen = series_from_enumeration(order, "all")
+    i_cen = series_from_enumeration(order, "irreducible")
+    _expect_agree(s_fix, s_cen, order, "S fixpoint vs census")
+    _expect_agree(i_fix, i_cen, order, "I fixpoint vs census")
+    return f"S and I agree with the census to order {order}"
 
 
-def verify_specialization_consistency(order: int = 12) -> CheckReport:
+@_check("fixpoint-specialization-consistency")
+def verify_specialization_consistency(order: int = 12) -> str:
     """Direct subset solves vs. substitution into the six-variable solve."""
-
-    def body() -> str:
-        # The master is projected once onto each of two disjoint lane sets;
-        # the smaller subsets are read off (x, y, u), since keep_only composes.
-        master = solve_fixpoint(order, VARIABLES)
-        projected = {
-            lanes: [big.keep_only(lanes) for big in master]
-            for lanes in (("p", "q"), ("x", "y", "u"))
-        }
-        for active in (("p", "q"), ("y",), ("x", "y"), ("y", "u"), ("x", "y", "u")):
-            want = projected.get(active) or [
-                big.keep_only(active) for big in projected["x", "y", "u"]
-            ]
-            for which, sub, big in zip("SI", solve_fixpoint(order, active), want):
-                _expect_agree(sub, big, order, f"{which} with active {active}")
-        return f"subset solves equal master specializations to order {order}"
-
-    return _report("fixpoint-specialization-consistency", body)
+    # The master is projected once onto each of two disjoint lane sets;
+    # the smaller subsets are read off (x, y, u), since keep_only composes.
+    master = solve_fixpoint(order, VARIABLES)
+    projected = {
+        lanes: [big.keep_only(lanes) for big in master]
+        for lanes in (("p", "q"), ("x", "y", "u"))
+    }
+    for active in (("p", "q"), ("y",), ("x", "y"), ("y", "u"), ("x", "y", "u")):
+        want = projected.get(active) or [
+            big.keep_only(active) for big in projected["x", "y", "u"]
+        ]
+        for which, sub, big in zip("SI", solve_fixpoint(order, active), want):
+            _expect_agree(sub, big, order, f"{which} with active {active}")
+    return f"subset solves equal master specializations to order {order}"
 
 
-def verify_specialized_systems(order: int = 20) -> CheckReport:
+@_check("specialized-systems")
+def verify_specialized_systems(order: int = 20) -> str:
     """Residuals of the low-variable functional-equation systems that the
     solved series must satisfy (ascent/descent, one statistic, the three
     statistic pairs/triples, and the rearranged triple system)."""
+    checked = 0
 
-    def body() -> str:
-        checked = 0
+    def expect_zero(residual: TruncSeries, label: str) -> None:
+        nonlocal checked
+        _expect_zero(residual, label)
+        checked += 1
 
-        def expect_zero(residual: TruncSeries, label: str) -> None:
-            nonlocal checked
-            _expect_zero(residual, label)
-            checked += 1
+    t = TruncSeries.t(order)
+    p = MultiPoly.variable("p")
+    q = MultiPoly.variable("q")
+    x = MultiPoly.variable("x")
+    y = MultiPoly.variable("y")
+    u = MultiPoly.variable("u")
 
-        t = TruncSeries.t(order)
-        p = MultiPoly.variable("p")
-        q = MultiPoly.variable("q")
-        x = MultiPoly.variable("x")
-        y = MultiPoly.variable("y")
-        u = MultiPoly.variable("u")
+    s0, i0 = solve_fixpoint(order, ())
 
-        s0, i0 = solve_fixpoint(order, ())
+    # Each product that two residuals share is computed once, and
+    # released before the closing division.
+    s_pq, i_pq = solve_fixpoint(order, ("p", "q"))
+    is_pq = i_pq * s_pq
+    expect_zero((s_pq - i_pq) - p * is_pq, "reducible split in (p,q)")
+    expect_zero(
+        s_pq - t * (q * s_pq + 1) - p * q * (is_pq * s_pq) - p * is_pq,
+        "S system in (p,q)",
+    )
+    del is_pq
+    expect_zero(
+        i_pq - t * (q * s_pq + 1) - q * ((s_pq - i_pq) * s_pq),
+        "I system in (p,q)",
+    )
 
-        # Each product that two residuals share is computed once, and
-        # released before the closing division.
-        s_pq, i_pq = solve_fixpoint(order, ("p", "q"))
-        is_pq = i_pq * s_pq
-        expect_zero((s_pq - i_pq) - p * is_pq, "reducible split in (p,q)")
-        expect_zero(
-            s_pq - t * (q * s_pq + 1) - p * q * (is_pq * s_pq) - p * is_pq,
-            "S system in (p,q)",
-        )
-        del is_pq
-        expect_zero(
-            i_pq - t * (q * s_pq + 1) - q * ((s_pq - i_pq) * s_pq),
-            "I system in (p,q)",
-        )
+    s_y, i_y = solve_fixpoint(order, ("y",))
+    yt = TruncSeries.term(order, 1, y)
+    expect_zero((s_y - i_y) - i0 * s_y, "reducible split in (y), first form")
+    expect_zero((s_y - i_y) - i_y * s0, "reducible split in (y), second form")
+    expect_zero(
+        s_y - yt * (s_y + 1) - i0 * ((s_y + 1) * s_y), "S system in (y)"
+    )
+    expect_zero(
+        i_y - yt * (s_y + 1) - (s_y - i_y) * s_y, "I system in (y)"
+    )
 
-        s_y, i_y = solve_fixpoint(order, ("y",))
-        yt = TruncSeries.term(order, 1, y)
-        expect_zero((s_y - i_y) - i0 * s_y, "reducible split in (y), first form")
-        expect_zero((s_y - i_y) - i_y * s0, "reducible split in (y), second form")
-        expect_zero(
-            s_y - yt * (s_y + 1) - i0 * ((s_y + 1) * s_y), "S system in (y)"
-        )
-        expect_zero(
-            i_y - yt * (s_y + 1) - (s_y - i_y) * s_y, "I system in (y)"
-        )
+    s_xy, i_xy = solve_fixpoint(order, ("x", "y"))
+    s_y_of_xy = s_xy.specialize("x")
+    i_x_of_xy = i_xy.specialize("y")
+    s_x_of_xy = s_xy.specialize("y")
+    xyt = TruncSeries.term(order, 1, x * y)
+    si_xy = s_xy * i_x_of_xy
+    expect_zero(
+        (s_xy - i_xy) - s_x_of_xy * i_xy, "reducible split in (x,y), first form"
+    )
+    expect_zero((s_xy - i_xy) - si_xy, "reducible split in (x,y), second form")
+    expect_zero(
+        s_xy - xyt * (s_y_of_xy + 1) - si_xy * (s_y_of_xy + 1),
+        "S system in (x,y)",
+    )
+    del si_xy
+    expect_zero(
+        i_xy - xyt * (s_y_of_xy + 1) - (s_xy - i_xy) * s_y_of_xy,
+        "I system in (x,y)",
+    )
 
-        s_xy, i_xy = solve_fixpoint(order, ("x", "y"))
-        s_y_of_xy = s_xy.specialize("x")
-        i_x_of_xy = i_xy.specialize("y")
-        s_x_of_xy = s_xy.specialize("y")
-        xyt = TruncSeries.term(order, 1, x * y)
-        si_xy = s_xy * i_x_of_xy
-        expect_zero(
-            (s_xy - i_xy) - s_x_of_xy * i_xy, "reducible split in (x,y), first form"
-        )
-        expect_zero((s_xy - i_xy) - si_xy, "reducible split in (x,y), second form")
-        expect_zero(
-            s_xy - xyt * (s_y_of_xy + 1) - si_xy * (s_y_of_xy + 1),
-            "S system in (x,y)",
-        )
-        del si_xy
-        expect_zero(
-            i_xy - xyt * (s_y_of_xy + 1) - (s_xy - i_xy) * s_y_of_xy,
-            "I system in (x,y)",
-        )
+    s_yu, i_yu = solve_fixpoint(order, ("y", "u"))
+    s_u_of_yu = s_yu.specialize("y")
+    i_y_of_yu = i_yu.specialize("u")
+    yut = TruncSeries.term(order, 1, y * u)
+    q_term_yu = (s_yu - i_yu + yut) * s_yu
+    expect_zero(
+        s_yu - yut - s_u_of_yu * i_y_of_yu - q_term_yu, "S system in (y,u)"
+    )
+    expect_zero(i_yu - yut - q_term_yu, "I system in (y,u)")
+    del q_term_yu
 
-        s_yu, i_yu = solve_fixpoint(order, ("y", "u"))
-        s_u_of_yu = s_yu.specialize("y")
-        i_y_of_yu = i_yu.specialize("u")
-        yut = TruncSeries.term(order, 1, y * u)
-        q_term_yu = (s_yu - i_yu + yut) * s_yu
-        expect_zero(
-            s_yu - yut - s_u_of_yu * i_y_of_yu - q_term_yu, "S system in (y,u)"
-        )
-        expect_zero(i_yu - yut - q_term_yu, "I system in (y,u)")
-        del q_term_yu
-
-        s3, i3 = solve_fixpoint(order, ("x", "y", "u"))
-        s_xu = s3.specialize("y")
-        i_xy3 = i3.specialize("u")
-        s_yu3 = s3.specialize("x")
-        xyut = TruncSeries.term(order, 1, x * y * u)
-        p_term3 = s_xu * i_xy3
-        q_term3 = (s3 - i3 + xyut) * s_yu3
-        expect_zero(s3 - xyut - p_term3 - q_term3, "S system in (x,y,u)")
-        expect_zero(i3 - xyut - q_term3, "I system in (x,y,u)")
-        expect_zero(s3 - p_term3 - i3, "rearranged S relation in (x,y,u)")
-        del p_term3, q_term3
-        expect_zero(
-            i3 - (xyut + (s3 + xyut) * s_yu3).divide(s_yu3 + 1),
-            "solved I relation in (x,y,u)",
-        )
-        return f"all {checked} specialized residuals zero to order {order}"
-
-    return _report("specialized-systems", body)
+    s3, i3 = solve_fixpoint(order, ("x", "y", "u"))
+    s_xu = s3.specialize("y")
+    i_xy3 = i3.specialize("u")
+    s_yu3 = s3.specialize("x")
+    xyut = TruncSeries.term(order, 1, x * y * u)
+    p_term3 = s_xu * i_xy3
+    q_term3 = (s3 - i3 + xyut) * s_yu3
+    expect_zero(s3 - xyut - p_term3 - q_term3, "S system in (x,y,u)")
+    expect_zero(i3 - xyut - q_term3, "I system in (x,y,u)")
+    expect_zero(s3 - p_term3 - i3, "rearranged S relation in (x,y,u)")
+    del p_term3, q_term3
+    expect_zero(
+        i3 - (xyut + (s3 + xyut) * s_yu3).divide(s_yu3 + 1),
+        "solved I relation in (x,y,u)",
+    )
+    return f"all {checked} specialized residuals zero to order {order}"
 
 
 # ---------------------------------------------------------------------------
@@ -959,28 +920,25 @@ _SNIPPETS: dict[tuple[tuple[str, ...], str], list[tuple[int, str]]] = {
 }
 
 
-def verify_snippets() -> CheckReport:
+@_check("series-snippets")
+def verify_snippets() -> str:
     """The frozen initial expansions of eight specialized series, matched
     exactly against the fixpoint solution."""
-
-    def body() -> str:
-        max_order = max(
-            order for rows in _SNIPPETS.values() for order, _ in rows
-        )
-        master = _master(max_order)
-        for (stats_tuple, cls), rows in _SNIPPETS.items():
-            series = master[cls].keep_only(stat_lanes(stats_tuple))
-            for order, text in rows:
-                want = parse_poly(text)
-                got = series.coefficient(order)
-                if got != want:
-                    raise CheckFailure(
-                        f"{cls} {stats_tuple} t^{order}: {got} != {want}",
-                        first_fail=order,
-                    )
-        return f"all {len(_SNIPPETS)} frozen expansions match exactly"
-
-    return _report("series-snippets", body)
+    max_order = max(
+        order for rows in _SNIPPETS.values() for order, _ in rows
+    )
+    master = _master(max_order)
+    for (stats_tuple, cls), rows in _SNIPPETS.items():
+        series = master[cls].keep_only(stat_lanes(stats_tuple))
+        for order, text in rows:
+            want = parse_poly(text)
+            got = series.coefficient(order)
+            if got != want:
+                raise CheckFailure(
+                    f"{cls} {stats_tuple} t^{order}: {got} != {want}",
+                    first_fail=order,
+                )
+    return f"all {len(_SNIPPETS)} frozen expansions match exactly"
 
 
 # ---------------------------------------------------------------------------
@@ -998,30 +956,27 @@ def _golden_table_text(which: int) -> str:
     )
 
 
-def verify_tables_golden() -> CheckReport:
+@_check("tables-golden")
+def verify_tables_golden() -> str:
     """Recomputed distribution tables byte-match the packaged golden files."""
-
-    def body() -> str:
-        for which in (3, 4, 5):
-            got = render_table(which)
-            want = _golden_table_text(which)
-            if got != want:
-                first = next(
-                    (
-                        k + 1
-                        for k, (a, b) in enumerate(
-                            zip(got.splitlines(), want.splitlines())
-                        )
-                        if a != b
-                    ),
-                    None,
-                )
-                raise CheckFailure(
-                    f"table {which} differs at row n={first}", first_fail=first
-                )
-        return "tables 3, 4, 5 byte-match their golden files"
-
-    return _report("tables-golden", body)
+    for which in (3, 4, 5):
+        got = render_table(which)
+        want = _golden_table_text(which)
+        if got != want:
+            first = next(
+                (
+                    k + 1
+                    for k, (a, b) in enumerate(
+                        zip(got.splitlines(), want.splitlines())
+                    )
+                    if a != b
+                ),
+                None,
+            )
+            raise CheckFailure(
+                f"table {which} differs at row n={first}", first_fail=first
+            )
+    return "tables 3, 4, 5 byte-match their golden files"
 
 
 _CONJECTURES = {
@@ -1133,42 +1088,36 @@ def _sn_marginal(n: int, stat: str) -> dict[int, int]:
     return got
 
 
-def verify_rising_factorial(max_n: int = 8) -> CheckReport:
+@_check("rising-factorial-rmax")
+def verify_rising_factorial(max_n: int = 8) -> str:
     """Over ALL permutations of n, the rmax distribution has generating
     polynomial y(y+1)...(y+n-1); checked against exhaustive search."""
-
-    def body() -> str:
-        for n in range(1, max_n + 1):
-            want = numbers.rising_factorial_coeffs(n)
-            got = _sn_marginal(n, "rmax")
-            if got != want:
-                raise CheckFailure(
-                    f"n={n}: exhaustive {dict(sorted(got.items()))} != "
-                    f"rising factorial {dict(sorted(want.items()))}",
-                    first_fail=n,
-                )
-        return f"rmax on all of S_n matches the rising factorial for n <= {max_n}"
-
-    return _report("rising-factorial-rmax", body)
+    for n in range(1, max_n + 1):
+        want = numbers.rising_factorial_coeffs(n)
+        got = _sn_marginal(n, "rmax")
+        if got != want:
+            raise CheckFailure(
+                f"n={n}: exhaustive {dict(sorted(got.items()))} != "
+                f"rising factorial {dict(sorted(want.items()))}",
+                first_fail=n,
+            )
+    return f"rmax on all of S_n matches the rising factorial for n <= {max_n}"
 
 
-def verify_eulerian(max_n: int = 8) -> CheckReport:
+@_check("eulerian-descents")
+def verify_eulerian(max_n: int = 8) -> str:
     """Descents over ALL permutations of n against the Eulerian polynomial
     computed from Stirling numbers."""
-
-    def body() -> str:
-        for n in range(1, max_n + 1):
-            want = numbers.eulerian_poly(n)
-            got = _sn_marginal(n, "des")
-            if got != want:
-                raise CheckFailure(
-                    f"n={n}: exhaustive {dict(sorted(got.items()))} != "
-                    f"Eulerian {dict(sorted(want.items()))}",
-                    first_fail=n,
-                )
-        return f"descent counts match Eulerian polynomials for n <= {max_n}"
-
-    return _report("eulerian-descents", body)
+    for n in range(1, max_n + 1):
+        want = numbers.eulerian_poly(n)
+        got = _sn_marginal(n, "des")
+        if got != want:
+            raise CheckFailure(
+                f"n={n}: exhaustive {dict(sorted(got.items()))} != "
+                f"Eulerian {dict(sorted(want.items()))}",
+                first_fail=n,
+            )
+    return f"descent counts match Eulerian polynomials for n <= {max_n}"
 
 
 # ---------------------------------------------------------------------------
@@ -1176,29 +1125,34 @@ def verify_eulerian(max_n: int = 8) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 #: Check id -> zero-argument callable returning one or more CheckReports,
-#: with the suite's default parameters.
+#: with the suite's default parameters, in suite order.
 ALL_CHECKS: dict[str, Callable[[], CheckReport | list[CheckReport]]] = {
-    "counting-identities": verify_counts,
-    "counting-gf-radicals": verify_counting_gfs,
-    "asc-des-relations": verify_asc_des,
-    "master-vs-enumeration": verify_master_vs_enumeration,
-    "fixpoint-specialization-consistency": verify_specialization_consistency,
-    "specialized-systems": verify_specialized_systems,
-    "single-stat-closed-forms": verify_single_stat_closed_forms,
-    "pair-set2-closed-forms": verify_pair_set2_closed_forms,
-    "pair-set1-closed-forms": verify_pair_set1_closed_forms,
-    "triple-closed-forms": verify_triple_closed_forms,
-    "quad-closed-form": verify_quad_closed_form,
-    "e-function-identities": verify_e_function_identities,
-    "equidistribution-classes": verify_equidistribution,
-    "equidistribution-negative-control": verify_negative_control,
-    "symmetry-reducibility-flips": verify_symmetries,
-    "reducible-factorization": verify_factorization,
-    "transfer-identity": verify_transfer,
-    "series-snippets": verify_snippets,
-    "tables-golden": verify_tables_golden,
-    "rising-factorial-rmax": verify_rising_factorial,
-    "eulerian-descents": verify_eulerian,
+    **{
+        check.check_id: check
+        for check in (
+            verify_counts,
+            verify_counting_gfs,
+            verify_asc_des,
+            verify_master_vs_enumeration,
+            verify_specialization_consistency,
+            verify_specialized_systems,
+            verify_single_stat_closed_forms,
+            verify_pair_set2_closed_forms,
+            verify_pair_set1_closed_forms,
+            verify_triple_closed_forms,
+            verify_quad_closed_form,
+            verify_e_function_identities,
+            verify_equidistribution,
+            verify_negative_control,
+            verify_symmetries,
+            verify_factorization,
+            verify_transfer,
+            verify_snippets,
+            verify_tables_golden,
+            verify_rising_factorial,
+            verify_eulerian,
+        )
+    },
     "conjectures": check_conjectures,
 }
 

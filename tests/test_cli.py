@@ -219,6 +219,11 @@ def test_series_cache_round_trip(tmp_path, capsys):
     assert cached[0].read_bytes() == before  # cache reused, not rewritten
 
 
+def _coefficient(doc: dict, n: int) -> list:
+    """The first [exponents, numerator, denominator] triple at t^n."""
+    return doc["coefficients"][str(n)][0]
+
+
 def _edited(edit):
     """A damage that applies ``edit`` to the decoded document."""
 
@@ -250,6 +255,12 @@ def _edited(edit):
             lambda doc, vectors: [v.reverse() for v in [doc["variables"], *vectors]]
         ),
         _edited(lambda doc, vectors: vectors[0].__setitem__(0, True)),
+        # well-formed documents of series that do not count rmax over the
+        # irreducible separable permutations
+        _edited(lambda doc, vectors: _coefficient(doc, 3).__setitem__(1, 3)),
+        _edited(lambda doc, vectors: doc["coefficients"]["0"].append([[0] * 6, 1, 1])),
+        _edited(lambda doc, vectors: _coefficient(doc, 4).__setitem__(2, 2)),
+        _edited(lambda doc, vectors: _coefficient(doc, 5).__setitem__(1, -1)),
     ],
     ids=[
         "truncated",
@@ -260,6 +271,10 @@ def _edited(edit):
         "repeated-monomial",
         "other-variable-order",
         "bool-exponent",
+        "one-count-edited",
+        "constant-term",
+        "a-half",
+        "negative",
     ],
 )
 def test_series_bad_cache_file_is_recomputed(tmp_path, capsys, damage):
@@ -415,6 +430,14 @@ def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0
     assert "quad-closed-form" in out.splitlines()
+
+
+def test_verify_list_json_is_an_array_of_the_ids(capsys):
+    from sepstats.verify import ALL_CHECKS
+
+    code, out, _ = run(capsys, "verify", "--list", "--json")
+    assert code == 0
+    assert json.loads(out) == list(ALL_CHECKS)
 
 
 def test_verify_unknown_check(capsys):

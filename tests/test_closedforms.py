@@ -58,8 +58,7 @@ def test_only_the_canonical_family_series_are_memoized(cold_memos):
         "_single_gf_by_lane",
         "_single_split_by_lane",
         "_set2_parts",
-        "_set1_core",
-        "_set1_quotient",
+        "_set1_parts",
         "_e_xyu",
         "_triple_tail",
         "_quad_irreducible",
@@ -116,13 +115,15 @@ def _literal_triple_parts(order: int) -> tuple[TruncSeries, TruncSeries, TruncSe
     E = t x y u + (S(x)+1)(S(y)+1)(S(u)+1) t^2 x^2 y u
                   / ((1 - S(x)S(u)) (1 - S(x)S(y))),
     E / (1 - A - t y u) and (t x y u + (A + t y u)(E - t x y u)) / (1 - A - t y u)
-    with A = S(y) I(u)."""
+    with A = S(y) I(u) and I(u) = S(u)^2/(1+S(u)) + t u."""
     s1, s2, s3 = (closedforms._single_gf_by_lane(order, lane) for lane in "xyu")
     x, y, u = map(MultiPoly.variable, "xyu")
     tz123 = TruncSeries.term(order, 1, x * y * u)
     num = (s1 + 1) * (s2 + 1) * (s3 + 1) * TruncSeries.term(order, 2, x * x * y * u)
     e_ser = tz123 + num.divide((1 - s1 * s3) * (1 - s1 * s2))
-    a_tz = s2 * closedforms._irr_aux(order, "u") + TruncSeries.term(order, 1, y * u)
+    tu = TruncSeries.term(order, 1, u)
+    i_u = closedforms._single_split_by_lane(order, "u")[0] + tu
+    a_tz = s2 * i_u + TruncSeries.term(order, 1, y * u)
     quotient = e_ser.divide(1 - a_tz)
     bracket = (tz123 + a_tz * (e_ser - tz123)).divide(1 - a_tz)
     return e_ser, quotient, bracket
@@ -223,6 +224,14 @@ def test_closed_forms_have_non_negative_int_coefficients(stats):
         assert_counting_series(
             closedforms.closed_form(12, stats, cls), f"{stats} {cls}"
         )
+
+
+@pytest.mark.parametrize(
+    "build", [closedforms.schroeder_gf, closedforms.little_schroeder_gf]
+)
+def test_the_counting_series_have_int_coefficients(build):
+    # the radical is halved or quartered, and whole values stay int
+    assert_counting_series(build(30), build.__name__)
 
 
 @pytest.mark.parametrize("lane", ["x", "y", "u", "v"])

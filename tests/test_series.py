@@ -224,6 +224,45 @@ def test_counting_series_check_names_the_first_bad_term():
             assert_counting_series(TruncSeries([MultiPoly.one(), bad]), "S")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        MultiPoly.constant,
+        lambda c: MultiPoly.from_exponents({(0, 0, 1, 0, 0, 0): c}),
+        lambda c: MultiPoly.variable("x").specialize("x", c),
+        lambda c: TruncSeries.term(3, 1, c),
+    ],
+    ids=["constant", "from_exponents", "specialize", "term"],
+)
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=["float", "bool", "str"])
+def test_exact_entry_points_refuse_what_is_not_an_int_or_a_fraction(build, bad):
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        build(bad)
+
+
+def test_a_float_factor_or_summand_is_a_type_error():
+    t = TruncSeries.t(3)
+    for op in (lambda: t * 0.5, lambda: 0.5 * t, lambda: t + 0.5, lambda: t - 0.5):
+        with pytest.raises(TypeError):
+            op()
+
+
+def _types(series: TruncSeries) -> list:
+    """The types of each coefficient's values, sorted by name."""
+    return [
+        sorted(map(type, poly._terms.values()), key=str)
+        for poly in series.coefficients()
+    ]
+
+
+def test_scalar_multiples_and_substitutions_keep_whole_values_int():
+    series = TruncSeries([MultiPoly.zero(), parse_poly("2x + 4"), parse_poly("3y")])
+    assert _types(series * Fraction(1, 2)) == [[], [int, int], [Fraction]]
+    assert _types(Fraction(2, 3) * (series * 3)) == [[], [int, int], [int]]
+    assert _types(series.specialize("x", Fraction(1, 2))) == [[], [int], [int]]
+    assert series.specialize("x", Fraction(1, 2)).coefficient(1) == 5
+
+
 # -- serialization ----------------------------------------------------------
 
 

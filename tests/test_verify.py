@@ -185,7 +185,8 @@ def test_every_closed_form_check_fails_on_a_bumped_coefficient(
 
 def test_the_closed_form_checks_project_the_master_and_the_census_once():
     verify._extreme_projections.cache_clear()
-    check_ids = list(verify._CLOSED_FORM_CHECKS)
+    check_ids = [cid for cid in verify.ALL_CHECKS if "closed-form" in cid]
+    assert len(check_ids) == 5
     for check_id in check_ids:
         assert verify.ALL_CHECKS[check_id](order=6, census_order=5).verdict == "pass"
     info = verify._extreme_projections.cache_info()
@@ -244,13 +245,18 @@ def _bumped_set2(parts: tuple[TruncSeries, TruncSeries]) -> tuple[TruncSeries, T
     return _plus_term(irreducible, 3, "xy"), reducible
 
 
+def _bumped_set1(parts: tuple[TruncSeries, TruncSeries]) -> tuple[TruncSeries, TruncSeries]:
+    quotient, core_tz = parts
+    return _plus_term(quotient, 3, "yu"), core_tz
+
+
 @pytest.mark.parametrize(
     "seam, tamper, check_id, first_fail",
     [
         ("_set2_parts", _bumped_set2, "e-function-identities", 4),
         ("_set2_parts", _bumped_set2, "triple-closed-forms", 4),
         ("_set2_parts", _bumped_set2, "quad-closed-form", 5),
-        ("_set1_quotient", lambda q: _plus_term(q, 3, "yu"), "triple-closed-forms", 4),
+        ("_set1_parts", _bumped_set1, "triple-closed-forms", 4),
     ],
 )
 def test_e_and_the_triples_fail_on_a_bumped_pair_series(
@@ -564,6 +570,38 @@ def test_full_suite_green():
     failing = [r.line() for r in reports if r.verdict != "pass"]
     assert not failing, "\n".join(failing)
     assert len(reports) == 24
+
+
+def test_the_suite_keeps_its_order_and_each_check_reports_under_its_key():
+    assert list(verify.ALL_CHECKS) == [
+        "counting-identities",
+        "counting-gf-radicals",
+        "asc-des-relations",
+        "master-vs-enumeration",
+        "fixpoint-specialization-consistency",
+        "specialized-systems",
+        "single-stat-closed-forms",
+        "pair-set2-closed-forms",
+        "pair-set1-closed-forms",
+        "triple-closed-forms",
+        "quad-closed-form",
+        "e-function-identities",
+        "equidistribution-classes",
+        "equidistribution-negative-control",
+        "symmetry-reducibility-flips",
+        "reducible-factorization",
+        "transfer-identity",
+        "series-snippets",
+        "tables-golden",
+        "rising-factorial-rmax",
+        "eulerian-descents",
+        "conjectures",
+    ]
+    for check_id, check in verify.ALL_CHECKS.items():
+        if check is not verify.check_conjectures:
+            report = check()
+            assert isinstance(report, verify.CheckReport)
+            assert report.check_id == check_id
 
 
 def test_master_vs_enumeration_fails_on_a_mutated_composition_rule(
