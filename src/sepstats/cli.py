@@ -47,6 +47,7 @@ import contextlib
 import json
 import os
 import sys
+import zlib
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -196,6 +197,39 @@ def _default_cache_dir() -> Path:
     return base / "sepstats"
 
 
+#: The checksum field of a cache file.  "crc32" sorts between the document's
+#: "coefficients" and "engine" keys, so the field sits before "engine".
+_CRC_FIELD = ',"crc32":"'
+
+
+def _checksum(head: str, tail: str) -> str:
+    """CRC-32, in 8 hex digits, of ``head + "00000000" + tail``: the cache
+    file with its checksum value zeroed."""
+    zeroed = f"{head}00000000{tail}"
+    return f"{zlib.crc32(zeroed.encode()):08x}"
+
+
+def _sealed(text: str) -> str:
+    """The cache file of canonical document ``text``: the same canonical
+    document with a "crc32" field added."""
+    i = text.rindex(',"engine":')
+    head, tail = text[:i] + _CRC_FIELD, '"' + text[i:]
+    return head + _checksum(head, tail) + tail
+
+
+def _unsealed(text: str) -> str:
+    """The document text of cache file ``text``, its checksum field cut
+    out; a ValueError if the field is missing or does not match.  The
+    checksum catches damage, not edits: anyone can recompute it."""
+    i = text.rfind(_CRC_FIELD)
+    if i < 0:
+        raise ValueError("it has no crc32 checksum")
+    j = i + len(_CRC_FIELD)
+    if text[j : j + 8] != _checksum(text[:j], text[j + 8 :]):
+        raise ValueError("its crc32 checksum does not match")
+    return text[:i] + text[j + 9 :]
+
+
 def _write_cache(cache_file: Path, text: str) -> None:
     """Write beside the target under a name that is not *.json, then
     rename: readers never see a torn file.  A directory or file that cannot
@@ -214,12 +248,11 @@ def _write_cache(cache_file: Path, text: str) -> None:
 def _counting(series: TruncSeries, perm_class: str) -> TruncSeries:
     """``series``, if it counts the permutations of ``perm_class`` as every
     registry series does: non-negative int coefficients (else an
-    AssertionError) that sum to 0 at t^0 and to class_count(perm_class, n)
-    at t^n (else a ValueError)."""
+    AssertionError) whose values sum to 0 at t^0 and to
+    class_count(perm_class, n) at t^n (else a ValueError)."""
     assert_counting_series(series, "cached series")
-    totals = series.keep_only(())
-    for n in range(series.order + 1):
-        total = totals.coefficient(n).constant_term()
+    for n, poly in enumerate(series.coefficients()):
+        total = sum(poly._terms.values())
         want = class_count(perm_class, n) if n else 0
         if total != want:
             raise ValueError(f"its t^{n} coefficients sum to {total}, not {want}")
@@ -235,6 +268,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     doc_name = f"{name}[{cls}]"
 
     series: TruncSeries | None = None
+    text: str | None = None  # the series' canonical document, once known
     cache_file: Path | None = None
     if not args.no_cache:
         cache_dir = args.cache_dir or _default_cache_dir()
@@ -242,13 +276,15 @@ def _cmd_series(args: argparse.Namespace) -> int:
             cache_dir / f"{name}-{cls}-order{order}-v{ENGINE_VERSION}.json"
         )
         if cache_file.is_file():
-            # A file that does not decode to a series document counting
-            # the class's permutations is a miss.
+            # A file whose checksum fails, or that does not decode to a
+            # series document counting the class's permutations, is a miss.
             try:
-                doc = json.loads(cache_file.read_text(encoding="utf-8"))
+                plain = _unsealed(cache_file.read_text(encoding="utf-8"))
+                doc = json.loads(plain)
                 key = (doc["engine"], doc["name"], doc["order"])
                 if key == (ENGINE_VERSION, doc_name, order):
                     series = _counting(document_to_series(doc), cls)
+                    text = plain
             except (
                 OSError,
                 ValueError,
@@ -263,12 +299,11 @@ def _cmd_series(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
 
-    text: str | None = None
     if series is None:
         series = builder(order, cls)
         if cache_file is not None:
             text = canonical_json(series_to_document(doc_name, series))
-            _write_cache(cache_file, text)
+            _write_cache(cache_file, _sealed(text))
 
     if args.format == "json":
         if text is None:

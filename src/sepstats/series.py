@@ -145,6 +145,20 @@ _FACTOR_TEXT: tuple[tuple[str, ...], ...] = tuple(
 )
 
 
+#: A packed key's low half holds p, q, x and its high half y, u, v.
+_HALF_BITS = 3 * (LANE_BITS + 1)
+_HALF_MASK = (1 << _HALF_BITS) - 1
+
+
+def _half_row(half: int, first: int) -> tuple[int, int, str]:
+    """Degree, exponents as one int (first lane highest) and factor text of
+    one half key over ``VARIABLES[first:first + 3]``."""
+    a, b, c = half & MAX_ORDER, half >> _S_Q & MAX_ORDER, half >> _S_X & MAX_ORDER
+    lanes = _FACTOR_TEXT[first : first + 3]
+    text = "*".join(filter(None, map(operator.getitem, lanes, (a, b, c))))
+    return a + b + c, a << _S_X | b << _S_Q | c, text
+
+
 def check_order(order: int) -> None:
     """Reject a truncation order below 1, or one whose exponents could
     overflow a lane."""
@@ -653,25 +667,38 @@ class MultiPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        # Highest total degree first, then descending exponent vectors; the
-        # vectors are distinct, so the sort never compares coefficients.
-        rows = []
+        # Highest total degree first, then descending exponent vectors.  A
+        # key splits into its (p, q, x) and (y, u, v) halves, each distinct
+        # half is read once by _half_row, and so a term costs two dict
+        # lookups and sorts on one int: its degree, then p, q, x, y, u, v.
+        lows: dict[int, tuple[int, int, str]] = {}
+        highs: dict[int, tuple[int, int, str]] = {}
+        pieces: dict[int, str] = {}
         for key, c in self._terms.items():
-            exps = _unpack(key)
-            rows.append((sum(exps), exps, c))
-        rows.sort(reverse=True)
-        pieces: list[str] = []
-        for _, exps, c in rows:
-            factors = "*".join(filter(None, map(operator.getitem, _FACTOR_TEXT, exps)))
+            low = key & _HALF_MASK
+            high = key >> _HALF_BITS
+            lo = lows.get(low)
+            if lo is None:
+                lo = lows[low] = _half_row(low, 0)
+            hi = highs.get(high)
+            if hi is None:
+                hi = highs[high] = _half_row(high, 3)
+            lo_degree, lo_order, factors = lo
+            hi_degree, hi_order, hi_text = hi
+            if hi_text:
+                factors = f"{factors}*{hi_text}" if factors else hi_text
             if not factors:
-                pieces.append(str(c))
+                piece = str(c)
             elif c == 1:
-                pieces.append(factors)
+                piece = factors
             elif c == -1:
-                pieces.append("-" + factors)
+                piece = "-" + factors
             else:
-                pieces.append(str(c) + "*" + factors)
-        return " + ".join(pieces).replace("+ -", "- ")
+                piece = f"{c}*{factors}"
+            degree = lo_degree + hi_degree
+            pieces[degree << 2 * _HALF_BITS | lo_order << _HALF_BITS | hi_order] = piece
+        text = " + ".join([pieces[k] for k in sorted(pieces, reverse=True)])
+        return text.replace("+ -", "- ")
 
     def __repr__(self) -> str:
         return f"<MultiPoly {self}>"
@@ -1009,7 +1036,7 @@ def assert_counting_series(series: TruncSeries, what: str = "series") -> None:
     """Assert all coefficients are polynomials with non-negative integers."""
     for n, poly in enumerate(series.coefficients()):
         values = poly._terms.values()
-        if all(isinstance(c, int) for c in values) and min(values, default=0) >= 0:
+        if {*map(type, values)} <= {int} and min(values, default=0) >= 0:
             continue
         for exps, c in poly.terms():
             if not isinstance(c, int) or c < 0:
@@ -1126,16 +1153,25 @@ def solve_master_fixpoint(order: int = 12) -> tuple[TruncSeries, TruncSeries]:
 def series_to_document(name: str, series: TruncSeries) -> dict:
     """JSON-ready document for a series: order -> coefficient triples
     ``[exponents, numerator, denominator]`` in ascending key order."""
+    m = MAX_ORDER
     coefficients: dict[str, list] = {}
     for n, poly in enumerate(series.coefficients()):
         terms = poly._terms
         triples = []
         for key in sorted(terms):
             c = terms[key]
+            exps = [
+                key & m,
+                key >> _S_Q & m,
+                key >> _S_X & m,
+                key >> _S_Y & m,
+                key >> _S_U & m,
+                key >> _S_V & m,
+            ]
             if type(c) is int:
-                triples.append([[*_unpack(key)], c, 1])
+                triples.append([exps, c, 1])
             else:
-                triples.append([[*_unpack(key)], c.numerator, c.denominator])
+                triples.append([exps, c.numerator, c.denominator])
         coefficients[str(n)] = triples
     return {
         "engine": ENGINE_VERSION,
@@ -1153,7 +1189,8 @@ def document_to_series(doc: Mapping) -> TruncSeries:
     A document that does not describe one series over ``VARIABLES`` is a
     ``ValueError``: another variable list, an exponent vector that is not
     one ``int`` in 0..``MAX_ORDER`` per variable, or a monomial listed
-    twice in one coefficient.
+    twice in one coefficient.  A valid vector is packed inline; any other
+    goes through :func:`_pack`, whose message names what is wrong.
     """
     if doc["variables"] != list(VARIABLES):
         raise ValueError(
@@ -1164,7 +1201,17 @@ def document_to_series(doc: Mapping) -> TruncSeries:
     for n in range(order + 1):
         terms: dict[int, Coeff] = {}
         for exps, num, den in doc["coefficients"][str(n)]:
-            key = _pack(exps)
+            if len(exps) == 6:
+                p, q, x, y, u, v = exps
+                if (
+                    type(p) is type(q) is type(x) is type(y) is type(u) is type(v) is int
+                    and 0 <= p | q | x | y | u | v <= MAX_ORDER
+                ):
+                    key = p | q << _S_Q | x << _S_X | y << _S_Y | u << _S_U | v << _S_V
+                else:
+                    key = _pack(exps)
+            else:
+                key = _pack(exps)
             if key in terms:
                 raise ValueError(f"monomial {exps} listed twice in the coefficient of t^{n}")
             if type(num) is int and type(den) is int and den == 1:

@@ -148,3 +148,32 @@ def test_closed_forms_reach_the_series_spans_the_benchmark_probes():
             assert single.get(name, [0])[0] > 0, (stat, name)
         for name in ("series.poly_mul", "series.invert", "series.sqrt", "series.divide"):
             assert totals.get(name, [0])[0] > 0, (stat, name)
+
+
+def test_series_cache_io_goes_through_the_names_the_benchmark_probes(
+    tmp_path, capsys
+):
+    # Tier-1 mirror of the benchmark self-test's liveness probe for the
+    # cli_cache workload: a miss serializes and renders through the wrapped
+    # names and decodes nothing; a hit decodes once, through cli's
+    # document_to_series (how the benchmark counts hits), and writes no file.
+    tracing = _load_tracer()
+    argv = ["series", "joint", "--order", "4", "--cache-dir", str(tmp_path)]
+    totals = []
+    for _ in ("miss", "hit"):
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        tracer = tracing.Tracer()
+        uninstall = tracing.install(tracer)
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            uninstall()
+        totals.append(tracer.totals())
+    capsys.readouterr()
+    miss, hit = totals
+    assert miss["series.serialize"][0] > 0
+    assert miss["series.render"][0] > 0
+    assert "series.deserialize" not in miss
+    assert hit["series.deserialize"][0] == 1
+    assert hit["series.render"][0] > 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files

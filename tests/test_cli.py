@@ -1,7 +1,9 @@
 """CLI: subcommand behavior, formats, exit codes, caching."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,14 @@ from pathlib import Path
 import pytest
 
 import sepstats
+from sepstats import cli
 from sepstats.cli import SERIES_REGISTRY, build_parser, main
-from sepstats.series import ENGINE_VERSION
+from sepstats.series import (
+    ENGINE_VERSION,
+    canonical_json,
+    document_to_series,
+    series_to_document,
+)
 
 
 def run(capsys, *argv):
@@ -291,6 +299,105 @@ def test_series_bad_cache_file_is_recomputed(tmp_path, capsys, damage):
     assert err.startswith("note:") and err.count("\n") == 1
     assert [p.name for p in bad_dir.iterdir()] == [name]  # no temporary left
     assert (bad_dir / name).read_text() == good
+
+
+def _rmax6(capsys, cache_dir):
+    """Run ``series rmax --order 6`` on ``cache_dir``: (exit code, stdout,
+    stderr, the cache file)."""
+    code, out, err = run(
+        capsys, "series", "rmax", "--order", "6", "--cache-dir", str(cache_dir)
+    )
+    return code, out, err, cache_dir / f"rmax-all-order6-v{ENGINE_VERSION}.json"
+
+
+def test_series_cache_file_is_a_canonical_document_with_a_checksum(
+    tmp_path, capsys
+):
+    _, _, _, path = _rmax6(capsys, tmp_path)
+    good = path.read_text()
+    doc = json.loads(good)
+    assert canonical_json(doc) == good
+    assert re.fullmatch("[0-9a-f]{8}", doc.pop("crc32"))
+    assert list(doc) == ["coefficients", "engine", "name", "order", "variables"]
+
+
+def test_series_cache_edit_that_keeps_every_count_check_is_recomputed(
+    tmp_path, capsys
+):
+    # +1 on one t^4 monomial and -1 on another: each t^n total stays the
+    # class's count, so only the checksum tells the file from the answer
+    _, clean_out, _, path = _rmax6(capsys, tmp_path)
+    good = path.read_text()
+    doc = json.loads(good)
+    first, second = doc["coefficients"]["4"][:2]
+    first[1] += 1
+    second[1] -= 1
+    assert second[1] > 0
+    cli._counting(document_to_series(doc), "all")  # passes every decoder check
+    path.write_text(canonical_json(doc))
+    code, out, err, _ = _rmax6(capsys, tmp_path)
+    assert code == 0 and out == clean_out
+    assert err.startswith("note: recomputing unreadable cache file ")
+    assert "crc32" in err and err.count("\n") == 1
+    assert path.read_text() == good
+
+
+def test_series_cache_file_without_a_checksum_is_rewritten_once(tmp_path, capsys):
+    # a file written before cache files carried a checksum
+    _, clean_out, _, path = _rmax6(capsys, tmp_path)
+    good = path.read_text()
+    doc = json.loads(good)
+    del doc["crc32"]
+    path.write_text(canonical_json(doc))
+    code, out, err, _ = _rmax6(capsys, tmp_path)
+    assert code == 0 and out == clean_out
+    assert err.startswith("note:") and "no crc32" in err and err.count("\n") == 1
+    assert path.read_text() == good
+    assert _rmax6(capsys, tmp_path)[1:3] == (clean_out, "")
+
+
+@pytest.mark.parametrize(
+    "name, order", [("joint", 5), ("rmax", 8), ("lmax-rmax-lmin-rmin", 8)]
+)
+def test_series_json_hit_prints_the_verified_file(
+    tmp_path, capsys, monkeypatch, name, order
+):
+    args = (
+        "series", name, "--order", str(order), "--format", "json",
+        "--cache-dir", str(tmp_path),
+    )
+    _, miss, _ = run(capsys, *args)
+
+    def refuse(*_):
+        raise AssertionError("a hit re-encoded the series")
+
+    monkeypatch.setattr(cli, "series_to_document", refuse)
+    monkeypatch.setattr(cli, "canonical_json", refuse)
+    code, hit, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert hit == miss
+    (path,) = tmp_path.iterdir()
+    decoded = document_to_series(json.loads(path.read_text()))
+    assert hit == canonical_json(series_to_document(f"{name}[all]", decoded)) + "\n"
+
+
+# sha256 of `sepstats series joint --order 12` stdout, as text and as JSON
+JOINT_12_SHA256 = {
+    "text": "b822b595d8e75f22cbc208bf9461cfaa6df1bed53119def2602c343168e2a4b7",
+    "json": "3b8f4bb21c83416ba41234614a7e41e43cb837f059cca1e2892dd018c3bddd22",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(JOINT_12_SHA256))
+def test_series_joint_bytes_are_pinned_on_a_miss_and_a_hit(tmp_path, capsys, fmt):
+    args = (
+        "series", "joint", "--order", "12", "--format", fmt,
+        "--cache-dir", str(tmp_path),
+    )
+    for run_kind in ("miss", "hit"):
+        code, out, err = run(capsys, *args)
+        assert (code, err) == (0, ""), run_kind
+        assert hashlib.sha256(out.encode()).hexdigest() == JOINT_12_SHA256[fmt], run_kind
 
 
 def _series_child(*argv, prelude=""):

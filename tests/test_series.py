@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sepstats import series as series_module
 from sepstats.series import (
@@ -356,6 +356,18 @@ _codec = settings(max_examples=60, deadline=None)
 
 @_codec
 @given(_poly_data)
+# exponents near 255 on both sides of the renderer's half split (x | y)
+# and within the high half (u, v), a Fraction, and degrees that tie
+@example({
+    (0, 0, 255, 254, 0, 0): Fraction(-3, 7),
+    (0, 0, 254, 255, 0, 0): 1,
+    (0, 0, 0, 0, 255, 254): -1,
+    (0, 0, 0, 0, 254, 255): Fraction(5, 2),
+    (1, 0, 255, 255, 255, 255): 2,
+    (0, 0, 0, 255, 0, 0): -1,
+    (0, 0, 255, 0, 0, 0): Fraction(1, 3),
+    (0, 0, 0, 0, 0, 0): Fraction(-1, 2),
+})
 def test_render_matches_reference_renderer(data):
     assert str(MultiPoly.from_exponents(data)) == _reference_str(data)
 
