@@ -133,7 +133,9 @@ def _lanes(
     return stat_lanes(stats)
 
 
-@functools.lru_cache(maxsize=None)
+# typed, as every order-keyed memo here: 3.0 or True misses the entry of 3
+# or 1 and reaches check_order
+@functools.lru_cache(maxsize=None, typed=True)
 def discriminant_root(order: int) -> TruncSeries:
     """sqrt(1 - 6t + t^2), the radical shared by all closed forms.
 
@@ -151,6 +153,7 @@ def schroeder_gf(order: int) -> TruncSeries:
     >>> schroeder_gf(8).coefficient(7).constant_term()
     1806
     """
+    check_order(order)
     t = TruncSeries.t(order)
     return (1 - t - discriminant_root(order)) * Fraction(1, 2)
 
@@ -161,6 +164,7 @@ def little_schroeder_gf(order: int) -> TruncSeries:
     >>> little_schroeder_gf(8).coefficient(7).constant_term()
     903
     """
+    check_order(order)
     t = TruncSeries.t(order)
     return (1 + t - discriminant_root(order)) * Fraction(1, 4)
 
@@ -208,7 +212,7 @@ def _reading(
     return plus() + zt if cls == "irreducible" else minus() - zt
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _single_gf_by_lane(order: int, lane: str) -> TruncSeries:
     # S(t,z) is one formula whichever lane z is: it is evaluated in x and
     # renamed into the others.
@@ -250,7 +254,7 @@ def closed_form_S_single(order: int, stat: str = "rmax") -> TruncSeries:
     return _single_gf_by_lane(order, lane)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _single_split_by_lane(order: int, lane: str) -> tuple[TruncSeries, TruncSeries]:
     """S^2/(1+S) and S/(1+S) for S = S(t,z) in the given lane; the class
     readings of the single form add or subtract zt to them.
@@ -304,7 +308,7 @@ _SET1_LANES = ("y", "u")  # (rmax, lmin)
 _TRIPLE_LANES = ("x", "y", "u")  # (lmax, rmax, lmin)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _set2_parts(order: int) -> tuple[TruncSeries, TruncSeries]:
     """The irreducible and reducible set-2 series in (x, y), from one
     division: (S(y)+1) t x y / (1 - S(x)S(y)), and S(x) times it."""
@@ -338,7 +342,7 @@ def closed_form_pair_set2(
     return _renamed(part, _SET2_LANES, lanes)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _set1_parts(order: int) -> tuple[TruncSeries, TruncSeries]:
     """Q = (K + T)/(1 - K - T), the (rmax, lmin) series in (y, u), and
     K + T, with K = S(y) I(u) the set-1 core and T = t y u.  K is also the
@@ -375,7 +379,7 @@ def closed_form_pair_set1(
     return _renamed(part, _SET1_LANES, lanes)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _e_xyu(order: int) -> TruncSeries:
     """E(t, x, y, u); see :func:`e_function`."""
     irreducible, reducible = _set2_parts(order)
@@ -404,7 +408,7 @@ def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSerie
     return _renamed(_e_xyu(order), _TRIPLE_LANES, lanes)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _triple_tail(order: int) -> TruncSeries:
     """E Q in (x, y, u), Q the set-1 series (A + t y u)/(1 - A - t y u):
     the triples' one product; see :func:`closed_form_triple`."""
@@ -440,7 +444,7 @@ def closed_form_triple(
     return _renamed(part, _TRIPLE_LANES, lanes)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _quad_irreducible(order: int) -> TruncSeries:
     """I = xyuvt + E(t,x,y,u) S(t,y,u,v)."""
     e_xyu = e_function(order, ("x", "y", "u"))
@@ -448,7 +452,7 @@ def _quad_irreducible(order: int) -> TruncSeries:
     return _t_times(order, ("x", "y", "u", "v")) + e_xyu * s_yuv
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _quad_reducible(order: int) -> TruncSeries:
     """R = I(t,x,y,v) S(t,x,u,v)."""
     i_xyv = closed_form_triple(order, ("rmax", "rmin", "lmax"), "irreducible")

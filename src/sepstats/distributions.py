@@ -295,6 +295,7 @@ def _census(n: int, cls: str) -> MultiPoly:
     # read for the kernel
     DistTable(cls, STAT_NAMES, {n: walk.tally}).check_totals()
     walk.check()
+    # canonical by construction: each value is a positive int count
     return MultiPoly(dict(walk.tally))
 
 

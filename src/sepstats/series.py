@@ -160,8 +160,10 @@ def _half_row(half: int, first: int) -> tuple[int, int, str]:
 
 
 def check_order(order: int) -> None:
-    """Reject a truncation order below 1, or one whose exponents could
-    overflow a lane."""
+    """Reject an order that is not an ``int`` (a ``bool``, a float), one
+    below 1, or one whose exponents could overflow a lane."""
+    if type(order) is not int:
+        raise ValueError(f"series order must be an integer, got {order!r}")
     if order < 1:
         raise ValueError(f"series order must be >= 1, got {order}")
     if order > MAX_ORDER:
@@ -171,18 +173,23 @@ def check_order(order: int) -> None:
         )
 
 
-def _normalize_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 def _exact(c: object) -> Coeff:
     """``c`` as a coefficient, a whole ``Fraction`` as an ``int``: only an
     ``int`` (not a ``bool``) or a ``Fraction`` is one, else ``ValueError``."""
     if type(c) is bool or not isinstance(c, (int, Fraction)):
         raise ValueError(f"{c!r} is not an int or a Fraction")
-    return _normalize_coeff(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(out: dict[int, Coeff]) -> "MultiPoly":
+    """The one finisher: ``out`` without the coefficients that cancelled,
+    and with every whole ``Fraction`` as an ``int``, as a MultiPoly."""
+    values = out.values()
+    if not {*map(type, values)} <= {int}:
+        out = {k: c.numerator if c.denominator == 1 else c for k, c in out.items() if c}
+    elif 0 in values:
+        out = {k: c for k, c in out.items() if c}
+    return MultiPoly(out)
 
 
 # -- the product kernel ------------------------------------------------------
@@ -231,14 +238,16 @@ def _mul_into(out: dict[int, Coeff], a: dict[int, Coeff], b: dict[int, Coeff]) -
             out[k] = c1 * c2 if v is None else v + c1 * c2
 
 
-def _finished(out: dict[int, Coeff]) -> "MultiPoly":
-    """The polynomial of a kernel output: reject an exponent past
-    ``MAX_ORDER``, then drop the coefficients that cancelled."""
+def _check_guards(out: dict[int, Coeff]) -> None:
+    """Reject keys of which one sets a guard bit: an exponent past ``MAX_ORDER``."""
     if out and functools.reduce(operator.or_, out) & _GUARD:
         raise ValueError(_LANE_OVERFLOW)
-    if 0 in out.values():
-        out = {k: c for k, c in out.items() if c}
-    return MultiPoly(out)
+
+
+def _finished(out: dict[int, Coeff]) -> "MultiPoly":
+    """A product's term dict, guard-checked, through :func:`_canonical`."""
+    _check_guards(out)
+    return _canonical(out)
 
 
 def _best_lane(
@@ -360,7 +369,8 @@ def _packing(
 def _unpacked(out: dict[int, int], shift: int, width: int) -> "MultiPoly":
     """The polynomial of packed group ints: each is read as balanced digits
     in -2**(width-1)..2**(width-1)-1, one per exponent of the lane at
-    ``shift``, keeping the nonzero ones."""
+    ``shift``, keeping the nonzero ones.  Canonical by construction: the
+    digits are ints, and a zero group int unpacks to no term."""
     full = 1 << width
     half = full >> 1
     mask = full - 1
@@ -401,10 +411,10 @@ def _kernel(
             out[k] = v + v
     if gm is not None:
         _mul_into(out, gm, gm)
-    # packed, the guard bits cover the other five lanes; _packing checked
-    # the packed one
-    done = _finished(out)
-    return done if plan is None else _unpacked(done._terms, shift, width)
+    if plan is None:
+        return _finished(out)
+    _check_guards(out)  # the other five lanes; _packing checked the packed one
+    return _unpacked(out, shift, width)
 
 
 def _sum_of_products(
@@ -428,8 +438,10 @@ class MultiPoly:
     """Sparse exact polynomial in the fixed variables p, q, x, y, u, v.
 
     Instances are immutable by convention; all operations return fresh
-    objects.  The raw constructor trusts its dict (packed keys, no zero
-    coefficients) — use the classmethod constructors for external data.
+    objects.  Every instance is canonical: no zero coefficient, every whole
+    value an ``int``, no exponent past ``MAX_ORDER``.  The raw constructor
+    trusts its dict to be so; every other result is canonical by
+    construction or returns through :func:`_canonical`.
 
     Each exponent lives in a ``LANE_BITS``-wide lane, so no exponent may
     exceed ``MAX_ORDER`` (255).  Constructors check this, and every product
@@ -461,8 +473,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: Coeff) -> "MultiPoly":
-        c = _exact(c)
-        return cls({0: c} if c else {})
+        return _canonical({0: _exact(c)})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -480,7 +491,7 @@ class MultiPoly:
             if c:
                 key = _pack(tuple(exps))
                 terms[key] = terms.get(key, 0) + c
-        return cls({k: c for k, c in terms.items() if c})
+        return _canonical(terms)
 
     # -- inspection --------------------------------------------------------
 
@@ -515,17 +526,15 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         out = dict(self._terms)
+        get = out.get
         for k, c in other._terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return MultiPoly(out)
+            out[k] = get(k, 0) + c
+        return _canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
+        # canonical by construction: each value keeps its type and stays nonzero
         return MultiPoly({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "MultiPoly | Coeff") -> "MultiPoly":
@@ -534,25 +543,18 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         out = dict(self._terms)
+        get = out.get
         for k, c in other._terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return MultiPoly(out)
+            out[k] = get(k, 0) - c
+        return _canonical(out)
 
     def __rsub__(self, other: Coeff) -> "MultiPoly":
         return MultiPoly.constant(other) - self
 
     def __mul__(self, other: "MultiPoly | Coeff") -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return MultiPoly.zero()
-            other = _normalize_coeff(other)
-            return MultiPoly(
-                {k: _normalize_coeff(c * other) for k, c in self._terms.items()}
-            )
+            other = _exact(other)
+            return _canonical({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         out: dict[int, Coeff] = {}
@@ -571,17 +573,14 @@ class MultiPoly:
         shift = _SHIFT[var]
         mask = _LANE[var]
         out: dict[int, Coeff] = {}
+        get = out.get
         for k, c in self._terms.items():
             e = (k & mask) >> shift
             if e:
                 c = c * value**e
-            k2 = k & ~mask
-            s = _normalize_coeff(out.get(k2, 0) + c)
-            if s:
-                out[k2] = s
-            elif k2 in out:
-                del out[k2]
-        return MultiPoly(out)
+            k &= ~mask
+            out[k] = get(k, 0) + c
+        return _canonical(out)
 
     def keep_only(self, names: Iterable[str]) -> "MultiPoly":
         """Set every variable outside ``names`` to 1, in one pass.
@@ -604,15 +603,13 @@ class MultiPoly:
     def _masked(self, mask: int) -> "MultiPoly":
         """Set to 1 every variable whose lane ``mask`` clears: the one
         projection loop behind :meth:`keep_only` and :meth:`specialize`
-        at 1."""
+        at 1.  Sums that cancel are dropped, and whole ones are ``int``."""
         out: dict[int, Coeff] = {}
         get = out.get
         for k, c in self._terms.items():
             k &= mask
             out[k] = get(k, 0) + c
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        return MultiPoly(out)
+        return _canonical(out)
 
     def map_variables(self, mapping: Mapping[str, str]) -> "MultiPoly":
         """Rename variables according to ``mapping`` (a lane renaming).
@@ -643,7 +640,7 @@ class MultiPoly:
             if (d := _SHIFT[dst] - _SHIFT[src]) and used & _LANE[src]
         ]
         stay = ~sum(mask for mask, _, _ in moves)
-        # Injective, onto free lanes: distinct keys stay distinct.
+        # Injective, onto free lanes: distinct keys stay distinct (canonical).
         out: dict[int, Coeff] = {}
         for k, c in self._terms.items():
             k2 = k & stay
@@ -656,13 +653,13 @@ class MultiPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly({0: other} if other else {})
+            other = _canonical({0: other})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset((k, Fraction(c)) for k, c in self._terms.items()))
+        return hash(frozenset(self._terms.items()))  # n, Fraction(n) hash alike
 
     def __str__(self) -> str:
         if not self._terms:
@@ -1024,7 +1021,8 @@ class TruncSeries:
 
 def _divide_exact(poly: MultiPoly, d: Coeff) -> MultiPoly:
     """``poly / d`` coefficientwise for a nonzero scalar ``d``: an ``int``
-    wherever the quotient is whole, a ``Fraction`` otherwise."""
+    wherever the quotient is whole (``divmod``'s), a ``Fraction`` otherwise:
+    canonical by construction, as ``poly`` is and ``d`` is nonzero."""
     out: dict[int, Coeff] = {}
     for k, c in poly._terms.items():
         q, r = divmod(c, d)
@@ -1059,7 +1057,9 @@ def _normalize_active(active: Iterable[str]) -> tuple[str, ...]:
     return tuple(v for v in VARIABLES if v in names)
 
 
-@functools.lru_cache(maxsize=None)
+# typed, as every order-keyed memo here: 3.0 or True misses the entry of 3
+# or 1 and reaches check_order
+@functools.lru_cache(maxsize=None, typed=True)
 def _solve_fixpoint_cached(
     order: int, active: tuple[str, ...]
 ) -> tuple[TruncSeries, TruncSeries]:
@@ -1190,7 +1190,8 @@ def document_to_series(doc: Mapping) -> TruncSeries:
     ``ValueError``: another variable list, an exponent vector that is not
     one ``int`` in 0..``MAX_ORDER`` per variable, or a monomial listed
     twice in one coefficient.  A valid vector is packed inline; any other
-    goes through :func:`_pack`, whose message names what is wrong.
+    goes through :func:`_pack`, whose message names what is wrong.  Each
+    coefficient returns through :func:`_canonical`.
     """
     if doc["variables"] != list(VARIABLES):
         raise ValueError(
@@ -1217,10 +1218,8 @@ def document_to_series(doc: Mapping) -> TruncSeries:
             if type(num) is int and type(den) is int and den == 1:
                 terms[key] = num
             else:
-                terms[key] = _normalize_coeff(Fraction(num, den))
-        if 0 in terms.values():
-            terms = {k: c for k, c in terms.items() if c}
-        coeffs.append(MultiPoly(terms))
+                terms[key] = Fraction(num, den)
+        coeffs.append(_canonical(terms))
     return TruncSeries(coeffs)
 
 

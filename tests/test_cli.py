@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sepstats
 from sepstats import cli
@@ -649,3 +650,93 @@ def test_closed_stdout_ends_quietly():
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+# -- fuzz --------------------------------------------------------------------
+
+# Numbers that no command accepts, spellings that name nothing, and valid
+# values kept small so that each case runs in well under half a second:
+# n <= 8 (filter n <= 7), series orders <= 14 (joint <= 8), max-n <= 20
+# and only verify checks that finish in milliseconds.
+_BAD_NUMBERS = ["-1", "0", "256", str(10**30), "3.0", ""]
+_CLASSES = ["all", "irr", "red", "irreducible", "reducible", "irreducable", "ALL"]
+_STATS = ["asc", "lmax,rmax", "asc,des,lmin", "rmax,rmax", "rmx", "lmax,", ""]
+_CHEAP_CHECKS = [
+    "counting-identities",
+    "counting-gf-radicals",
+    "asc-des-relations",
+    "equidistribution-negative-control",
+    "series-snippets",
+    "tables-golden",
+    "eulerian-descents",
+    "conjectures",
+    "countng-identities",
+    "tables",
+]
+_SERIES_NAMES = [*SERIES_REGISTRY, "jiont", "lmax-rmax-rmin", "Counting"]
+
+
+def _number(top):
+    return st.integers(1, top).map(str) | st.sampled_from(_BAD_NUMBERS)
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _argv(draw, cache_dir):
+    command = draw(st.sampled_from([
+        "enumerate", "dist", "tables", "series", "verify", "conjectures",
+        "enumerat", "serie", "--version",
+    ]))
+    argv = [command]
+    if command == "enumerate":
+        method = draw(st.sampled_from(["structural", "filter", "brute"]))
+        argv += [draw(_number(7 if method == "filter" else 8)), "--method", method]
+        argv += draw(_option("--class", st.sampled_from(_CLASSES)))
+        argv += draw(_option("--format", st.sampled_from(["text", "json", "xml"])))
+        argv += draw(st.sampled_from([[], ["--count"]]))
+    elif command == "dist":
+        argv += [draw(_number(8))]
+        argv += draw(_option("--class", st.sampled_from(_CLASSES)))
+        argv += draw(_option("--stats", st.sampled_from(_STATS)))
+        argv += draw(_option("--format", st.sampled_from(["table", "csv", "json", "tsv"])))
+    elif command == "tables":
+        argv += [draw(st.sampled_from(["3", "4", "5", "6", "0", "three"]))]
+    elif command == "series":
+        name = draw(st.sampled_from(_SERIES_NAMES))
+        argv += [name, "--order", draw(_number(8 if name == "joint" else 14))]
+        argv += draw(_option("--class", st.sampled_from(_CLASSES)))
+        argv += draw(_option("--format", st.sampled_from(["text", "json", "yaml"])))
+        argv += draw(st.sampled_from([["--no-cache"], ["--cache-dir", str(cache_dir)], []]))
+    elif command == "verify":
+        argv += draw(st.lists(st.sampled_from(_CHEAP_CHECKS), min_size=1, max_size=3))
+        argv += draw(_option("--max-n", _number(20)))
+        argv += draw(st.sampled_from([[], ["--json"], ["--list"]]))
+    elif command == "conjectures":
+        argv += draw(_option("--max-n", _number(20)))
+    # now and then a stray token: a flag without its value, or one no
+    # command knows
+    argv += draw(st.sampled_from([[]] * 8 + [["--order"], ["--bogus"], ["-x"], ["7"]]))
+    return argv
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_fuzzed_argv_exits_cleanly(tmp_path, monkeypatch, capsys, data):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    argv = data.draw(_argv(tmp_path / "cache"), label="argv")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: a usage error, --version or --help
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 or err.startswith("usage: "), err

@@ -207,6 +207,8 @@ def test_single_forms_refuse_ascents_and_descents(build, stat):
         (closedforms.closed_form_quad, 0, "must be >= 1, got 0"),
         (closedforms.e_function, 0, "must be >= 1, got 0"),
         (closedforms.closed_form_S_single, -1, "must be >= 1, got -1"),
+        (closedforms.schroeder_gf, -1, "must be >= 1, got -1"),
+        (closedforms.little_schroeder_gf, -1, "must be >= 1, got -1"),
         # the radical would need order 256, one past the lane width
         (closedforms.closed_form_quad, 255, "closed-form order 255 .* exceeds 255"),
     ],
@@ -214,6 +216,25 @@ def test_single_forms_refuse_ascents_and_descents(build, stat):
 def test_closed_forms_reject_an_order_as_given(build, order, message):
     with pytest.raises(ValueError, match=message):
         build(order)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        closedforms.discriminant_root,
+        closedforms.closed_form_S_single,
+        closedforms.closed_form_pair_set2,
+        closedforms.closed_form_quad,
+    ],
+)
+@pytest.mark.parametrize("bad, good", [(4.0, 4), (True, 1)], ids=["float", "bool"])
+def test_an_order_that_is_not_an_int_is_refused_cold_and_warm(cold_memos, build, bad, good):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(bad)
+    build(good)
+    # the memos hold the int order now, and still do not answer for it
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(bad)
 
 
 @pytest.mark.parametrize("stats", closedforms.FORMS, ids="-".join)

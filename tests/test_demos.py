@@ -1,5 +1,7 @@
-"""The narrative demos run to completion against the current package."""
+"""The narrative demos run to completion, and the README's examples hold,
+against the current package."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -24,3 +26,8 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_examples_hold():
+    results = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert results.attempted and not results.failed

@@ -174,6 +174,20 @@ def test_series_roots_enforce_the_lane_width():
             root(order)
 
 
+@pytest.mark.parametrize("bad, good", [(3.0, 3), (True, 1)], ids=["float", "bool"])
+def test_a_fixpoint_order_that_is_not_an_int_is_refused_cold_and_warm(bad, good):
+    from sepstats.series import check_order
+
+    with pytest.raises(ValueError, match="must be an integer"):
+        check_order(bad)
+    # (p, v) is a lane set no other test solves, so the first call is cold
+    with pytest.raises(ValueError, match="must be an integer"):
+        solve_fixpoint(bad, ("p", "v"))
+    solve_fixpoint(good, ("p", "v"))
+    with pytest.raises(ValueError, match="must be an integer"):
+        solve_fixpoint(bad, ("p", "v"))
+
+
 def test_fixpoint_known_low_order_coefficients():
     s, _ = solve_fixpoint(3, ("x", "y"))
     assert s.coefficient(3) == parse_poly("x^3y + 2x^2y^2 + xy^3 + x^2y + xy^2")
@@ -240,6 +254,15 @@ def test_exact_entry_points_refuse_what_is_not_an_int_or_a_fraction(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("bad", [True, False], ids=["true", "false"])
+def test_scalar_multiplication_refuses_a_bool(bad):
+    x = MultiPoly.variable("x")
+    t = TruncSeries.t(3)
+    for op in (lambda: x * bad, lambda: bad * x, lambda: t * bad, lambda: bad * t):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            op()
+
+
 def test_a_float_factor_or_summand_is_a_type_error():
     t = TruncSeries.t(3)
     for op in (lambda: t * 0.5, lambda: 0.5 * t, lambda: t + 0.5, lambda: t - 0.5):
@@ -261,6 +284,40 @@ def test_scalar_multiples_and_substitutions_keep_whole_values_int():
     assert _types(Fraction(2, 3) * (series * 3)) == [[], [int, int], [int]]
     assert _types(series.specialize("x", Fraction(1, 2))) == [[], [int], [int]]
     assert series.specialize("x", Fraction(1, 2)).coefficient(1) == 5
+
+
+_x, _y = MultiPoly.variable("x"), MultiPoly.variable("y")
+_half = MultiPoly.constant(Fraction(1, 2))
+_halves_in_x_and_y = {(0, 0, 1, 0, 0, 0): Fraction(1, 2), (0, 0, 0, 1, 0, 0): Fraction(1, 2)}
+_t_half = TruncSeries.t(3) * Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _half + _half,
+        lambda: (_x + _half) - (_x - _half),
+        lambda: (_x * Fraction(1, 2)) * (_y * 2),
+        lambda: MultiPoly.from_exponents(_halves_in_x_and_y).keep_only(()),
+        lambda: MultiPoly.from_exponents(_halves_in_x_and_y).specialize("x").specialize("y"),
+        lambda: (_t_half * (TruncSeries.t(3) * 2)).coefficient(2),
+        lambda: (_t_half + _t_half).coefficient(1),
+    ],
+    ids=["sum", "difference", "product", "keep_only", "specialize", "series-product", "series-sum"],
+)
+def test_a_whole_result_has_int_terms(build):
+    got = build()
+    assert list(got._terms.values()) == [1]
+    assert _typed(got) == {k: (int, 1) for k in got._terms}
+
+
+def test_a_whole_sum_of_halves_is_a_count():
+    from sepstats.distributions import counts_by_variable
+    from sepstats.series import assert_counting_series
+
+    twice_half_x = _x * Fraction(1, 2) + _x * Fraction(1, 2)
+    assert counts_by_variable(twice_half_x, "x") == {1: 1}
+    assert_counting_series(TruncSeries([MultiPoly.zero(), twice_half_x]))
 
 
 # -- serialization ----------------------------------------------------------
@@ -972,3 +1029,58 @@ def test_each_fixpoint_stream_picks_its_own_lane(lane_decisions):
     # S|y=1 times I|u=1, by x.  The q-sum decides first.
     series_module._solve_fixpoint_cached.__wrapped__(20, ("x", "y", "u"))
     assert lane_decisions == [_SHIFTS["y"], _SHIFTS["x"]]
+
+
+# -- one canonical form ------------------------------------------------------
+
+# Polynomials in x and y with int and Fraction coefficients, halves among
+# them, so that sums, differences and products can be whole.
+_mixed_coefficients = (
+    st.integers(-3, 3)
+    | st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+    | st.fractions(-2, 2, max_denominator=4)
+)
+_mixed_polys = st.dictionaries(
+    st.tuples(st.just(0), st.just(0), st.integers(0, 2), st.integers(0, 2),
+              st.just(0), st.just(0)),
+    _mixed_coefficients,
+    max_size=4,
+).map(MultiPoly.from_exponents)
+
+
+def _assert_canonical(poly):
+    """No zero coefficient, no whole Fraction, and a hash that agrees with
+    == against a twin whose values are all Fractions."""
+    for c in poly._terms.values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    twin = MultiPoly({k: Fraction(c) for k, c in poly._terms.items()})
+    assert twin == poly and hash(twin) == hash(poly)
+
+
+@_kernel
+@given(_mixed_polys, _mixed_polys, _mixed_coefficients.filter(bool))
+def test_every_polynomial_result_is_canonical(f, g, scalar):
+    whole = MultiPoly.from_exponents({e: Fraction(c) for e, c in (f * 2).terms()})
+    for got in (
+        f + g, f - g, f * scalar, scalar * f, f * 0, f * g,
+        f.keep_only(("x",)), f.keep_only(()),
+        f.specialize("x"), f.specialize("y", scalar),
+        f.specialize("y", Fraction(1, 2)), whole,
+    ):
+        _assert_canonical(got)
+    assert (f + g) - g == f and hash((f + g) - g) == hash(f)
+    assert whole == f * 2
+
+
+@_kernel
+@given(_mixed_polys, _mixed_polys, _mixed_coefficients.filter(bool))
+def test_every_series_result_is_canonical(f, g, scalar):
+    a = TruncSeries([MultiPoly.constant(scalar), f, g, f * g])
+    b = TruncSeries([MultiPoly.one(), g, f, g * scalar])
+    for got in (a * b, a * a, a.divide(b), b.divide(a), b.sqrt()):
+        for poly in got.coefficients():
+            _assert_canonical(poly)
+    for s in (a, b, a * b, b.sqrt()):
+        back = document_to_series(series_to_document("p", s))
+        assert _typed_terms(back) == _typed_terms(s)
