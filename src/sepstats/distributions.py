@@ -35,7 +35,6 @@ from typing import Callable, Iterator, Sequence
 from . import enumeration
 from .enumeration import (
     _EVERY_LANE,
-    HARD_CAP,
     _check_structural_n,
     _composed,
     _groups,
@@ -277,15 +276,15 @@ class _Walk:
                 _check_key(wrap(word), next(_composed((key,), mask, offset)))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _census(n: int, cls: str) -> MultiPoly:
     """Sum of p^asc q^des x^lmax y^rmax u^lmin v^rmin over the length-n
     permutations of the canonical class ``cls``: one walk per (n, class),
     tallying each word's key composed from its head's and its tail's.  The
     keys are the series' packed monomials, so the tally is the
     polynomial's term dict.  The walk reads only the tables of lengths
-    up to ``_TABLE_SIDES`` and below n (length 1 is always there)."""
-    _check_structural_n(n)
+    up to ``_TABLE_SIDES`` and below n (length 1 is always there).  Its
+    callers check n."""
     walk = _Walk(n)
     if n == 1:
         walk.table(1, cls, _EVERY_LANE, 0, _whole)
@@ -309,6 +308,7 @@ def dist_from_enumeration(
     >>> dist_from_enumeration(1, "irreducible", ("rmax",)).value_counts(1)
     {1: 1}
     """
+    _check_structural_n(n)
     cls = canonical_class(perm_class)
     lanes = stat_lanes(stats)
     indices = [VARIABLES.index(v) for v in lanes]
@@ -330,11 +330,8 @@ def series_from_enumeration(order: int, perm_class: str = "all") -> TruncSeries:
     >>> str(S.coefficient(1))
     'x*y*u*v'
     """
+    _check_structural_n(order)
     cls = canonical_class(perm_class)
-    if not 1 <= order <= HARD_CAP:
-        raise ValueError(
-            f"the census is capped at 1 <= order <= {HARD_CAP}, got {order}"
-        )
     coeffs = [_census(n, cls) for n in range(1, order + 1)]
     return TruncSeries([MultiPoly.zero(), *coeffs])
 
@@ -342,21 +339,20 @@ def series_from_enumeration(order: int, perm_class: str = "all") -> TruncSeries:
 def counts_by_variable(poly: MultiPoly, var: str) -> dict[int, int]:
     """Marginal distribution read off a series coefficient.
 
-    Groups the coefficient's monomials by the exponent of ``var`` and sums
-    (equivalently: substitutes 1 for every other variable).  Values are
-    asserted to be non-negative integers, as befits counts.
+    Substitutes 1 for every other variable (:meth:`MultiPoly.keep_only`)
+    and reads each remaining term's exponent of ``var``, in order.  Values
+    are asserted to be non-negative integers, as befits counts.
     """
+    marginal = poly.keep_only((var,))
     idx = VARIABLES.index(var)
-    out: dict[int, int] = {}
-    for exps, c in poly.terms():
-        out[exps[idx]] = out.get(exps[idx], 0) + c
+    out = {exps[idx]: c for exps, c in marginal.terms()}
     for k, c in out.items():
         if not isinstance(c, int) or c < 0:
             raise AssertionError(
                 f"marginal count for {var}^{k} is {c}, expected a "
                 "non-negative integer"
             )
-    return dict(sorted(out.items()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +378,7 @@ def table_rows(which: int, max_n: int = _TABLE_ROWS) -> list[list[int]]:
     """Table rows as integer lists, row n listing counts for k = 1.. ."""
     if which not in _TABLE_SPECS:
         raise ValueError(f"no such table {which}; expected one of {TABLE_NUMBERS}")
+    _check_structural_n(max_n)
     perm_class, stat, shape = _TABLE_SPECS[which]
     rows = []
     for n in range(1, max_n + 1):

@@ -54,6 +54,7 @@ import operator
 from array import array
 from typing import Iterable, Iterator, TypeVar
 
+from .numbers import _check_int
 from .permutations import Permutation, is_separable
 from .series import _LANE, _SHIFT, STAT_TO_VARIABLE, _pack
 
@@ -123,7 +124,7 @@ def class_part(perm_class: str, whole: _T, irreducible: _T) -> _T:
     return whole - irreducible
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _shift_table(s: int) -> bytes:
     """Translation table adding ``s`` to every byte value (modulo 256)."""
     return bytes((i + s) & 0xFF for i in range(256))
@@ -316,10 +317,8 @@ def _group_blocks(
 
 
 def _check_structural_n(n: int) -> None:
-    if not 1 <= n <= HARD_CAP:
-        raise ValueError(
-            f"structural enumeration is capped at 1 <= n <= {HARD_CAP}, got {n}"
-        )
+    """The lengths the structural stream and the census take: 1..HARD_CAP."""
+    _check_int(n, "structural enumeration length", 1, HARD_CAP)
 
 
 def iter_separable_bytes(n: int, cls: str = "all") -> Iterator[bytes]:
@@ -382,10 +381,7 @@ def enumerate_filter(n: int) -> Iterator[Permutation]:
     >>> sum(1 for _ in enumerate_filter(4))
     22
     """
-    if not 1 <= n <= FILTER_CAP:
-        raise ValueError(
-            f"filter enumeration is capped at 1 <= n <= {FILTER_CAP}, got {n}"
-        )
+    _check_int(n, "filter enumeration length", 1, FILTER_CAP)
     # itertools.permutations yields bijections: no validation needed
     return (
         pi
@@ -419,8 +415,7 @@ def count_separable(n: int) -> int:
     >>> [count_separable(n) for n in range(1, 8)]
     [1, 2, 6, 22, 90, 394, 1806]
     """
-    if n < 1:
-        raise ValueError(f"count_separable requires n >= 1, got {n}")
+    _check_int(n, "count_separable n", 1)
     _extend_counts(n)
     return _SEPARABLE_COUNTS[n]
 
@@ -436,7 +431,6 @@ def count_irreducible(n: int) -> int:
     >>> [count_irreducible(n) for n in range(1, 8)]
     [1, 1, 3, 11, 45, 197, 903]
     """
-    if n < 1:
-        raise ValueError(f"count_irreducible requires n >= 1, got {n}")
+    _check_int(n, "count_irreducible n", 1)
     _extend_counts(n)
     return _IRREDUCIBLE_COUNTS[n]

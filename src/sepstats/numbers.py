@@ -40,6 +40,20 @@ __all__ = [
 _CATALANS: list[int] = [1]
 
 
+def _check_int(
+    value: object, what: str, low: int | None = 0, high: int | None = None
+) -> None:
+    """The one gate of every length, order and count the package takes:
+    reject a ``value`` that is not an ``int`` (a ``bool``, a float), then
+    one below ``low`` (``None``: any int), then one above ``high``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{what} is capped at {high}, got {value}")
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) by ``math.comb``; 0 for k < 0 or k > n.
 
@@ -48,8 +62,8 @@ def binomial(n: int, k: int) -> int:
     >>> binomial(5, 7)
     0
     """
-    if n < 0:
-        raise ValueError(f"binomial requires n >= 0, got n={n}")
+    _check_int(n, "binomial n")
+    _check_int(k, "binomial k", None)
     if k < 0:
         return 0
     return math.comb(n, k)
@@ -63,8 +77,7 @@ def catalan(n: int) -> int:
     >>> catalan(5)
     42
     """
-    if n < 0:
-        raise ValueError(f"catalan requires n >= 0, got n={n}")
+    _check_int(n, "catalan n")
     c = _CATALANS
     for m in range(len(c), n + 1):
         c.append(sum(c[i] * c[m - 1 - i] for i in range(m)))
@@ -80,8 +93,7 @@ def catalan_bruteforce(n: int) -> int:
     >>> [catalan_bruteforce(n) for n in range(6)]
     [1, 1, 2, 5, 14, 42]
     """
-    if n < 0:
-        raise ValueError(f"catalan_bruteforce requires n >= 0, got n={n}")
+    _check_int(n, "catalan_bruteforce n")
 
     def count(opens_left: int, height: int) -> int:
         if opens_left == 0:
@@ -102,12 +114,11 @@ def schroeder_eq1(n: int) -> int:
     >>> [schroeder_eq1(n) for n in range(5)]
     [1, 2, 6, 22, 90]
     """
-    if n < 0:
-        raise ValueError(f"schroeder_eq1 requires n >= 0, got n={n}")
+    _check_int(n, "schroeder_eq1 n")
     return sum(binomial(2 * n - i, i) * catalan(n - i) for i in range(n + 1))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _dyck_peak_table(n: int) -> dict[int, int]:
     """Peak distribution {k: count} of Dyck paths of semilength n, by forward DP.
 
@@ -142,8 +153,8 @@ def dyck_peak_count(n: int, k: int) -> int:
     >>> [dyck_peak_count(3, k) for k in (1, 2, 3)]
     [1, 3, 1]
     """
-    if n < 1:
-        raise ValueError(f"dyck_peak_count requires n >= 1, got n={n}")
+    _check_int(n, "dyck_peak_count n", 1)
+    _check_int(k, "dyck_peak_count k", None)
     if k < 1 or k > n:
         return 0
     return _dyck_peak_table(n).get(k, 0)
@@ -161,8 +172,7 @@ def schroeder_eq2(n: int) -> int:
     >>> schroeder_eq2(3)
     22
     """
-    if n < 0:
-        raise ValueError(f"schroeder_eq2 requires n >= 0, got n={n}")
+    _check_int(n, "schroeder_eq2 n")
     if n == 0:
         return 1
     return sum((2**k) * dyck_peak_count(n, k) for k in range(1, n + 1))
@@ -188,8 +198,8 @@ def stirling2(n: int, k: int) -> int:
     >>> stirling2(3, 3)
     1
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"stirling2 requires n, k >= 0, got n={n}, k={k}")
+    _check_int(n, "stirling2 n")
+    _check_int(k, "stirling2 k")
     return _stirling2_row(n, k)[k]
 
 
@@ -199,8 +209,7 @@ def factorial(n: int) -> int:
     >>> factorial(5)
     120
     """
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got n={n}")
+    _check_int(n, "factorial n")
     return math.factorial(n)
 
 
@@ -216,8 +225,7 @@ def eulerian_poly(n: int) -> dict[int, int]:
     >>> eulerian_poly(3) == {0: 1, 1: 4, 2: 1}
     True
     """
-    if n < 1:
-        raise ValueError(f"eulerian_poly requires n >= 1, got n={n}")
+    _check_int(n, "eulerian_poly n", 1)
     stirling_row = _stirling2_row(n, n)
     coeffs: list[int] = []  # of q^0, q^1, ...
     k_factorial = 1
@@ -240,8 +248,7 @@ def rising_factorial_coeffs(n: int) -> dict[int, int]:
     >>> rising_factorial_coeffs(3) == {1: 2, 2: 3, 3: 1}
     True
     """
-    if n < 1:
-        raise ValueError(f"rising_factorial_coeffs requires n >= 1, got n={n}")
+    _check_int(n, "rising_factorial_coeffs n", 1)
     poly: dict[int, int] = {1: 1}  # y
     for a in range(1, n):
         nxt: dict[int, int] = {}

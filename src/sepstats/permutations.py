@@ -94,8 +94,9 @@ class _Record:
 class Permutation(_Record):
     """A permutation in one-line notation with 1-based values.
 
-    ``values`` must be a bijection on {1, ..., n} with n >= 1.  Instances
-    are immutable: assigning an attribute raises ``AttributeError``.
+    ``values`` must be ``int``s forming a bijection on {1, ..., n} with
+    n >= 1.  Instances are immutable: assigning an attribute raises
+    ``AttributeError``.
 
     >>> Permutation((2, 1, 3))
     Permutation((2, 1, 3))
@@ -117,7 +118,9 @@ class Permutation(_Record):
         n = len(values)
         if n == 0:
             raise ValueError("the empty permutation is not supported")
-        if sorted(values) != list(range(1, n + 1)):
+        # ints only: 1.0 and True equal 1, but are no values of a permutation
+        ints = {*map(type, values)} <= {int}
+        if not ints or sorted(values) != list(range(1, n + 1)):
             raise ValueError(
                 f"values must be a bijection on 1..{n}, got {values!r}"
             )

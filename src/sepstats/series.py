@@ -36,6 +36,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from .numbers import _check_int
+
 __all__ = [
     "VARIABLES",
     "STAT_NAMES",
@@ -104,6 +106,18 @@ _LANE: dict[str, int] = {name: MAX_ORDER << s for name, s in _SHIFT.items()}
 _GUARD = sum(1 << (s + LANE_BITS) for s in _SHIFT.values())
 _S_P, _S_Q, _S_X, _S_Y, _S_U, _S_V = _SHIFT.values()
 
+
+def _shift(name: str) -> int:
+    """The lane offset of variable ``name``: the one check that a name is
+    a variable."""
+    try:
+        return _SHIFT[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown variable {name!r}; expected one of {VARIABLES}"
+        ) from None
+
+
 Coeff = int | Fraction
 Exponents = tuple[int, int, int, int, int, int]
 
@@ -162,10 +176,7 @@ def _half_row(half: int, first: int) -> tuple[int, int, str]:
 def check_order(order: int) -> None:
     """Reject an order that is not an ``int`` (a ``bool``, a float), one
     below 1, or one whose exponents could overflow a lane."""
-    if type(order) is not int:
-        raise ValueError(f"series order must be an integer, got {order!r}")
-    if order < 1:
-        raise ValueError(f"series order must be >= 1, got {order}")
+    _check_int(order, "series order", 1)
     if order > MAX_ORDER:
         raise ValueError(
             f"series order {order} exceeds {MAX_ORDER}, the largest exponent "
@@ -477,9 +488,7 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        if name not in _SHIFT:
-            raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
-        return cls({1 << _SHIFT[name]: 1})
+        return cls({1 << _shift(name): 1})
 
     @classmethod
     def from_exponents(cls, data: Mapping[Sequence[int], Coeff]) -> "MultiPoly":
@@ -565,13 +574,11 @@ class MultiPoly:
 
     def specialize(self, var: str, value: Coeff = 1) -> "MultiPoly":
         """Substitute ``value`` (default 1) for ``var``."""
-        if var not in _SHIFT:
-            raise ValueError(f"unknown variable {var!r}; expected one of {VARIABLES}")
+        shift = _shift(var)
+        mask = MAX_ORDER << shift
         value = _exact(value)
         if value == 1:
-            return self._masked(~_LANE[var])
-        shift = _SHIFT[var]
-        mask = _LANE[var]
+            return self._masked(~mask)
         out: dict[int, Coeff] = {}
         get = out.get
         for k, c in self._terms.items():
@@ -595,9 +602,7 @@ class MultiPoly:
         """
         mask = 0
         for name in names:
-            if name not in _LANE:
-                raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
-            mask |= _LANE[name]
+            mask |= MAX_ORDER << _shift(name)
         return self._masked(mask)
 
     def _masked(self, mask: int) -> "MultiPoly":
@@ -619,10 +624,7 @@ class MultiPoly:
         renaming never merges distinct lanes.
         """
         for var in (*mapping, *mapping.values()):
-            if var not in _SHIFT:
-                raise ValueError(
-                    f"unknown variable {var!r}; expected one of {VARIABLES}"
-                )
+            _shift(var)
         dests = list(mapping.values())
         if len(set(dests)) != len(dests):
             raise ValueError("variable renaming maps two sources to one lane")
@@ -1050,11 +1052,8 @@ def assert_counting_series(series: TruncSeries, what: str = "series") -> None:
 
 
 def _normalize_active(active: Iterable[str]) -> tuple[str, ...]:
-    names = set(active)
-    unknown = names - set(VARIABLES)
-    if unknown:
-        raise ValueError(f"unknown variables {sorted(unknown)}; expected {VARIABLES}")
-    return tuple(v for v in VARIABLES if v in names)
+    shifts = {*map(_shift, active)}
+    return tuple(v for v in VARIABLES if _SHIFT[v] in shifts)
 
 
 # typed, as every order-keyed memo here: 3.0 or True misses the entry of 3

@@ -386,7 +386,7 @@ def _project_extremes(parts: dict[str, TruncSeries]) -> tuple[TruncSeries, Trunc
     )
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def _master_extremes(order: int) -> tuple[TruncSeries, TruncSeries]:
     """The master fixpoint to ``order`` on the four extreme lanes, shared
     by the closed-form checks, ``e-function-identities`` and
@@ -394,7 +394,7 @@ def _master_extremes(order: int) -> tuple[TruncSeries, TruncSeries]:
     return _project_extremes(_master(order))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1, typed=True)
 def _extreme_projections(
     order: int, census_order: int
 ) -> tuple[tuple[TruncSeries, TruncSeries], tuple[TruncSeries, TruncSeries]]:
@@ -702,17 +702,7 @@ def verify_transfer(order: int = 12) -> str:
                 for src, dst in zip(image_lanes, lanes)
                 if src != dst
             }
-            zt = TruncSeries.term(
-                order,
-                1,
-                MultiPoly.from_exponents(
-                    {
-                        tuple(
-                            1 if v in lanes else 0 for v in VARIABLES
-                        ): 1
-                    }
-                ),
-            )
+            zt = cf._t_times(order, lanes)
             i_here, r_here = projected[frozenset(lanes)]
             i_image, r_image = projected[frozenset(image_lanes)]
             _expect_agree(
@@ -1004,10 +994,7 @@ _MIN_CONJECTURE_N = max(spec["from_n"] for spec in _CONJECTURES.values())
 
 
 def _check_conjecture_n(max_n: int) -> None:
-    if max_n < _MIN_CONJECTURE_N:
-        raise ValueError(
-            f"conjecture evidence needs max_n >= {_MIN_CONJECTURE_N}, got {max_n}"
-        )
+    numbers._check_int(max_n, "conjecture evidence max_n", _MIN_CONJECTURE_N)
     check_order(max_n)
 
 
@@ -1072,7 +1059,7 @@ def check_conjectures(max_n: int = 12) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def _sn_profiles(n: int) -> Counter:
     """How many of the n! permutations of 1..n have each statistic
     profile: the one exhaustive walk of S_n behind the classical oracles."""

@@ -1,0 +1,104 @@
+"""One gate per input kind: every length, order and count an entry point
+takes is an ``int`` in range before any memo or ``range()`` sees it, and
+every memo is typed, so an unchecked key never meets a checked one."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import sepstats
+from sepstats import distributions, enumeration, numbers, series, verify
+from sepstats.enumeration import FILTER_CAP, HARD_CAP
+from sepstats.series import MAX_ORDER
+
+#: What the message of a structural length names.
+LENGTH = "structural enumeration length"
+
+
+def listed(stream):
+    """``stream`` read to the end, so that a lazy stream is checked too."""
+    return lambda v: [*stream(v)]
+
+
+#: (entry point, what its message names, the call with the checked argument
+#: as ``v``, lowest valid value or None for any int, highest valid value or
+#: None)
+GATES = [
+    ("binomial(n)", "binomial n", lambda v: numbers.binomial(v, 2), 0, None),
+    ("binomial(k)", "binomial k", lambda v: numbers.binomial(5, v), None, None),
+    ("catalan", "catalan n", numbers.catalan, 0, None),
+    ("catalan_bruteforce", "catalan_bruteforce n", numbers.catalan_bruteforce, 0, None),
+    ("schroeder_eq1", "schroeder_eq1 n", numbers.schroeder_eq1, 0, None),
+    ("dyck_peak_count(n)", "dyck_peak_count n", lambda v: numbers.dyck_peak_count(v, 1), 1, None),
+    ("dyck_peak_count(k)", "dyck_peak_count k", lambda v: numbers.dyck_peak_count(3, v), None, None),
+    ("schroeder_eq2", "schroeder_eq2 n", numbers.schroeder_eq2, 0, None),
+    ("stirling2(n)", "stirling2 n", lambda v: numbers.stirling2(v, 1), 0, None),
+    ("stirling2(k)", "stirling2 k", lambda v: numbers.stirling2(3, v), 0, None),
+    ("factorial", "factorial n", numbers.factorial, 0, None),
+    ("eulerian_poly", "eulerian_poly n", numbers.eulerian_poly, 1, None),
+    ("rising_factorial_coeffs", "rising_factorial_coeffs n", numbers.rising_factorial_coeffs, 1, None),
+    ("count_separable", "count_separable n", enumeration.count_separable, 1, None),
+    ("count_irreducible", "count_irreducible n", enumeration.count_irreducible, 1, None),
+    ("iter_separable_bytes", LENGTH, listed(enumeration.iter_separable_bytes), 1, HARD_CAP),
+    ("_key_stream", LENGTH, listed(enumeration._key_stream), 1, HARD_CAP),
+    ("enumerate_structural", LENGTH, listed(enumeration.enumerate_structural), 1, HARD_CAP),
+    ("enumerate_filter", "filter enumeration length", listed(enumeration.enumerate_filter), 1, FILTER_CAP),
+    ("dist_from_enumeration", LENGTH, distributions.dist_from_enumeration, 1, HARD_CAP),
+    ("series_from_enumeration", LENGTH, distributions.series_from_enumeration, 1, HARD_CAP),
+    ("table_rows", LENGTH, lambda v: distributions.table_rows(4, v), 1, HARD_CAP),
+    ("render_table", LENGTH, lambda v: distributions.render_table(3, v), 1, HARD_CAP),
+    ("check_order", "series order", series.check_order, 1, MAX_ORDER),
+    ("solve_fixpoint", "series order", lambda v: series.solve_fixpoint(v, "qu"), 1, MAX_ORDER),
+    # above MAX_ORDER the order check names the lane width, not max_n
+    ("check_conjectures", "conjecture evidence max_n", verify.check_conjectures, 5, None),
+]
+
+CASES = [
+    pytest.param(call, bad, low, what, id=f"{name}-{bad!r}")
+    for name, what, call, low, high in GATES
+    for bad in (
+        True,
+        False,
+        3.0,
+        *(() if low is None else (low - 1,)),
+        *(() if high is None else (high + 1,)),
+    )
+]
+
+
+@pytest.fixture
+def cold(fresh_memos, monkeypatch):
+    """Every length-keyed memo of the census and the counts empty."""
+    monkeypatch.setattr(enumeration, "_SEPARABLE_COUNTS", [0, 1])
+    monkeypatch.setattr(enumeration, "_IRREDUCIBLE_COUNTS", [0, 1])
+    monkeypatch.setattr(numbers, "_CATALANS", [1])
+    numbers._dyck_peak_table.cache_clear()
+
+
+@pytest.mark.parametrize("call, bad, low, what", CASES)
+def test_an_entry_point_refuses_a_bad_length_cold_and_warm(cold, call, bad, low, what):
+    with pytest.raises(ValueError) as cold_error:
+        call(bad)
+    # warm: each valid int among 0, 1 and 3 (False, True, 3.0) is answered first
+    first = 0 if low is None else max(low, 0)
+    for good in range(first, first + 4):
+        call(good)
+    with pytest.raises(ValueError) as warm_error:
+        call(bad)
+    for error in (cold_error, warm_error):
+        assert what in str(error.value)
+        assert repr(bad) in str(error.value)
+
+
+def test_every_memo_is_typed():
+    memos = []
+    for info in pkgutil.iter_modules(sepstats.__path__):
+        module = importlib.import_module(f"sepstats.{info.name}")
+        memos += [
+            (f"{module.__name__}.{name}", obj)
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__
+        ]
+    assert len(memos) >= 16
+    assert [name for name, memo in memos if not memo.cache_parameters()["typed"]] == []

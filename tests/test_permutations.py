@@ -56,6 +56,12 @@ def test_invalid_values_rejected():
         Permutation.parse("")
 
 
+@pytest.mark.parametrize("values", [(1.0, 2.0), (2.0, 1.0), (True,), (2, True)])
+def test_values_that_are_not_ints_are_rejected(values):
+    with pytest.raises(ValueError, match="bijection"):
+        Permutation(values)
+
+
 def test_of_and_indexing():
     pi = Permutation.of(3, 1, 2)
     assert pi[0] == 3

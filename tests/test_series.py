@@ -646,15 +646,23 @@ def test_keep_only_drops_terms_that_cancel():
     assert (MultiPoly.variable("x") - MultiPoly.variable("y")).keep_only(()).is_zero()
 
 
-def test_keep_only_rejects_an_unknown_variable():
+def test_every_variable_site_rejects_an_unknown_variable_alike():
+    from sepstats.distributions import counts_by_variable
+
     f = parse_poly("x*y + 1")
-    with pytest.raises(ValueError) as from_specialize:
-        f.specialize("z")
-    with pytest.raises(ValueError) as from_keep_only:
-        f.keep_only(("x", "z"))
-    assert str(from_keep_only.value) == str(from_specialize.value)
-    with pytest.raises(ValueError, match="unknown variable 'z'"):
-        TruncSeries([f, f]).keep_only(["z"])
+    for call in (
+        lambda: MultiPoly.variable("z"),
+        lambda: f.specialize("z"),
+        lambda: f.keep_only(("x", "z")),
+        lambda: TruncSeries([f, f]).keep_only(["z"]),
+        lambda: f.map_variables({"z": "x"}),
+        lambda: f.map_variables({"x": "z"}),
+        lambda: solve_fixpoint(3, ("x", "z")),
+        lambda: counts_by_variable(f, "z"),
+    ):
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == f"unknown variable 'z'; expected one of {VARIABLES}"
 
 
 def _renamed(f, mapping):
