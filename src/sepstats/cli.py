@@ -61,6 +61,7 @@ from .enumeration import (
     enumerate_filter,
     iter_separable_bytes,
 )
+from .numbers import _check_int
 from .permutations import Permutation, is_irreducible
 from .series import (
     ENGINE_VERSION,
@@ -116,6 +117,11 @@ SERIES_REGISTRY: dict[str, Callable[[int, str], TruncSeries]] = {
 }
 
 _DEFAULT_ORDER = {"joint": 12}
+#: Order caps below the lane width, each the largest order that finishes
+#: cold within 5 s: ``series joint --no-cache`` took 3.3-4.6 s at order 19
+#: and about 8 s at 20 on a 2-CPU host, and the six-lane solve grows about
+#: 1.7x per order.
+_ORDER_CAP = {"joint": 19}
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +270,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     builder = SERIES_REGISTRY[name]
     order = args.order if args.order is not None else _DEFAULT_ORDER.get(name, 16)
     check_order(order)
+    _check_int(order, f"series {name} order", 1, _ORDER_CAP.get(name))
     cls = canonical_class(args.perm_class)
     doc_name = f"{name}[{cls}]"
 
@@ -439,7 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         default=None,
-        help=f"truncation order (default 16; joint {_DEFAULT_ORDER['joint']})",
+        help=(
+            f"truncation order (default 16; joint {_DEFAULT_ORDER['joint']}, "
+            f"at most {_ORDER_CAP['joint']})"
+        ),
     )
     p_ser.add_argument(
         "--class", dest="perm_class", choices=_CLASS_CHOICES, default="all"

@@ -377,50 +377,53 @@ def _contains(vals: Sequence[int], pat: Sequence[int]) -> bool:
 
 
 def _has_2413_or_3142(vals: Sequence[int]) -> bool:
-    """True iff the word ``vals`` contains 2413 or 3142.
+    """True iff the word ``vals``, a permutation of 1..n, contains 2413 or
+    3142.
 
     A detector dedicated to the two fixed patterns, in the spirit of
     Albert, Aldred, Atkinson and Holton, "Algorithms for pattern involvement
     in permutations" (ISAAC 2001): O(n^2) steps on n-bit masks.  Value v is
-    bit v of a mask; ``before[j]`` holds the values left of position j,
-    ``after[k]`` those right of k.  Each middle pair j < k with values a, b
-    is completed greedily:
+    bit v of a mask; ``left`` holds the values left of position j, and
+    ``seen`` those at positions <= k.  Each middle pair j < k with values
+    a, b is completed greedily:
 
     * a > b (the "4" and "1" of 2413): the smallest "2" left of j in (b, a)
       leaves the widest room for a "3" right of k in ("2", a);
     * a < b (the "1" and "4" of 3142): the largest "3" left of j in (a, b)
       leaves the widest room for a "2" right of k in (a, "3").
 
+    The values right of k are ``every ^ seen``, with ``every`` the bits
+    1..n: that complement holds only because ``vals`` is a permutation of
+    1..n, so no list of suffix masks is built before the scan can stop.
+
     >>> _has_2413_or_3142((5, 2, 6, 1, 4, 3)), _has_2413_or_3142((2, 1, 4, 3))
     (True, False)
     """
     n = len(vals)
-    before = [0] * n
-    after = [0] * n
-    seen = 0
-    for i in range(n):
-        before[i] = seen
-        seen |= 1 << vals[i]
-    seen = 0
-    for i in range(n - 1, -1, -1):
-        after[i] = seen
-        seen |= 1 << vals[i]
+    if n < 4:
+        return False
+    every = (2 << n) - 2
+    left = 1 << vals[0]
     for j in range(1, n - 2):
-        left = before[j]
         a = vals[j]
         top = 1 << a
         above = 2 << a
+        seen = left | top
         for k in range(j + 1, n - 1):
             b = vals[k]
+            seen |= 1 << b
             # (top - (2 << b)) keeps the bits strictly between b and a
             if a > b:
                 twos = left & (top - (2 << b))
-                if twos and after[k] & (top - ((twos & -twos) << 1)):
+                if twos and (every ^ seen) & (top - ((twos & -twos) << 1)):
                     return True
             else:
                 threes = left & ((1 << b) - above)
-                if threes and after[k] & ((1 << (threes.bit_length() - 1)) - above):
+                if threes and (every ^ seen) & (
+                    (1 << (threes.bit_length() - 1)) - above
+                ):
                     return True
+        left |= top
     return False
 
 
@@ -429,8 +432,11 @@ def is_separable(pi: Permutation) -> bool:
 
     A pattern test on the word itself, by the direct two-pattern scan
     ``_has_2413_or_3142``; :func:`contains_pattern` is its test oracle.
-    It uses no sum/skew decomposition, so it stays independent of the
-    structural enumerator it is checked against.
+    A ``Permutation`` holds a bijection on 1..n, which is the scan's
+    precondition: it reads the values right of a position as the
+    complement of those up to it.  It uses no sum/skew decomposition, so
+    it stays independent of the structural enumerator it is checked
+    against.
 
     >>> is_separable(Permutation.parse("2413"))
     False

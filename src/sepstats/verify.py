@@ -182,11 +182,22 @@ def _check(check_id: str) -> Callable[[Callable[..., str]], Callable[..., CheckR
     """Make a check of a body that returns its detail text or raises
     :class:`CheckFailure`: the check takes the body's arguments and
     returns the timed report under ``check_id``, which it also carries as
-    its ``check_id`` attribute."""
+    its ``check_id`` attribute.  Every parameter of a body is a depth (an
+    order or a largest n), so each value the body would see, passed or
+    default, must be an int >= 1 before the body runs: a check at depth 0
+    would pass having checked nothing."""
 
     def decorate(body: Callable[..., str]) -> Callable[..., CheckReport]:
+        code = body.__code__
+        names = code.co_varnames[: code.co_argcount]
+        defaults = dict(zip(reversed(names), reversed(body.__defaults__ or ())))
+
         @functools.wraps(body)
         def check(*args, **kwargs) -> CheckReport:
+            bound = {**defaults, **dict(zip(names, args)), **kwargs}
+            for name in names:
+                if name in bound:
+                    numbers._check_int(bound[name], f"{body.__name__} {name}", 1)
             return _report(check_id, functools.partial(body, *args, **kwargs))
 
         check.check_id = check_id

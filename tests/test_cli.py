@@ -568,6 +568,8 @@ def test_conjectures_output(capsys):
     "argv, starts",
     [
         ("series joint --order 0", "error:"),
+        # the six-lane master is capped below the lane width
+        ("series joint --order 20", "error: series joint order is capped at 19, got 20"),
         ("series asc-des --order 0", "error:"),
         ("series rmax --order 0", "error:"),
         ("series rmax --order -1", "error:"),

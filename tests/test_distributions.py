@@ -293,6 +293,28 @@ def test_census_rejects_a_swapped_sampled_key(monkeypatch, fresh_memos):
         distributions._census(4, "all")
 
 
+def test_census_rejects_a_swapped_key_in_a_hoisted_column(monkeypatch, fresh_memos):
+    # in the group of irreducible heads of length 3 and tails of length 2
+    # the census loops over the two tails and masks the heads' column once;
+    # a swap there leaves the tally's multiset and the key stream as they
+    # are, so only the check of the group's first word sees it
+    real = distributions._Walk.hoisted
+    swapped = []
+
+    def hoisted(walk, m, cls, mask, loops):
+        masked = real(walk, m, cls, mask, loops)
+        if (m, cls) == (3, "irreducible") and masked is not None:
+            assert masked[0] != masked[1]
+            masked[0], masked[1] = masked[1], masked[0]
+            swapped.append(loops)
+        return masked
+
+    monkeypatch.setattr(distributions._Walk, "hoisted", hoisted)
+    with pytest.raises(AssertionError, match="differ from the kernel"):
+        distributions._census(5, "all")
+    assert swapped == [2]
+
+
 def test_census_above_the_memo_cap_equals_the_default_census(
     monkeypatch, fresh_memos
 ):

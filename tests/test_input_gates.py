@@ -48,6 +48,9 @@ GATES = [
     ("series_from_enumeration", LENGTH, distributions.series_from_enumeration, 1, HARD_CAP),
     ("table_rows", LENGTH, lambda v: distributions.table_rows(4, v), 1, HARD_CAP),
     ("render_table", LENGTH, lambda v: distributions.render_table(3, v), 1, HARD_CAP),
+    # a table number below or above (3, 4, 5) is "no such table"
+    ("table_rows(which)", "table", lambda v: distributions.table_rows(v, 3), 3, 5),
+    ("render_table(which)", "table", lambda v: distributions.render_table(v, 3), 3, 5),
     ("check_order", "series order", series.check_order, 1, MAX_ORDER),
     ("solve_fixpoint", "series order", lambda v: series.solve_fixpoint(v, "qu"), 1, MAX_ORDER),
     # above MAX_ORDER the order check names the lane width, not max_n
@@ -55,7 +58,7 @@ GATES = [
 ]
 
 CASES = [
-    pytest.param(call, bad, low, what, id=f"{name}-{bad!r}")
+    pytest.param(call, bad, low, high, what, id=f"{name}-{bad!r}")
     for name, what, call, low, high in GATES
     for bad in (
         True,
@@ -76,13 +79,15 @@ def cold(fresh_memos, monkeypatch):
     numbers._dyck_peak_table.cache_clear()
 
 
-@pytest.mark.parametrize("call, bad, low, what", CASES)
-def test_an_entry_point_refuses_a_bad_length_cold_and_warm(cold, call, bad, low, what):
+@pytest.mark.parametrize("call, bad, low, high, what", CASES)
+def test_an_entry_point_refuses_a_bad_length_cold_and_warm(
+    cold, call, bad, low, high, what
+):
     with pytest.raises(ValueError) as cold_error:
         call(bad)
     # warm: each valid int among 0, 1 and 3 (False, True, 3.0) is answered first
     first = 0 if low is None else max(low, 0)
-    for good in range(first, first + 4):
+    for good in range(first, first + 4 if high is None else min(first + 4, high + 1)):
         call(good)
     with pytest.raises(ValueError) as warm_error:
         call(bad)
@@ -102,3 +107,29 @@ def test_every_memo_is_typed():
         ]
     assert len(memos) >= 16
     assert [name for name, memo in memos if not memo.cache_parameters()["typed"]] == []
+
+
+#: Every ``verify`` check made by ``_check``, with its body's parameters.
+CHECK_PARAMETERS = [
+    (check, name)
+    for check in verify.ALL_CHECKS.values()
+    if hasattr(check, "__wrapped__")
+    for name in check.__wrapped__.__code__.co_varnames[
+        : check.__wrapped__.__code__.co_argcount
+    ]
+]
+
+
+@pytest.mark.parametrize("bad", [True, False, 0, -1, 3.0])
+@pytest.mark.parametrize(
+    "check, name", CHECK_PARAMETERS, ids=[f"{c.check_id}-{n}" for c, n in CHECK_PARAMETERS]
+)
+def test_a_check_refuses_a_bad_depth_before_its_body_runs(check, name, bad):
+    # at depth 0 a check would pass having checked nothing, at True n = 1 only
+    what = f"{check.__name__} {name}"
+    with pytest.raises(ValueError, match=f"^{what} must be") as by_name:
+        check(**{name: bad})
+    assert repr(bad) in str(by_name.value)
+    position = check.__wrapped__.__code__.co_varnames.index(name)
+    with pytest.raises(ValueError, match=f"^{what} must be"):
+        check(*[1] * position, bad)

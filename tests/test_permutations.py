@@ -9,6 +9,7 @@ from sepstats.permutations import (
     FORBIDDEN_PATTERNS,
     Permutation,
     StatProfile,
+    _has_2413_or_3142,
     _stats_of_sequence,
     block_decompose,
     complement,
@@ -209,6 +210,48 @@ def test_is_separable_matches_the_pattern_oracle_for_n_up_to_7():
     for n in range(1, 8):
         for pi in all_perms(n):
             assert is_separable(pi) == _avoids_both_patterns(pi), pi
+
+
+def _scan_with_mask_lists(vals):
+    """The two-pattern scan with its prefix and suffix masks built as lists
+    up front: the reference for the running-mask scan."""
+    n = len(vals)
+    before = [0] * n
+    after = [0] * n
+    seen = 0
+    for i in range(n):
+        before[i] = seen
+        seen |= 1 << vals[i]
+    seen = 0
+    for i in range(n - 1, -1, -1):
+        after[i] = seen
+        seen |= 1 << vals[i]
+    for j in range(1, n - 2):
+        left = before[j]
+        a = vals[j]
+        top = 1 << a
+        above = 2 << a
+        for k in range(j + 1, n - 1):
+            b = vals[k]
+            if a > b:
+                twos = left & (top - (2 << b))
+                if twos and after[k] & (top - ((twos & -twos) << 1)):
+                    return True
+            else:
+                threes = left & ((1 << b) - above)
+                if threes and after[k] & ((1 << (threes.bit_length() - 1)) - above):
+                    return True
+    return False
+
+
+def test_the_running_mask_scan_equals_the_mask_list_scan_on_all_of_s8():
+    separable = 0
+    for n in range(1, 9):
+        for vals in itertools.permutations(range(1, n + 1)):
+            found = _has_2413_or_3142(vals)
+            assert found == _scan_with_mask_lists(vals), vals
+            separable += n == 8 and not found
+    assert separable == 8558
 
 
 @st.composite
