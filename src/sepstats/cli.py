@@ -48,8 +48,9 @@ import json
 import os
 import sys
 import zlib
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
 
 from . import __version__
 from . import closedforms
@@ -72,6 +73,7 @@ from .series import (
     canonical_json,
     check_order,
     document_to_series,
+    document_view,
     series_to_document,
     solve_fixpoint,
     stat_lanes,
@@ -206,21 +208,36 @@ def _default_cache_dir() -> Path:
 #: The checksum field of a cache file.  "crc32" sorts between the document's
 #: "coefficients" and "engine" keys, so the field sits before "engine".
 _CRC_FIELD = ',"crc32":"'
+#: Characters the cache code encodes at a time, so that neither the
+#: checksum nor a write holds an encoded copy of the file.
+_CHUNK = 1 << 16
 
 
-def _checksum(head: str, tail: str) -> str:
-    """CRC-32, in 8 hex digits, of ``head + "00000000" + tail``: the cache
-    file with its checksum value zeroed."""
-    zeroed = f"{head}00000000{tail}"
-    return f"{zlib.crc32(zeroed.encode()):08x}"
+def _chunks(text: str, start: int, stop: int) -> Iterator[str]:
+    """``text[start:stop]`` in slices of at most ``_CHUNK`` characters."""
+    for k in range(start, stop, _CHUNK):
+        yield text[k : min(k + _CHUNK, stop)]
 
 
-def _sealed(text: str) -> str:
-    """The cache file of canonical document ``text``: the same canonical
-    document with a "crc32" field added."""
+def _checksum(pieces: Iterable[str]) -> str:
+    """CRC-32, in 8 hex digits, of the concatenated ``pieces``: zlib.crc32's
+    running value chained over them."""
+    crc = 0
+    for piece in pieces:
+        crc = zlib.crc32(piece.encode(), crc)
+    return f"{crc:08x}"
+
+
+def _sealed(text: str) -> Iterator[str]:
+    """The cache file of canonical document ``text``, in pieces: the same
+    canonical document with a "crc32" field added, the CRC-32 of the file
+    with that value zeroed."""
     i = text.rindex(',"engine":')
-    head, tail = text[:i] + _CRC_FIELD, '"' + text[i:]
-    return head + _checksum(head, tail) + tail
+    zeroed = f'{_CRC_FIELD}00000000"'
+    crc = _checksum(chain(_chunks(text, 0, i), [zeroed], _chunks(text, i, len(text))))
+    yield from _chunks(text, 0, i)
+    yield f'{_CRC_FIELD}{crc}"'
+    yield from _chunks(text, i, len(text))
 
 
 def _unsealed(text: str) -> str:
@@ -231,19 +248,22 @@ def _unsealed(text: str) -> str:
     if i < 0:
         raise ValueError("it has no crc32 checksum")
     j = i + len(_CRC_FIELD)
-    if text[j : j + 8] != _checksum(text[:j], text[j + 8 :]):
+    zeroed = chain(_chunks(text, 0, j), ["00000000"], _chunks(text, j + 8, len(text)))
+    if text[j : j + 8] != _checksum(zeroed):
         raise ValueError("its crc32 checksum does not match")
     return text[:i] + text[j + 9 :]
 
 
-def _write_cache(cache_file: Path, text: str) -> None:
-    """Write beside the target under a name that is not *.json, then
-    rename: readers never see a torn file.  A directory or file that cannot
-    be created or written is a ValueError, with no temporary file left."""
+def _write_cache(cache_file: Path, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` beside the target under a name that is not *.json,
+    then rename: readers never see a torn file.  A directory or file that
+    cannot be created or written is a ValueError, with no temporary file
+    left."""
     tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
     try:
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as f:
+            f.writelines(pieces)
         os.replace(tmp, cache_file)
     except OSError as exc:
         with contextlib.suppress(OSError):  # no tmp, or no directory to hold one
@@ -265,6 +285,22 @@ def _counting(series: TruncSeries, perm_class: str) -> TruncSeries:
     return series
 
 
+def _read_cache(
+    cache_file: Path, doc_name: str, order: int, perm_class: str
+) -> tuple[TruncSeries, str]:
+    """The series in ``cache_file`` and its canonical document text.  A
+    file whose checksum fails, that is not canonical, that holds another
+    document than ``doc_name`` at ``order``, or that does not decode to a
+    series counting the class's permutations raises."""
+    plain = _unsealed(cache_file.read_text(encoding="utf-8"))
+    doc = document_view(plain)
+    got = [doc["engine"], doc["name"], doc["order"]]
+    want = [ENGINE_VERSION, doc_name, order]
+    if json.dumps(got) != json.dumps(want):  # typed: true is not 1
+        raise ValueError(f"it holds {got}, not {want}")
+    return _counting(document_to_series(doc), perm_class), plain
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
     name = args.name
     builder = SERIES_REGISTRY[name]
@@ -283,15 +319,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
             cache_dir / f"{name}-{cls}-order{order}-v{ENGINE_VERSION}.json"
         )
         if cache_file.is_file():
-            # A file whose checksum fails, or that does not decode to a
-            # series document counting the class's permutations, is a miss.
             try:
-                plain = _unsealed(cache_file.read_text(encoding="utf-8"))
-                doc = json.loads(plain)
-                key = (doc["engine"], doc["name"], doc["order"])
-                if key == (ENGINE_VERSION, doc_name, order):
-                    series = _counting(document_to_series(doc), cls)
-                    text = plain
+                series, text = _read_cache(cache_file, doc_name, order, cls)
             except (
                 OSError,
                 ValueError,
@@ -299,6 +328,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
                 TypeError,
                 ZeroDivisionError,
                 AssertionError,
+                RecursionError,  # arrays nested past the parser's depth
             ) as exc:
                 print(
                     f"note: recomputing unreadable cache file {cache_file} "
@@ -317,6 +347,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
             text = canonical_json(series_to_document(doc_name, series))
         print(text)
     else:
+        text = None  # the render needs only the series: free the text first
         for n in range(1, series.order + 1):
             print(f"t^{n}: {series.coefficient(n)}")
     return 0

@@ -33,8 +33,9 @@ import functools
 import json
 import operator
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
 
 from .numbers import _check_int
 
@@ -52,6 +53,7 @@ __all__ = [
     "solve_fixpoint",
     "solve_master_fixpoint",
     "series_to_document",
+    "document_view",
     "document_to_series",
     "canonical_json",
 ]
@@ -220,9 +222,14 @@ def _canonical(out: dict[int, Coeff]) -> "MultiPoly":
 # lane (Kronecker substitution), the group ints multiply as big integers in
 # the same dict loop, and each output int is read back once as signed
 # digits.  Each coefficient is packed once per stream and slot width.
-# Products with a Fraction coefficient, small sums, MultiPoly products and
-# products spread over many lanes (the six-variable master) stay on the
-# term dicts of _mul_into, which is also the packed path's test oracle.
+# Products with a Fraction coefficient, small sums and MultiPoly products
+# stay on the term dicts of _mul_into, which is also the packed path's test
+# oracle.  So do the six-variable master's two streams, though grouping
+# does cut their late sums (about 4x at t^12, where S has 8,378 terms in
+# 1,983 groups by x): each stream decides at its first sum of at least
+# _PACK_MIN_PAIRS pairs (2,553), where the best lane cuts only 2.5x.  A
+# gain of 2 would pack them, about 1.7-2.4x faster at orders 16-18 but for
+# 2-3 MB more peak memory, so the gain stays 4.
 
 #: Fewest term pairs in one sum of products before a stream picks a lane.
 _PACK_MIN_PAIRS = 2048
@@ -1147,60 +1154,191 @@ def solve_master_fixpoint(order: int = 12) -> tuple[TruncSeries, TruncSeries]:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
+#
+# A series document is {"coefficients": {"0": ..., str(order): ...},
+# "engine", "name", "order", "variables"}: the coefficient of t^n is a list
+# of [exponents, numerator, denominator] triples in ascending key order,
+# and the document's one text is json.dumps(doc, sort_keys=True,
+# separators=(",", ":")).  Both ends work one coefficient at a time, so
+# neither holds the document tree (two lists per term, about 200 B): the
+# encoder writes each coefficient's array from the text of its two half
+# keys, and a read slices each array out of the document text and parses
+# it when the decoder asks for it.
+
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-def series_to_document(name: str, series: TruncSeries) -> dict:
-    """JSON-ready document for a series: order -> coefficient triples
-    ``[exponents, numerator, denominator]`` in ascending key order."""
-    m = MAX_ORDER
-    coefficients: dict[str, list] = {}
-    for n, poly in enumerate(series.coefficients()):
-        terms = poly._terms
-        triples = []
-        for key in sorted(terms):
-            c = terms[key]
-            exps = [
-                key & m,
-                key >> _S_Q & m,
-                key >> _S_X & m,
-                key >> _S_Y & m,
-                key >> _S_U & m,
-                key >> _S_V & m,
-            ]
-            if type(c) is int:
-                triples.append([exps, c, 1])
-            else:
-                triples.append([exps, c.numerator, c.denominator])
-        coefficients[str(n)] = triples
-    return {
+class _HalfText(dict):
+    """Half key -> ``"a,b,c"``, its three exponents as JSON array items
+    (a key's low half holds p, q, x and its high half y, u, v)."""
+
+    def __missing__(self, half: int) -> str:
+        m = MAX_ORDER
+        text = self[half] = f"{half & m},{half >> _S_Q & m},{half >> _S_X & m}"
+        return text
+
+
+def _coefficient_text(terms: dict[int, Coeff], halves: _HalfText) -> str:
+    """The canonical JSON array of one coefficient's triples: the one way
+    a coefficient is written.  ``halves`` caches the text of each half key
+    across the coefficients of a document."""
+    low, bits = _HALF_MASK, _HALF_BITS
+    parts = []
+    append = parts.append
+    for key in sorted(terms):
+        c = terms[key]
+        if type(c) is int:
+            append(f"[[{halves[key & low]},{halves[key >> bits]}],{c},1]")
+        else:
+            append(f"[[{halves[key & low]},{halves[key >> bits]}],{c.numerator},{c.denominator}]")
+    return f"[{','.join(parts)}]"
+
+
+#: Characters of a coefficient's text parsed at a time, so a decode holds a
+#: few hundred triples' lists, never a whole coefficient's.
+_PARSE_CHUNK = 1 << 14
+
+
+def _triples(text: str) -> Iterator[list]:
+    """The triples of coefficient array ``text``, parsed about
+    ``_PARSE_CHUNK`` characters at a time, cut where one triple ends and
+    the next begins (``"],[["`` in canonical text).  Text that is not
+    canonical fails to parse, or decodes to a coefficient whose canonical
+    text is not ``text``, which :func:`document_to_series` rejects."""
+    start, stop = 1, len(text) - 1  # inside the array's brackets
+    while start < stop:
+        cut = text.find("],[[", start + _PARSE_CHUNK, stop)
+        end = stop if cut < 0 else cut + 1
+        yield from json.loads(f"[{text[start:end]}]")
+        start = end + 1
+
+
+class _Coefficients(Mapping):
+    """A document's read-only "coefficients" member.  ``text(key)`` is one
+    coefficient's canonical array text, written from a series' polynomial
+    or sliced out of a document's text, and a value is parsed from that
+    text only when asked for."""
+
+    __slots__ = ("_sources", "_text")
+
+    def __init__(self, sources: dict[str, object], text: Callable[[object], str]) -> None:
+        self._sources = sources
+        self._text = text
+
+    def text(self, key: str) -> str:
+        return self._text(self._sources[key])
+
+    def __getitem__(self, key: str) -> list:
+        return json.loads(self.text(key))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+
+def series_to_document(name: str, series: TruncSeries) -> Mapping:
+    """Read-only document of a series: "order" and "coefficients", which
+    maps "0".."order" to the coefficient's triples ``[exponents,
+    numerator, denominator]`` in ascending key order.  Nothing is written
+    until asked for: :func:`canonical_json` writes the document one
+    coefficient at a time, and :func:`document_view` reads its text back
+    the same way, which is why a cache file must be canonical."""
+    halves = _HalfText()
+    return MappingProxyType({
         "engine": ENGINE_VERSION,
         "name": name,
         "order": series.order,
         "variables": list(VARIABLES),
-        "coefficients": coefficients,
-    }
+        "coefficients": _Coefficients(
+            {str(n): poly._terms for n, poly in enumerate(series.coefficients())},
+            lambda terms: _coefficient_text(terms, halves),
+        ),
+    })
+
+
+#: How a canonical document's text begins: "coefficients" sorts first.
+_OPEN = '{"coefficients":{'
+#: The members after "coefficients", in canonical order.
+_TAIL_KEYS = ["engine", "name", "order", "variables"]
+_NOT_CANONICAL = "the document text is not canonical"
+
+
+def document_view(text: str) -> Mapping:
+    """Read-only document of ``text``, which must be laid out as
+    :func:`canonical_json` writes a document, else a ``ValueError``.  The
+    members after "coefficients" are parsed now; each coefficient's array
+    is sliced out of ``text`` and parsed only when asked for, so a read
+    never holds the whole document tree.  :func:`document_to_series`
+    checks that each coefficient's text is canonical as it decodes it."""
+    if not text.startswith(_OPEN):
+        raise ValueError(_NOT_CANONICAL)
+    spans: dict[str, slice] = {}
+    key = ""
+    start = len(_OPEN)
+    while True:
+        # an array holds no '"', so the next one opens the next key, or
+        # "engine" after the '},' that closes the coefficients
+        colon = text.find('":', start)
+        stop = text.find('"', colon + 2)
+        if not text.startswith('"', start) or colon < 0 or stop < 0 or text[stop - 1] != ",":
+            raise ValueError(_NOT_CANONICAL)
+        previous, key = key, text[start + 1 : colon]
+        if spans and key <= previous:
+            raise ValueError(_NOT_CANONICAL)
+        last = text[stop - 2] == "}"
+        spans[key] = slice(colon + 2, stop - 2 if last else stop - 1)
+        start = stop
+        if last:
+            break
+    tail = "{" + text[start:]
+    members = json.loads(tail)
+    if list(members) != _TAIL_KEYS or _dumps(members) != tail:
+        raise ValueError(_NOT_CANONICAL)
+    members["coefficients"] = _Coefficients(spans, text.__getitem__)
+    return MappingProxyType(members)
 
 
 def document_to_series(doc: Mapping) -> TruncSeries:
     """Inverse of :func:`series_to_document` (bit-exact round trip: each
-    coefficient keeps its value and its ``int``/``Fraction`` type).
+    coefficient keeps its value and its ``int``/``Fraction`` type),
+    decoding one coefficient at a time: from a :func:`document_view` of a
+    cache file's text, only that coefficient's array is parsed.
 
     A document that does not describe one series over ``VARIABLES`` is a
-    ``ValueError``: another variable list, an exponent vector that is not
-    one ``int`` in 0..``MAX_ORDER`` per variable, or a monomial listed
-    twice in one coefficient.  A valid vector is packed inline; any other
-    goes through :func:`_pack`, whose message names what is wrong.  Each
-    coefficient returns through :func:`_canonical`.
+    ``ValueError``: another variable list, an order that is not an ``int``
+    in 0..``MAX_ORDER``, coefficient keys other than "0".."order", an
+    exponent vector that is not one ``int`` in 0..``MAX_ORDER`` per
+    variable, or a monomial listed twice in one coefficient.  A valid
+    vector is packed inline; any other goes through :func:`_pack`, whose
+    message names what is wrong.  Each coefficient returns through
+    :func:`_canonical`.  Where the coefficients come as text (from
+    :func:`document_view` or :func:`series_to_document`), each one's text
+    must also be the canonical text of what it decodes to, so a cache
+    file that is not canonical is a ``ValueError``, not a normalized read.
     """
     if doc["variables"] != list(VARIABLES):
         raise ValueError(
             f"document variables {doc['variables']!r} are not {list(VARIABLES)}"
         )
-    order = int(doc["order"])
+    order = doc["order"]
+    _check_int(order, "document order", 0, MAX_ORDER)
+    coefficients = doc["coefficients"]
+    keys = [*map(str, range(order + 1))]
+    if {*coefficients} != {*keys}:
+        raise ValueError(f"document coefficient keys are not exactly 0..{order}")
+    texts = coefficients.text if isinstance(coefficients, _Coefficients) else None
+    halves = _HalfText()
     coeffs: list[MultiPoly] = []
-    for n in range(order + 1):
+    for n, name in enumerate(keys):
+        if texts is None:
+            triples = coefficients[name]
+        else:
+            text = texts(name)
+            triples = _triples(text)
         terms: dict[int, Coeff] = {}
-        for exps, num, den in doc["coefficients"][str(n)]:
+        for exps, num, den in triples:
             if len(exps) == 6:
                 p, q, x, y, u, v = exps
                 if (
@@ -1218,10 +1356,26 @@ def document_to_series(doc: Mapping) -> TruncSeries:
                 terms[key] = num
             else:
                 terms[key] = Fraction(num, den)
-        coeffs.append(_canonical(terms))
+        poly = _canonical(terms)
+        if texts is not None and _coefficient_text(poly._terms, halves) != text:
+            raise ValueError(f"the coefficient of t^{n} is not written canonically")
+        coeffs.append(poly)
     return TruncSeries(coeffs)
 
 
 def canonical_json(doc: Mapping) -> str:
-    """Deterministic JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON encoding (sorted keys, no whitespace): the text
+    of ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, written
+    member by member, and a document's coefficients one at a time from
+    their canonical text, never as a tree.  This text is the one form a
+    cache file may take: :func:`document_view` reads only it."""
+    members = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, _Coefficients):
+            text = ",".join([f"{_dumps(k)}:{value.text(k)}" for k in sorted(value)])
+            text = f"{{{text}}}"
+        else:
+            text = _dumps(value)
+        members.append(f"{_dumps(key)}:{text}")
+    return f"{{{','.join(members)}}}"

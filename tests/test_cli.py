@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from sepstats.series import (
     canonical_json,
     document_to_series,
     series_to_document,
+    solve_fixpoint,
 )
 
 
@@ -244,6 +246,32 @@ def _edited(edit):
     return damage
 
 
+def _resealed(edit):
+    """A damage that applies ``edit`` to the document text and reseals it:
+    the checksum matches, only the text is wrong."""
+
+    def damage(good: str) -> str:
+        return "".join(cli._sealed(edit(cli._unsealed(good))))
+
+    return damage
+
+
+def _reordered(text: str) -> str:
+    """The document with its keys after "coefficients" in another order."""
+    doc = json.loads(text)
+    keys = ["coefficients", "engine", "variables", "name", "order"]
+    return json.dumps({k: doc[k] for k in keys}, separators=(",", ":"))
+
+
+def _retyped(key, value):
+    def edit(text: str) -> str:
+        doc = json.loads(text)
+        doc[key] = value
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    return edit
+
+
 # The edited documents below still decode, to a different series, when each
 # vector is read by position against VARIABLES and a repeated monomial keeps
 # its last coefficient: the decoder must reject them instead.
@@ -270,6 +298,15 @@ def _edited(edit):
         _edited(lambda doc, vectors: doc["coefficients"]["0"].append([[0] * 6, 1, 1])),
         _edited(lambda doc, vectors: _coefficient(doc, 4).__setitem__(2, 2)),
         _edited(lambda doc, vectors: _coefficient(doc, 5).__setitem__(1, -1)),
+        # resealed: the checksum matches a document that is not canonical,
+        # or whose order is not the int its file name says
+        _resealed(_reordered),
+        _resealed(lambda text: text.replace("],[[", "], [[", 1)),
+        _resealed(lambda text: text.replace(",1,1]", ",2,2]", 1)),
+        _resealed(_retyped("order", 5.0)),
+        _resealed(_retyped("order", True)),
+        _resealed(lambda text: text.replace('"5":', '"7":[],"5":')),
+        _resealed(lambda text: text.replace('"2":[', '"2":[' + "[" * 10**5 + "]" * 10**5 + ",")),
     ],
     ids=[
         "truncated",
@@ -284,6 +321,13 @@ def _edited(edit):
         "constant-term",
         "a-half",
         "negative",
+        "resealed-keys-reordered",
+        "resealed-space",
+        "resealed-unreduced",
+        "resealed-float-order",
+        "resealed-true-order",
+        "resealed-extra-key",
+        "resealed-deep-nesting",
     ],
 )
 def test_series_bad_cache_file_is_recomputed(tmp_path, capsys, damage):
@@ -380,6 +424,33 @@ def test_series_json_hit_prints_the_verified_file(
     (path,) = tmp_path.iterdir()
     decoded = document_to_series(json.loads(path.read_text()))
     assert hit == canonical_json(series_to_document(f"{name}[all]", decoded)) + "\n"
+
+
+def test_series_cache_io_never_holds_the_document_tree(tmp_path, capsys):
+    # The fixpoint is warm, so the miss's trace holds the encode, the cache
+    # write and the render, not the solve.  Each run's traced peak stays
+    # below what json.loads of the cache file alone allocates.
+    solve_fixpoint(10)
+    args = ["series", "joint", "--order", "10", "--cache-dir", str(tmp_path)]
+    peaks = {}
+    for run_kind in ("miss", "hit"):
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peaks[run_kind] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert capsys.readouterr().err == ""
+    (path,) = tmp_path.iterdir()
+    text = path.read_text()
+    tracemalloc.start()
+    try:
+        tree = json.loads(text)
+        tree_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tree["order"] == 10
+    assert max(peaks.values()) < tree_bytes, (peaks, tree_bytes)
 
 
 # sha256 of `sepstats series joint --order 12` stdout, as text and as JSON

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sepstats import series as series_module
+from sepstats.cli import SERIES_REGISTRY
 from sepstats.series import (
     MAX_ORDER,
     STAT_NAMES,
@@ -15,8 +16,10 @@ from sepstats.series import (
     MultiPoly,
     TruncSeries,
     VARIABLES,
+    ENGINE_VERSION,
     canonical_json,
     document_to_series,
+    document_view,
     parse_poly,
     series_to_document,
     solve_fixpoint,
@@ -397,14 +400,16 @@ def _reference_json(name, polys_data):
             frac = Fraction(data[exps])
             triples.append([list(exps), frac.numerator, frac.denominator])
         coefficients[str(n)] = triples
-    return canonical_json(
+    return json.dumps(
         {
             "engine": 1,
             "name": name,
             "order": len(polys_data) - 1,
             "variables": list(VARIABLES),
             "coefficients": coefficients,
-        }
+        },
+        sort_keys=True,
+        separators=(",", ":"),
     )
 
 
@@ -448,12 +453,13 @@ def _typed_terms(series):
 def test_document_round_trip_keeps_values_and_types(polys_data):
     s = TruncSeries([MultiPoly.from_exponents(d) for d in polys_data])
     doc = series_to_document("p", s)
-    for copy in (doc, json.loads(canonical_json(doc))):
+    text = canonical_json(doc)
+    for copy in (doc, json.loads(text), document_view(text)):
         assert _typed_terms(document_to_series(copy)) == _typed_terms(s)
 
 
 def test_decoder_normalizes_only_true_fractions():
-    doc = series_to_document("p", TruncSeries.t(1))
+    doc = json.loads(canonical_json(series_to_document("p", TruncSeries.t(1))))
     doc["coefficients"]["1"] = [
         [[0, 0, 1, 0, 0, 0], 6, 3],
         [[0, 0, 0, 1, 0, 0], 1, -2],
@@ -461,6 +467,153 @@ def test_decoder_normalizes_only_true_fractions():
     terms = dict(document_to_series(doc).coefficient(1).terms())
     assert terms == {(0, 0, 1, 0, 0, 0): 2, (0, 0, 0, 1, 0, 0): Fraction(-1, 2)}
     assert [type(c) for c in terms.values()] == [int, Fraction]
+
+
+def _tree_encoding(name, series):
+    """The document text by the encoder the streamed one replaced: the
+    whole tree of triples as lists, then one json.dumps of it."""
+    coefficients = {}
+    for n, poly in enumerate(series.coefficients()):
+        triples = []
+        for exps, c in poly.terms():
+            frac = Fraction(c)
+            triples.append([list(exps), frac.numerator, frac.denominator])
+        coefficients[str(n)] = triples
+    tree = {
+        "engine": ENGINE_VERSION,
+        "name": name,
+        "order": series.order,
+        "variables": list(VARIABLES),
+        "coefficients": coefficients,
+    }
+    return json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_REGISTRY))
+def test_streamed_document_is_the_tree_encoding_of_every_registry_series(name):
+    for cls in ("all", "irreducible", "reducible"):
+        s = SERIES_REGISTRY[name](8, cls)
+        doc_name = f"{name}[{cls}]"
+        text = canonical_json(series_to_document(doc_name, s))
+        assert text == _tree_encoding(doc_name, s), cls
+        for doc in (document_view(text), json.loads(text)):
+            assert _typed_terms(document_to_series(doc)) == _typed_terms(s), cls
+
+
+def test_a_document_is_read_only():
+    doc = series_to_document("t", TruncSeries.t(2))
+    with pytest.raises(TypeError):
+        doc["order"] = 3
+    with pytest.raises(TypeError):
+        doc["coefficients"]["1"] = []
+    view = document_view(canonical_json(doc))
+    with pytest.raises(TypeError):
+        view["coefficients"]["2"] = []
+
+
+def _order_2_document() -> dict:
+    """The document of x*t + t^2/2, as a dict: three coefficients."""
+    s = TruncSeries([MultiPoly.zero(), parse_poly("x"), MultiPoly.constant(Fraction(1, 2))])
+    return json.loads(canonical_json(series_to_document("t2", s)))
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _set_coefficient(key, value):
+    return lambda doc: doc["coefficients"].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set("order", True), "document order must be an integer, got True"),
+        (_set("order", "2"), "document order must be an integer, got '2'"),
+        (_set("order", 2.9), "document order must be an integer, got 2.9"),
+        (_set("order", -1), "document order must be >= 0, got -1"),
+        (_set("order", 256), "document order is capped at 255, got 256"),
+        (_set_coefficient("7", []), r"coefficient keys are not exactly 0\.\.2"),
+        (_set_coefficient("02", []), r"coefficient keys are not exactly 0\.\.2"),
+        (lambda doc: doc["coefficients"].pop("2"), r"keys are not exactly 0\.\.2"),
+    ],
+    ids=["true", "string", "float", "negative", "too-big", "extra-key", "padded-key", "missing-key"],
+)
+def test_decoder_gates_the_document_order_and_coefficient_keys(edit, message):
+    doc = _order_2_document()
+    assert document_to_series(doc).order == 2  # the unedited document decodes
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        document_to_series(doc)
+    # the same document as canonical text, read through the text view
+    with pytest.raises(ValueError, match=message):
+        document_to_series(document_view(canonical_json(doc)))
+
+
+def _respelled(edit):
+    """An edit of the document's tree, written back with canonical JSON's
+    separators and sorted keys: only the content is not canonical."""
+
+    def apply(text: str) -> str:
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    return apply
+
+
+# Each text holds the series of the clean text, or a well-formed one, but
+# not as canonical_json writes it: the view and the decoder reject it
+# instead of reading it by position or normalizing it.
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace('"engine":1,"name":"xy"', '"name":"xy","engine":1'),
+        lambda text: text.replace('"order":10,', '"order":10, '),
+        lambda text: text.replace(",", ", ", 1),
+        lambda text: text.replace('"1":', '"01":'),
+        lambda text: text.replace(",1,1]", ",2,2]", 1),
+        lambda text: text.replace(",1,1]", ",-0,1]", 1),
+        lambda text: text.replace(",1,1]", ",1.0,1]", 1),
+        lambda text: text.replace(",1,1]", ",true,1]", 1),
+        lambda text: text.replace(",1,2]", ",2,4]", 1),
+        lambda text: text + " ",
+        lambda text: " " + text,
+        _respelled(lambda doc: doc["coefficients"]["3"].reverse()),
+        _respelled(lambda doc: doc["coefficients"]["3"].append([[0] * 6, 0, 1])),
+        _respelled(lambda doc: doc["coefficients"]["3"].append(doc["coefficients"]["3"].pop(0))),
+        lambda text: text.replace('"10":[]', "").replace('"1":[]', '"1":[],"10":[]'),
+    ],
+    ids=[
+        "tail-keys-reordered",
+        "space-in-tail",
+        "space-in-a-coefficient",
+        "padded-key",
+        "int-as-unreduced-fraction",
+        "minus-zero",
+        "float",
+        "true",
+        "unreduced-fraction",
+        "trailing-space",
+        "leading-space",
+        "triples-reversed",
+        "zero-coefficient",
+        "first-triple-last",
+        "keys-in-numeric-order",
+    ],
+)
+def test_text_view_rejects_text_that_is_not_canonical(edit):
+    xy = TruncSeries(
+        [MultiPoly.zero(), MultiPoly.zero(), MultiPoly.zero(),
+         parse_poly("x^2 + 3xy + y") + MultiPoly.constant(Fraction(1, 2))]
+        + [MultiPoly.zero()] * 7
+    )
+    text = canonical_json(series_to_document("xy", xy))
+    assert document_to_series(document_view(text)) == xy
+    edited = edit(text)
+    assert edited != text
+    with pytest.raises((ValueError, TypeError)):  # Fraction(1.0, 1): TypeError
+        document_to_series(document_view(edited))
 
 
 def _vectors(doc):
