@@ -382,17 +382,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_conjectures(args: argparse.Namespace) -> int:
     from . import verify as verify_mod
 
-    reports = verify_mod.check_conjectures(args.max_n)
-    for check_id, spec in verify_mod._CONJECTURES.items():
-        rows = verify_mod.conjecture_rows(
-            spec["perm_class"], spec["stat"], args.max_n
-        )
+    evidence = verify_mod._conjecture_evidence(args.max_n)
+    for check_id, rows, _ in evidence:
+        spec = verify_mod._CONJECTURES[check_id]
         print(f"{check_id}  ({spec['perm_class']} permutations, {spec['stat']})")
         for n in sorted(rows):
             counts = " ".join(
                 str(rows[n].get(k, 0)) for k in range(1, max(rows[n], default=0) + 1)
             )
             print(f"  n={n:2d}: {counts}")
+    reports = [report for _, _, report in evidence]
     for report in reports:
         print(report.line())
     return 1 if any(r.verdict != "pass" for r in reports) else 0

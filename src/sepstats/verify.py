@@ -512,27 +512,15 @@ def verify_e_function_identities(order: int = 12) -> str:
 # Exhaustive small-n checks: equidistribution and symmetries
 # ---------------------------------------------------------------------------
 
-_SET2 = (("lmax", "rmax"), ("lmin", "rmin"), ("lmin", "lmax"), ("rmin", "rmax"))
-
-
 @_check("equidistribution-classes")
 def verify_equidistribution(max_n: int = 8) -> str:
     """The four equidistribution families, exhaustively on separable
     permutations up to length max_n."""
     for n in range(1, max_n + 1):
-        for family in (
-            cf.SINGLES,
-            _SET2,
-            cf.SET1_PAIRS,
-            cf.TRIPLES,
-        ):
-            reference = None
-            ref_name = family[0]
-            for stats_tuple in family:
-                row = dist_from_enumeration(n, "all", stats_tuple).row(n)
-                if reference is None:
-                    reference, ref_name = row, stats_tuple
-                elif row != reference:
+        for ref_name, *others in (cf.SINGLES, cf.SET2_PAIRS, cf.SET1_PAIRS, cf.TRIPLES):
+            reference = dist_from_enumeration(n, "all", ref_name).row(n)
+            for stats_tuple in others:
+                if dist_from_enumeration(n, "all", stats_tuple).row(n) != reference:
                     raise CheckFailure(
                         f"n={n}: {stats_tuple} differs from {ref_name}",
                         first_fail=n,
@@ -559,31 +547,24 @@ def verify_negative_control(max_n: int = 4) -> str:
     )
 
 
-_REVERSE_STAT = {
-    "asc": "des",
-    "des": "asc",
-    "lmax": "rmax",
-    "rmax": "lmax",
-    "lmin": "rmin",
-    "rmin": "lmin",
-}
-_COMPLEMENT_STAT = {
-    "asc": "des",
-    "des": "asc",
-    "lmax": "lmin",
-    "lmin": "lmax",
-    "rmax": "rmin",
-    "rmin": "rmax",
-}
-
-
-#: Under reverse and complement, the image's statistic k is the source's
-#: statistic at these positions of the profile (STAT_NAMES order).
-_REVERSE_PROFILE = itemgetter(
-    *(STAT_NAMES.index(_REVERSE_STAT[s]) for s in STAT_NAMES)
-)
-_COMPLEMENT_PROFILE = itemgetter(
-    *(STAT_NAMES.index(_COMPLEMENT_STAT[s]) for s in STAT_NAMES)
+#: Each symmetry of the separable class once, as (map, statistic map,
+#: flips reducibility past length 1).  The statistic map sends each
+#: statistic of an image, in STAT_NAMES order, to the statistic of the
+#: source that it equals; inverse does not carry asc and des.
+_SYMMETRIES = (
+    (
+        reverse,
+        {"asc": "des", "des": "asc", "lmax": "rmax", "rmax": "lmax",
+         "lmin": "rmin", "rmin": "lmin"},
+        True,
+    ),
+    (
+        complement,
+        {"asc": "des", "des": "asc", "lmax": "lmin", "rmax": "rmin",
+         "lmin": "lmax", "rmin": "rmax"},
+        True,
+    ),
+    (inverse, {"lmax": "rmin", "rmax": "rmax", "lmin": "lmin", "rmin": "lmax"}, False),
 )
 
 
@@ -591,6 +572,17 @@ _COMPLEMENT_PROFILE = itemgetter(
 def verify_symmetries(max_n: int = 8) -> str:
     """Pointwise statistic transport under reverse/complement/inverse and
     the reducibility flips, exhaustively on separable permutations."""
+    # per symmetry, the carried statistics of an image and the statistics
+    # of the source they equal, each read off a profile
+    transports = [
+        (
+            op,
+            itemgetter(*map(STAT_NAMES.index, stat_map)),
+            itemgetter(*map(STAT_NAMES.index, stat_map.values())),
+            flips,
+        )
+        for op, stat_map, flips in _SYMMETRIES
+    ]
     for n in range(1, max_n + 1):
         # Every image of a length-n word is a length-n word, so each
         # distinct word's (separable, profile, irreducible) is computed
@@ -611,45 +603,24 @@ def verify_symmetries(max_n: int = 8) -> str:
         for word in iter_separable_bytes(n, "all"):
             pi = Permutation._trusted(tuple(word))
             _, prof, irr = fact(pi)
-            for op, transport in (
-                (reverse, _REVERSE_PROFILE),
-                (complement, _COMPLEMENT_PROFILE),
-            ):
-                separable, got, image_irr = fact(op(pi))
+            for op, carried, source, flips in transports:
+                separable, image_prof, image_irr = fact(op(pi))
                 if not separable:
                     raise CheckFailure(
                         f"{op.__name__}({pi}) left the class", first_fail=n
                     )
-                want = transport(prof)
+                got, want = carried(image_prof), source(prof)
                 if got != want:
                     raise CheckFailure(
                         f"{op.__name__}({pi}) statistics {got} != {want}",
                         first_fail=n,
                     )
-                if n >= 2 and image_irr != (not irr):
+                if n >= 2 and (image_irr != irr) != flips:
                     raise CheckFailure(
-                        f"{op.__name__}({pi}) did not flip reducibility",
+                        f"{op.__name__}({pi}) "
+                        f"{'did not flip' if flips else 'changed'} reducibility",
                         first_fail=n,
                     )
-            separable, inv_prof, image_irr = fact(inverse(pi))
-            if not separable:
-                raise CheckFailure(f"inverse({pi}) left the class", first_fail=n)
-            if image_irr != irr:
-                raise CheckFailure(
-                    f"inverse({pi}) changed reducibility", first_fail=n
-                )
-            # under inverse: rmax and lmin are preserved; lmax <-> rmin
-            if (
-                inv_prof[3] != prof[3]
-                or inv_prof[4] != prof[4]
-                or inv_prof[2] != prof[5]
-                or inv_prof[5] != prof[2]
-            ):
-                raise CheckFailure(
-                    f"inverse({pi}) statistic transport failed: "
-                    f"{inv_prof} vs {prof}",
-                    first_fail=n,
-                )
     return f"reverse/complement/inverse transport verified for n <= {max_n}"
 
 
@@ -676,60 +647,41 @@ def verify_factorization(order: int = 12) -> str:
     return f"both factorizations hold to order {order}"
 
 
-_TRANSFER_TUPLES = cf.SINGLES + cf.SET2_PAIRS + cf.SET1_PAIRS + cf.TRIPLES
-
-
 @_check("transfer-identity")
 def verify_transfer(order: int = 12) -> str:
-    """The reverse/complement transfer: if I and R give the irreducible
-    and reducible distributions of a statistic tuple, then I - (z...z)t
-    and R + (z...z)t give the reducible and irreducible distributions of
-    the image tuple, with each variable following its statistic."""
-    # The master on the four lanes the tuples use, as the closed-form
-    # checks hold it, then each lane set once, largest first, from the
-    # smallest set already projected that holds it; keep_only composes.
-    i4, r4 = _master_extremes(order)
-    projected: dict[frozenset[str], tuple[TruncSeries, TruncSeries]] = {}
-    for key in sorted(
-        {frozenset(stat_lanes(stats)) for stats in _TRANSFER_TUPLES},
-        key=len,
-        reverse=True,
-    ):
-        held = [big for big in projected if key < big]
-        i_big, r_big = projected[min(held, key=len)] if held else (i4, r4)
-        projected[key] = (i_big.keep_only(key), r_big.keep_only(key))
-
-    checked = 0
-    for op_name, stat_map in (
-        ("reverse", _REVERSE_STAT),
-        ("complement", _COMPLEMENT_STAT),
-    ):
-        for stats_tuple in _TRANSFER_TUPLES:
-            image = tuple(stat_map[s] for s in stats_tuple)
-            lanes = stat_lanes(stats_tuple)
-            image_lanes = stat_lanes(image)
-            relabel = {
-                src: dst
-                for src, dst in zip(image_lanes, lanes)
-                if src != dst
-            }
-            zt = cf._t_times(order, lanes)
-            i_here, r_here = projected[frozenset(lanes)]
-            i_image, r_image = projected[frozenset(image_lanes)]
-            _expect_agree(
-                i_here - zt,
-                r_image.map_variables(relabel),
-                order,
-                f"{op_name} {stats_tuple}: I - zt vs image R",
-            )
-            _expect_agree(
-                r_here + zt,
-                i_image.map_variables(relabel),
-                order,
-                f"{op_name} {stats_tuple}: R + zt vs image I",
-            )
-            checked += 1
-    return f"{checked} tuple/operation combinations hold to order {order}"
+    """The reverse/complement transfer on the four extreme lanes: with I
+    and R the irreducible and reducible parts of the master there, and g
+    a symmetry that flips reducibility, renaming each variable as g moves
+    its statistic, I - xyuv t = g(R) and R + xyuv t = g(I).  Setting lanes
+    to 1 commutes with g (onto the image lanes), so every statistic tuple
+    of the closed forms inherits both identities."""
+    irreducible, reducible = _master_extremes(order)
+    zt = cf._t_times(order, _EXTREME_LANES)
+    names = []
+    for op, stat_map, flips in _SYMMETRIES:
+        if not flips:
+            continue
+        g = {
+            STAT_TO_VARIABLE[source]: STAT_TO_VARIABLE[image]
+            for image, source in stat_map.items()
+        }
+        _expect_agree(
+            irreducible - zt,
+            reducible.map_variables(g),
+            order,
+            f"{op.__name__}: I - zt vs image R",
+        )
+        _expect_agree(
+            reducible + zt,
+            irreducible.map_variables(g),
+            order,
+            f"{op.__name__}: R + zt vs image I",
+        )
+        names.append(op.__name__)
+    return (
+        f"I - zt and R + zt are the images of R and I under "
+        f"{' and '.join(names)} on the four extreme lanes to order {order}"
+    )
 
 
 @_check("master-vs-enumeration")
@@ -1024,17 +976,18 @@ def conjecture_rows(
     }
 
 
-def check_conjectures(max_n: int = 12) -> list[CheckReport]:
-    """Unimodality and peak-position evidence for the three conjectures.
-
-    A pass certifies the claim over n <= max_n only; these are open
-    conjectures and the reports are explicit about the finite range.
-    """
+def _conjecture_evidence(
+    max_n: int,
+) -> list[tuple[str, dict[int, dict[int, int]], CheckReport]]:
+    """(check id, rows, report) for each conjecture: its rows are computed
+    once, inside its timed report."""
     _check_conjecture_n(max_n)
-    reports = []
+    evidence = []
     for check_id, spec in _CONJECTURES.items():
-        def body(spec=spec) -> str:
-            rows = conjecture_rows(spec["perm_class"], spec["stat"], max_n)
+        rows: dict[int, dict[int, int]] = {}
+
+        def body(spec=spec, rows=rows) -> str:
+            rows.update(conjecture_rows(spec["perm_class"], spec["stat"], max_n))
             strict_everywhere = True
             for n in range(spec["from_n"], max_n + 1):
                 weak, peak, strict = unimodality(rows[n])
@@ -1061,8 +1014,17 @@ def check_conjectures(max_n: int = 12) -> list[CheckReport]:
                 f"{spec['peak']} for n >= {spec['from_n']} ({strictness})"
             )
 
-        reports.append(_report(check_id, body))
-    return reports
+        evidence.append((check_id, rows, _report(check_id, body)))
+    return evidence
+
+
+def check_conjectures(max_n: int = 12) -> list[CheckReport]:
+    """Unimodality and peak-position evidence for the three conjectures.
+
+    A pass certifies the claim over n <= max_n only; these are open
+    conjectures and the reports are explicit about the finite range.
+    """
+    return [report for _, _, report in _conjecture_evidence(max_n)]
 
 
 # ---------------------------------------------------------------------------

@@ -632,6 +632,26 @@ def test_conjectures_output(capsys):
     assert out.count("PASS") == 3
 
 
+def test_conjectures_computes_each_conjectures_rows_once(capsys, monkeypatch):
+    from sepstats import verify
+
+    calls = []
+    real = verify.conjecture_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "conjecture_rows", counted)
+    code, out, _ = run(capsys, "conjectures", "--max-n", "6")
+    assert code == 0 and out.count("PASS") == 3
+    assert calls == [
+        ("all", "rmax", 6),
+        ("irreducible", "rmax", 6),
+        ("irreducible", "lmax", 6),
+    ]
+
+
 # -- errors and global flags ------------------------------------------------
 
 

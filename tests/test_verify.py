@@ -374,6 +374,22 @@ def test_symmetry_check_fails_on_a_bumped_profile(monkeypatch):
     )
 
 
+def test_symmetry_check_fails_when_inverse_is_the_identity(monkeypatch):
+    def inverse(pi):
+        return pi
+
+    table = [
+        (inverse if op is verify.inverse else op, stat_map, flips)
+        for op, stat_map, flips in verify._SYMMETRIES
+    ]
+    monkeypatch.setattr(verify, "_SYMMETRIES", tuple(table))
+    report = verify.verify_symmetries(max_n=4)
+    assert report.verdict == "fail"
+    assert report.first_fail == 3
+    # (lmax, rmax, lmin, rmin) of the image against (rmin, rmax, lmin, lmax)
+    assert report.witness == "inverse(231) statistics (2, 2, 2, 1) != (1, 2, 2, 2)"
+
+
 @pytest.fixture
 def fresh_master_projection():
     """No master projection memoized before or after the test, so a
@@ -401,6 +417,32 @@ def test_transfer_check_fails_on_a_bumped_irreducible_coefficient(
     assert report.verdict == "fail"
     assert report.first_fail == k
     assert f"I - zt vs image R: t^{k}" in report.witness
+
+
+def test_transfer_check_fails_on_a_bump_no_three_lane_projection_sees(
+    monkeypatch, fresh_master_projection
+):
+    # (x-1)(y-1)(u-1)(v-1) vanishes once any extreme lane is set to 1, so
+    # only the four-lane identity can see this bump
+    real = verify._master
+    k = 4
+    bump = MultiPoly.one()
+    for lane in "xyuv":
+        z = MultiPoly.variable(lane)
+        bump = bump * (z - 1) * z
+
+    def tampered(order):
+        master = dict(real(order))
+        master["irreducible"] = master["irreducible"] + TruncSeries.term(
+            order, k, bump
+        )
+        return master
+
+    monkeypatch.setattr(verify, "_master", tampered)
+    report = verify.verify_transfer(order=6)
+    assert report.verdict == "fail"
+    assert report.first_fail == k
+    assert report.witness.startswith(f"reverse: I - zt vs image R: t^{k}")
 
 
 @pytest.mark.parametrize(
@@ -565,11 +607,84 @@ def test_run_all_rejects_a_too_deep_conjecture_range_before_any_check(monkeypatc
 # -- full suite smoke (kept after the targeted tests for cache warmth) -------
 
 
+#: Every default report's id and detail: all 24 pass with exactly these.
+_DEFAULT_DETAILS = [
+    ("counting-identities", "streams to n=7, formulas to n=12, s_12=5293446"),
+    ("counting-gf-radicals", "radical gfs match counts to order 12"),
+    ("asc-des-relations", "all residuals zero to order 20"),
+    ("master-vs-enumeration", "S and I agree with the census to order 9"),
+    (
+        "fixpoint-specialization-consistency",
+        "subset solves equal master specializations to order 12",
+    ),
+    ("specialized-systems", "all 17 specialized residuals zero to order 20"),
+    (
+        "single-stat-closed-forms",
+        "12 series match fixpoint to order 12 and census to order 9",
+    ),
+    (
+        "pair-set2-closed-forms",
+        "12 series match fixpoint to order 12 and census to order 9",
+    ),
+    (
+        "pair-set1-closed-forms",
+        "6 series match fixpoint to order 12 and census to order 9; "
+        "exchange identity holds",
+    ),
+    (
+        "triple-closed-forms",
+        "12 series match fixpoint to order 12 and census to order 9",
+    ),
+    ("quad-closed-form", "3 series match fixpoint to order 12 and census to order 9"),
+    ("e-function-identities", "all four E readings match the fixpoint to order 12"),
+    (
+        "equidistribution-classes",
+        "singles, both pair families, triples identical for n <= 8",
+    ),
+    (
+        "equidistribution-negative-control",
+        "distinguished at n=2: {(1, 2): 1, (2, 1): 1} vs {(1, 1): 1, (2, 2): 1}",
+    ),
+    (
+        "symmetry-reducibility-flips",
+        "reverse/complement/inverse transport verified for n <= 8",
+    ),
+    ("reducible-factorization", "both factorizations hold to order 12"),
+    (
+        "transfer-identity",
+        "I - zt and R + zt are the images of R and I under reverse and "
+        "complement on the four extreme lanes to order 12",
+    ),
+    ("series-snippets", "all 8 frozen expansions match exactly"),
+    ("tables-golden", "tables 3, 4, 5 byte-match their golden files"),
+    (
+        "rising-factorial-rmax",
+        "rmax on all of S_n matches the rising factorial for n <= 8",
+    ),
+    ("eulerian-descents", "descent counts match Eulerian polynomials for n <= 8"),
+    *(
+        (
+            f"conjecture-{name}",
+            f"evidence only, n <= 12: unimodal with peak k={peak} "
+            f"for n >= {from_n} (strict)",
+        )
+        for name, peak, from_n in (
+            ("all-single-peak2", 2, 3),
+            ("irr-rmax-peak3", 3, 5),
+            ("irr-lmax-peak1", 1, 1),
+        )
+    ),
+]
+
+
 def test_full_suite_green():
     reports = verify.run_all()
     failing = [r.line() for r in reports if r.verdict != "pass"]
     assert not failing, "\n".join(failing)
     assert len(reports) == 24
+    assert [(r.check_id, r.verdict, r.detail) for r in reports] == [
+        (check_id, "pass", detail) for check_id, detail in _DEFAULT_DETAILS
+    ]
 
 
 def test_the_suite_keeps_its_order_and_each_check_reports_under_its_key():
