@@ -1162,8 +1162,10 @@ def solve_master_fixpoint(order: int = 12) -> tuple[TruncSeries, TruncSeries]:
 # separators=(",", ":")).  Both ends work one coefficient at a time, so
 # neither holds the document tree (two lists per term, about 200 B): the
 # encoder writes each coefficient's array from the text of its two half
-# keys, and a read slices each array out of the document text and parses
-# it when the decoder asks for it.
+# keys, and a read slices each array out of the document text.  The decoder
+# reads only such text, by one triple pattern, and keeps a coefficient only
+# if re-encoding it gives back exactly its text: a document is read only
+# in the one form it is written in.
 
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
@@ -1194,23 +1196,20 @@ def _coefficient_text(terms: dict[int, Coeff], halves: _HalfText) -> str:
     return f"[{','.join(parts)}]"
 
 
-#: Characters of a coefficient's text parsed at a time, so a decode holds a
-#: few hundred triples' lists, never a whole coefficient's.
-_PARSE_CHUNK = 1 << 14
+#: One triple of a coefficient's canonical text, in ASCII digits: the text
+#: of its two half keys, its numerator and its positive denominator.
+_TRIPLE = re.compile(
+    r"\[\[([0-9]+,[0-9]+,[0-9]+),([0-9]+,[0-9]+,[0-9]+)\],(-?[0-9]+),([1-9][0-9]*)\]"
+)
 
 
-def _triples(text: str) -> Iterator[list]:
-    """The triples of coefficient array ``text``, parsed about
-    ``_PARSE_CHUNK`` characters at a time, cut where one triple ends and
-    the next begins (``"],[["`` in canonical text).  Text that is not
-    canonical fails to parse, or decodes to a coefficient whose canonical
-    text is not ``text``, which :func:`document_to_series` rejects."""
-    start, stop = 1, len(text) - 1  # inside the array's brackets
-    while start < stop:
-        cut = text.find("],[[", start + _PARSE_CHUNK, stop)
-        end = stop if cut < 0 else cut + 1
-        yield from json.loads(f"[{text[start:end]}]")
-        start = end + 1
+class _HalfKey(dict):
+    """``"a,b,c"`` -> the half key it writes: the inverse of :class:`_HalfText`."""
+
+    def __missing__(self, text: str) -> int:
+        a, b, c = map(int, text.split(","))
+        half = self[text] = a | b << _S_Q | c << _S_X
+        return half
 
 
 class _Coefficients(Mapping):
@@ -1293,8 +1292,12 @@ def document_view(text: str) -> Mapping:
         if last:
             break
     tail = "{" + text[start:]
-    members = json.loads(tail)
-    if list(members) != _TAIL_KEYS or _dumps(members) != tail:
+    try:
+        members = json.loads(tail)
+        canonical = list(members) == _TAIL_KEYS and _dumps(members) == tail
+    except RecursionError:  # a member nested past the parser's depth
+        canonical = False
+    if not canonical:
         raise ValueError(_NOT_CANONICAL)
     members["coefficients"] = _Coefficients(spans, text.__getitem__)
     return MappingProxyType(members)
@@ -1302,62 +1305,39 @@ def document_view(text: str) -> Mapping:
 
 def document_to_series(doc: Mapping) -> TruncSeries:
     """Inverse of :func:`series_to_document` (bit-exact round trip: each
-    coefficient keeps its value and its ``int``/``Fraction`` type),
-    decoding one coefficient at a time: from a :func:`document_view` of a
-    cache file's text, only that coefficient's array is parsed.
+    coefficient keeps its value and its ``int``/``Fraction`` type), and the
+    reader of a :func:`document_view`, one coefficient at a time.  Any
+    other document, a plain dict too, is a ``ValueError``.
 
-    A document that does not describe one series over ``VARIABLES`` is a
-    ``ValueError``: another variable list, an order that is not an ``int``
-    in 0..``MAX_ORDER``, coefficient keys other than "0".."order", an
-    exponent vector that is not one ``int`` in 0..``MAX_ORDER`` per
-    variable, or a monomial listed twice in one coefficient.  A valid
-    vector is packed inline; any other goes through :func:`_pack`, whose
-    message names what is wrong.  Each coefficient returns through
-    :func:`_canonical`.  Where the coefficients come as text (from
-    :func:`document_view` or :func:`series_to_document`), each one's text
-    must also be the canonical text of what it decodes to, so a cache
-    file that is not canonical is a ``ValueError``, not a normalized read.
+    So is a document of another series: other variables, an order that is
+    not an ``int`` in 0..``MAX_ORDER``, or coefficient keys other than
+    "0".."order".  Each coefficient is read by one triple pattern and kept
+    only if re-encoding it gives back exactly its text: that one check
+    rejects every other fault (a character no triple matches, a repeated
+    monomial, an exponent above ``MAX_ORDER``, a zero or unreduced fraction).
     """
+    coefficients = doc.get("coefficients")
+    if not isinstance(coefficients, _Coefficients):
+        raise ValueError("not a document from series_to_document or document_view")
     if doc["variables"] != list(VARIABLES):
         raise ValueError(
             f"document variables {doc['variables']!r} are not {list(VARIABLES)}"
         )
     order = doc["order"]
     _check_int(order, "document order", 0, MAX_ORDER)
-    coefficients = doc["coefficients"]
     keys = [*map(str, range(order + 1))]
     if {*coefficients} != {*keys}:
         raise ValueError(f"document coefficient keys are not exactly 0..{order}")
-    texts = coefficients.text if isinstance(coefficients, _Coefficients) else None
-    halves = _HalfText()
+    halves, half_keys = _HalfText(), _HalfKey()
     coeffs: list[MultiPoly] = []
     for n, name in enumerate(keys):
-        if texts is None:
-            triples = coefficients[name]
-        else:
-            text = texts(name)
-            triples = _triples(text)
+        text = coefficients.text(name)
         terms: dict[int, Coeff] = {}
-        for exps, num, den in triples:
-            if len(exps) == 6:
-                p, q, x, y, u, v = exps
-                if (
-                    type(p) is type(q) is type(x) is type(y) is type(u) is type(v) is int
-                    and 0 <= p | q | x | y | u | v <= MAX_ORDER
-                ):
-                    key = p | q << _S_Q | x << _S_X | y << _S_Y | u << _S_U | v << _S_V
-                else:
-                    key = _pack(exps)
-            else:
-                key = _pack(exps)
-            if key in terms:
-                raise ValueError(f"monomial {exps} listed twice in the coefficient of t^{n}")
-            if type(num) is int and type(den) is int and den == 1:
-                terms[key] = num
-            else:
-                terms[key] = Fraction(num, den)
+        for low, high, num, den in map(re.Match.groups, _TRIPLE.finditer(text)):
+            key = half_keys[low] | half_keys[high] << _HALF_BITS
+            terms[key] = int(num) if den == "1" else Fraction(int(num), int(den))
         poly = _canonical(terms)
-        if texts is not None and _coefficient_text(poly._terms, halves) != text:
+        if _coefficient_text(poly._terms, halves) != text:
             raise ValueError(f"the coefficient of t^{n} is not written canonically")
         coeffs.append(poly)
     return TruncSeries(coeffs)
