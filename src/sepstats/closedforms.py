@@ -20,12 +20,14 @@ Memos: the paper's equidistribution results make each family one series
 in different lanes, so each family is built once per order in canonical
 lanes and renamed (``TruncSeries.map_variables``) into every other tuple;
 a class is that renaming plus at most one sum or difference.  No builder
-uses the reverse or complement symmetry.  The memos, keyed by order:
+uses the reverse or complement symmetry.  The memos, keyed by order unless
+said otherwise:
 
-* the radical ``discriminant_root``;
-* S(t,x) and its split S^2/(1+S), S/(1+S), keyed by (order, lane), as
-  their one-lane renamings are kept too: ``_single_gf_by_lane`` and
-  ``_single_split_by_lane``;
+* the radical ``discriminant_root`` and S(t,z) in each lane
+  ``_single_gf_by_lane``, keyed by lane alone (``_longest``): each keeps
+  its highest order built and truncates it for a lower one;
+* the split S^2/(1+S), S/(1+S), keyed by (order, lane), as its one-lane
+  renamings are kept too: ``_single_split_by_lane``;
 * the set-2 irreducible and reducible series in (x, y): ``_set2_parts``;
 * the set-1 quotient Q and its numerator K + T in (y, u), K = S(y) I(u)
   the core and T = t y u: ``_set1_parts``;
@@ -61,6 +63,7 @@ from .series import (
     MultiPoly,
     TruncSeries,
     VARIABLES,
+    _longest_prefix,
     check_order,
     solve_fixpoint,
     stat_lanes,
@@ -133,9 +136,19 @@ def _lanes(
     return stat_lanes(stats)
 
 
-# typed, as every order-keyed memo here: 3.0 or True misses the entry of 3
-# or 1 and reaches check_order
+#: ``_longest``'s key for the radical; S(t,z) is keyed by its lane.
+_RADICAL = ""
+
+
+# typed, as every memo in the package
 @functools.lru_cache(maxsize=None, typed=True)
+def _longest(lane: str) -> list[TruncSeries]:
+    """The memo of the radical (``_RADICAL``) or of S(t,z) in one lane:
+    the series at the highest order built, in a list of at most one, read
+    through ``_longest_prefix``."""
+    return []
+
+
 def discriminant_root(order: int) -> TruncSeries:
     """sqrt(1 - 6t + t^2), the radical shared by all closed forms.
 
@@ -143,8 +156,12 @@ def discriminant_root(order: int) -> TruncSeries:
     division cancels a power of t.
     """
     check_order(order)
-    t = TruncSeries.t(order)
-    return (1 - 6 * t + t * t).sqrt()
+
+    def built() -> list[TruncSeries]:
+        t = TruncSeries.t(order)
+        return [(1 - 6 * t + t * t).sqrt()]
+
+    return _longest_prefix(_longest(_RADICAL), order, built)[0]
 
 
 def schroeder_gf(order: int) -> TruncSeries:
@@ -212,12 +229,7 @@ def _reading(
     return plus() + zt if cls == "irreducible" else minus() - zt
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _single_gf_by_lane(order: int, lane: str) -> TruncSeries:
-    # S(t,z) is one formula whichever lane z is: it is evaluated in x and
-    # renamed into the others.
-    if lane != "x":
-        return _single_gf_by_lane(order, "x").map_variables({"x": lane})
     # Every closed form but the counting series starts here, so this is
     # where the caller's order is checked.  The final division cancels
     # one power of t, so the work runs one order higher.
@@ -227,6 +239,16 @@ def _single_gf_by_lane(order: int, lane: str) -> TruncSeries:
             f"closed-form order {order} takes its radical at order "
             f"{order + 1}, which exceeds {MAX_ORDER}"
         )
+    return _longest_prefix(
+        _longest(lane), order, lambda: [_single_gf_built(order, lane)]
+    )[0]
+
+
+def _single_gf_built(order: int, lane: str) -> TruncSeries:
+    # S(t,z) is one formula whichever lane z is: it is evaluated in x and
+    # renamed into the others.
+    if lane != "x":
+        return _single_gf_by_lane(order, "x").map_variables({"x": lane})
     w = order + 1
     t = TruncSeries.t(w)
     z = MultiPoly.variable("x")

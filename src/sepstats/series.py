@@ -18,7 +18,9 @@ for the joint distribution series S (all separable permutations) and I
 (irreducible ones) order by order: every product on the right has
 t-valuation at least 2, so the coefficient of t^n depends only on lower
 orders.  Any subset of the six variables may be pre-set to 1, which solves
-the correspondingly specialized system directly.
+the correspondingly specialized system directly.  The solves are memoized
+by variable set alone: each keeps its longest (S, I) prefix, answers a
+lower order by truncation and resumes the recurrence for a higher one.
 
 >>> S, I = solve_fixpoint(3, active=("p", "q"))
 >>> str(S.coefficient(3))
@@ -1042,15 +1044,31 @@ def _divide_exact(poly: MultiPoly, d: Coeff) -> MultiPoly:
 def assert_counting_series(series: TruncSeries, what: str = "series") -> None:
     """Assert all coefficients are polynomials with non-negative integers."""
     for n, poly in enumerate(series.coefficients()):
-        values = poly._terms.values()
-        if {*map(type, values)} <= {int} and min(values, default=0) >= 0:
-            continue
-        for exps, c in poly.terms():
-            if not isinstance(c, int) or c < 0:
-                raise AssertionError(
-                    f"{what}: coefficient of t^{n} monomial {exps} is {c}, "
-                    "expected a non-negative integer"
-                )
+        _assert_counting(poly, n, what)
+
+
+def _assert_counting(poly: MultiPoly, n: int, what: str) -> None:
+    """Assert ``poly``, the coefficient of t^n, has non-negative int values."""
+    values = poly._terms.values()
+    if {*map(type, values)} <= {int} and min(values, default=0) >= 0:
+        return
+    for exps, c in poly.terms():
+        if not isinstance(c, int) or c < 0:
+            raise AssertionError(
+                f"{what}: coefficient of t^{n} monomial {exps} is {c}, "
+                "expected a non-negative integer"
+            )
+
+
+def _longest_prefix(
+    held: list[TruncSeries], order: int, grow: Callable[[], list[TruncSeries]]
+) -> list[TruncSeries]:
+    """The one policy of the prefix memos: ``held``, the longest series
+    built so far, first replaced by ``grow()`` if shorter than ``order``,
+    and truncated at ``order``, sharing its coefficients."""
+    if not held or held[0].order < order:
+        held[:] = grow()
+    return [s if s.order == order else TruncSeries(s._coeffs[: order + 1]) for s in held]
 
 
 # ---------------------------------------------------------------------------
@@ -1063,65 +1081,60 @@ def _normalize_active(active: Iterable[str]) -> tuple[str, ...]:
     return tuple(v for v in VARIABLES if _SHIFT[v] in shifts)
 
 
-# typed, as every order-keyed memo here: 3.0 or True misses the entry of 3
-# or 1 and reaches check_order
+# typed, as every memo in the package
 @functools.lru_cache(maxsize=None, typed=True)
-def _solve_fixpoint_cached(
-    order: int, active: tuple[str, ...]
-) -> tuple[TruncSeries, TruncSeries]:
-    check_order(order)
+def _solve_fixpoint_cached(active: tuple[str, ...]) -> list[TruncSeries]:
+    """The fixpoint memo of one normalized variable set: [S, I] at the
+    highest order solved, empty before the first solve."""
+    return []
+
+
+def _resumed(
+    order: int, active: tuple[str, ...], held: list[TruncSeries]
+) -> list[TruncSeries]:
+    """[S, I] to ``order``, the recurrence resumed from ``held`` ([S, I]
+    at a lower order, or empty for a cold start)."""
     present = set(active)
-
-    def var_or_one(name: str) -> MultiPoly:
-        return MultiPoly.variable(name) if name in present else MultiPoly.one()
-
-    def prod(names: str) -> MultiPoly:
-        out = MultiPoly.one()
-        for name in names:
-            if name in present:
-                out = out * MultiPoly.variable(name)
-        return out
-
-    xyuv = prod("xyuv")
-    xyu = prod("xyu")
-    p_factor = var_or_one("p")
-    q_factor = var_or_one("q")
+    one = MultiPoly.one()
+    p, q, x, y, u, v = (MultiPoly.variable(n) if n in present else one for n in VARIABLES)
+    xyu = x * y * u
+    xyuv = xyu * v
 
     def spec(poly: MultiPoly, name: str) -> MultiPoly:
         return poly.specialize(name) if name in present else poly
 
     zero = MultiPoly.zero()
-    s_coeffs: list[MultiPoly] = [zero, xyuv]
-    i_coeffs: list[MultiPoly] = [zero, xyuv]
-    s_y1 = [zero, spec(xyuv, "y")]
-    s_x1 = [zero, spec(xyuv, "x")]
-    i_u1 = [zero, spec(xyuv, "u")]
+    s_coeffs = [*held[0].coefficients()] if held else [zero, xyuv]
+    i_coeffs = [*held[1].coefficients()] if held else [zero, xyuv]
+    # The projections that t^n reads, of every coefficient below it: rebuilt
+    # on each resume, not kept, and never taken of the top coefficient.
+    s_y1 = [spec(c, "y") for c in s_coeffs]
+    s_x1 = [spec(c, "x") for c in s_coeffs]
+    i_u1 = [spec(c, "u") for c in i_coeffs]
     # the q-term's first factor (S - I)|v=1 + xyut; S and I agree at t^1
-    red_v1 = [zero, xyu]
+    red_v1 = [zero, xyu, *(spec(a - b, "v") for a, b in zip(s_coeffs[2:], i_coeffs[2:]))]
 
     # the two product streams group best by different lanes, so each
     # keeps its own pack memo
     q_memo: dict = {}
     p_memo: dict = {}
-    for n in range(2, order + 1):
+    for n in range(len(s_coeffs), order + 1):
         q_sum = _sum_of_products(((red_v1[i], s_x1[n - i]) for i in range(1, n)), q_memo)
-        i_n = q_factor * q_sum
+        i_n = q * q_sum
         p_sum = _sum_of_products(((s_y1[i], i_u1[n - i]) for i in range(1, n)), p_memo)
         # the p-term is exactly s_n - i_n, the reducible coefficient
-        p_term = p_factor * p_sum
+        p_term = p * p_sum
         s_n = i_n + p_term
+        _assert_counting(s_n, n, "fixpoint S")
+        _assert_counting(i_n, n, "fixpoint I")
         s_coeffs.append(s_n)
         i_coeffs.append(i_n)
-        s_y1.append(spec(s_n, "y"))
-        s_x1.append(spec(s_n, "x"))
-        i_u1.append(spec(i_n, "u"))
-        red_v1.append(spec(p_term, "v"))
-
-    s_series = TruncSeries(s_coeffs[: order + 1])
-    i_series = TruncSeries(i_coeffs[: order + 1])
-    assert_counting_series(s_series, "fixpoint S")
-    assert_counting_series(i_series, "fixpoint I")
-    return s_series, i_series
+        if n < order:
+            s_y1.append(spec(s_n, "y"))
+            s_x1.append(spec(s_n, "x"))
+            i_u1.append(spec(i_n, "u"))
+            red_v1.append(spec(p_term, "v"))
+    return [TruncSeries(s_coeffs), TruncSeries(i_coeffs)]
 
 
 def solve_fixpoint(
@@ -1131,7 +1144,9 @@ def solve_fixpoint(
 
     Variables not listed in ``active`` are set to 1 throughout, which
     yields the exact specialized system.  Returns ``(S, I)`` truncated at
-    ``order``.  Results are cached per (order, variable set).
+    ``order``.  The memo keeps one (S, I) prefix per variable set, the
+    longest solved: a lower order is read off it by truncation, and a
+    higher one resumes the recurrence from it.
 
     >>> S, I = solve_fixpoint(4, active=())
     >>> [int(S.coefficient(n).constant_term()) for n in range(5)]
@@ -1139,7 +1154,11 @@ def solve_fixpoint(
     >>> [int(I.coefficient(n).constant_term()) for n in range(5)]
     [0, 1, 1, 3, 11]
     """
-    return _solve_fixpoint_cached(order, _normalize_active(active))
+    check_order(order)
+    active = _normalize_active(active)
+    held = _solve_fixpoint_cached(active)
+    s, i = _longest_prefix(held, order, lambda: _resumed(order, active, held))
+    return s, i
 
 
 def solve_master_fixpoint(order: int = 12) -> tuple[TruncSeries, TruncSeries]:

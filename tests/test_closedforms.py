@@ -52,10 +52,10 @@ def _memos() -> list:
 
 def test_only_the_canonical_family_series_are_memoized(cold_memos):
     # one memo per canonical piece, keyed by order; only the one-lane
-    # series also keep their renamings, keyed by (order, lane)
+    # series also keep their renamings, keyed by (order, lane), and the
+    # radical and S(t,z) share one memo keyed by lane alone
     assert {memo.__name__ for memo in _memos()} == {
-        "discriminant_root",
-        "_single_gf_by_lane",
+        "_longest",
         "_single_split_by_lane",
         "_set2_parts",
         "_set1_parts",
@@ -68,9 +68,32 @@ def test_only_the_canonical_family_series_are_memoized(cold_memos):
         for cls in CLASSES:
             closedforms.closed_form(ORDER, stats, cls)
     keys = {memo.__name__: memo.cache_info().currsize for memo in _memos()}
-    assert keys.pop("_single_gf_by_lane") == 4
+    assert keys.pop("_longest") == 5  # the radical and S(t,z) in x, y, u, v
     assert keys.pop("_single_split_by_lane") == 4
     assert set(keys.values()) == {1}
+
+
+@pytest.mark.parametrize(
+    "lane", [closedforms._RADICAL, "x", "y", "u", "v"], ids=lambda lane: lane or "radical"
+)
+def test_the_radical_and_s_memos_truncate_their_longest_series(cold_memos, lane):
+    # keyed by lane alone: a lower order is the highest one built, truncated
+    def build(order):
+        if lane == closedforms._RADICAL:
+            return closedforms.discriminant_root(order)
+        return closedforms._single_gf_by_lane(order, lane)
+
+    cold = {}
+    for order in (14, 40):
+        for memo in _memos():
+            memo.cache_clear()
+        cold[order] = _typed(build(order))
+    for orders in ((14, 40), (40, 14)):
+        for memo in _memos():
+            memo.cache_clear()
+        for order in orders:
+            got = build(order)
+            assert got.order == order and _typed(got) == cold[order], (orders, order)
 
 
 def test_each_family_is_built_once_per_order(monkeypatch, cold_memos):

@@ -212,6 +212,30 @@ def test_fixpoint_rejects_bad_active_set():
         solve_fixpoint(4, ("w",))
 
 
+#: Every variable set ``verify`` solves.
+_VERIFY_SETS = [(), ("x",), ("y",), ("u",), ("p", "q"), ("x", "y"), ("y", "u"),
+                ("x", "y", "u"), VARIABLES]
+
+
+@pytest.mark.parametrize("active", _VERIFY_SETS, ids=lambda a: "".join(a) or "none")
+def test_a_fixpoint_prefix_equals_a_cold_solve_at_its_own_order(active):
+    # The memo keeps one prefix per variable set: a lower order is its
+    # truncation, a higher one resumes it.  The master stops at 12, as
+    # in verify; order 20 would take it seconds.
+    top = 12 if active == VARIABLES else 20
+    calls = [(9, top), (top, 9), (5, top, 9, 11 if top == 12 else 12)]
+    cold = {}
+    for order in {n for orders in calls for n in orders}:
+        series_module._solve_fixpoint_cached.cache_clear()
+        cold[order] = [_typed_terms(part) for part in solve_fixpoint(order, active)]
+    for orders in calls:
+        series_module._solve_fixpoint_cached.cache_clear()
+        for order in orders:
+            parts = solve_fixpoint(order, active)
+            assert [part.order for part in parts] == [order, order]
+            assert [_typed_terms(part) for part in parts] == cold[order], (orders, order)
+
+
 def test_statistic_i_is_carried_by_variable_i():
     from sepstats.permutations import StatProfile
 
@@ -1219,7 +1243,8 @@ def test_the_master_solve_stays_on_term_dicts_and_a_three_lane_product_packs(
     lane_decisions,
 ):
     # one decision per fixpoint stream, the q-sum's and the p-sum's
-    series_module._solve_fixpoint_cached.__wrapped__(12, VARIABLES)
+    series_module._solve_fixpoint_cached.cache_clear()
+    solve_fixpoint(12, VARIABLES)
     assert lane_decisions == [None, None]
     S, I = solve_fixpoint(20, ("x", "y", "u"))
     lane_decisions.clear()
@@ -1233,7 +1258,8 @@ def test_the_master_solve_stays_on_term_dicts_and_a_three_lane_product_packs(
 def test_each_fixpoint_stream_picks_its_own_lane(lane_decisions):
     # the q-sum, (S - I)|v=1 times S|x=1, groups best by y; the p-sum,
     # S|y=1 times I|u=1, by x.  The q-sum decides first.
-    series_module._solve_fixpoint_cached.__wrapped__(20, ("x", "y", "u"))
+    series_module._solve_fixpoint_cached.cache_clear()
+    solve_fixpoint(20, ("x", "y", "u"))
     assert lane_decisions == [_SHIFTS["y"], _SHIFTS["x"]]
 
 
