@@ -54,7 +54,6 @@ is E + E Q and their bracket is t x y u + E Q.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .enumeration import canonical_class
@@ -172,7 +171,7 @@ def schroeder_gf(order: int) -> TruncSeries:
     """
     check_order(order)
     t = TruncSeries.t(order)
-    return (1 - t - discriminant_root(order)) * Fraction(1, 2)
+    return (1 - t - discriminant_root(order)).divide(2)
 
 
 def little_schroeder_gf(order: int) -> TruncSeries:
@@ -183,7 +182,7 @@ def little_schroeder_gf(order: int) -> TruncSeries:
     """
     check_order(order)
     t = TruncSeries.t(order)
-    return (1 + t - discriminant_root(order)) * Fraction(1, 4)
+    return (1 + t - discriminant_root(order)).divide(4)
 
 
 def _renamed(
@@ -253,8 +252,10 @@ def _single_gf_built(order: int, lane: str) -> TruncSeries:
     t = TruncSeries.t(w)
     z = MultiPoly.variable("x")
     r = discriminant_root(w)
-    base = r * Fraction(-1, 4) - t * z + t * Fraction(1, 4) + Fraction(5, 4)
-    inner = base * base + r - t - 1
+    # four times the base (5 - r + t)/4 - zt, so that every step is over
+    # the integers: inner = base^2 + r - t - 1 has constant term 1
+    base4 = 5 - r + t - t * z * 4
+    inner = (base4 * base4 + (r - t - 1) * 16).divide(16)
     num = inner.sqrt() * 4 - r + t * z * 4 + t - 3
     den = (r - t - 1) * 2
     return num.divide(den)

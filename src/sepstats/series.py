@@ -1,7 +1,8 @@
 """Truncated formal power series over exact multivariate polynomials.
 
-The coefficient ring is Z[p, q, x, y, u, v] (with exact rationals admitted
-in intermediate results of ``sqrt``/``divide``/``invert``).  A
+The coefficient ring is Z[p, q, x, y, u, v]: every coefficient is an
+``int``, and a ``divide``, ``invert`` or ``sqrt`` whose result is not
+integral is a ``ValueError`` naming the power of t where it is not.  A
 :class:`MultiPoly` is a sparse map from monomials to coefficients, with the
 six exponents packed into one integer key (9 bits per variable: 8 value
 bits and a guard bit) so that monomial multiplication is integer addition.
@@ -36,7 +37,6 @@ import json
 import operator
 import re
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from fractions import Fraction
 from types import MappingProxyType
 
 from .numbers import _check_int
@@ -122,7 +122,6 @@ def _shift(name: str) -> int:
         ) from None
 
 
-Coeff = int | Fraction
 Exponents = tuple[int, int, int, int, int, int]
 
 
@@ -188,21 +187,10 @@ def check_order(order: int) -> None:
         )
 
 
-def _exact(c: object) -> Coeff:
-    """``c`` as a coefficient, a whole ``Fraction`` as an ``int``: only an
-    ``int`` (not a ``bool``) or a ``Fraction`` is one, else ``ValueError``."""
-    if type(c) is bool or not isinstance(c, (int, Fraction)):
-        raise ValueError(f"{c!r} is not an int or a Fraction")
-    return c.numerator if c.denominator == 1 else c
-
-
-def _canonical(out: dict[int, Coeff]) -> "MultiPoly":
+def _canonical(out: dict[int, int]) -> "MultiPoly":
     """The one finisher: ``out`` without the coefficients that cancelled,
-    and with every whole ``Fraction`` as an ``int``, as a MultiPoly."""
-    values = out.values()
-    if not {*map(type, values)} <= {int}:
-        out = {k: c.numerator if c.denominator == 1 else c for k, c in out.items() if c}
-    elif 0 in values:
+    as a MultiPoly."""
+    if 0 in out.values():
         out = {k: c for k, c in out.items() if c}
     return MultiPoly(out)
 
@@ -216,22 +204,22 @@ def _canonical(out: dict[int, Coeff]) -> "MultiPoly":
 # Each stream of sums of products (a series product, divide or sqrt; each
 # of the fixpoint loop's two sums) also hands the kernel one pack memo, a
 # dict that lives as long as the stream.  The first sum of products in it
-# with at least _PACK_MIN_PAIRS term pairs and only int coefficients picks
-# one lane for the whole stream: the lane whose grouping (terms that agree
-# on the other five lanes) cuts the pair count the most, if that is at
-# least _PACK_MIN_GAIN-fold, else none.
+# with at least _PACK_MIN_PAIRS term pairs picks one lane for the whole
+# stream: the lane whose grouping (terms that agree on the other five
+# lanes) cuts the pair count the most, if that is at least
+# _PACK_MIN_GAIN-fold, else none.
 # Packed, each group is one Python int with one slot per exponent of the
 # lane (Kronecker substitution), the group ints multiply as big integers in
 # the same dict loop, and each output int is read back once as signed
 # digits.  Each coefficient is packed once per stream and slot width.
-# Products with a Fraction coefficient, small sums and MultiPoly products
-# stay on the term dicts of _mul_into, which is also the packed path's test
-# oracle.  So do the six-variable master's two streams, though grouping
-# does cut their late sums (about 4x at t^12, where S has 8,378 terms in
-# 1,983 groups by x): each stream decides at its first sum of at least
-# _PACK_MIN_PAIRS pairs (2,553), where the best lane cuts only 2.5x.  A
-# gain of 2 would pack them, about 1.7-2.4x faster at orders 16-18 but for
-# 2-3 MB more peak memory, so the gain stays 4.
+# Small sums and MultiPoly products stay on the term dicts of _mul_into,
+# which is also the packed path's test oracle.  So do the six-variable
+# master's two streams, though grouping does cut their late sums (about 4x
+# at t^12, where S has 8,378 terms in 1,983 groups by x): each stream
+# decides at its first sum of at least _PACK_MIN_PAIRS pairs (2,553),
+# where the best lane cuts only 2.5x.  A gain of 2 would pack them, about
+# 1.7-2.4x faster at orders 16-18 but for 2-3 MB more peak memory, so the
+# gain stays 4.
 
 #: Fewest term pairs in one sum of products before a stream picks a lane.
 _PACK_MIN_PAIRS = 2048
@@ -246,7 +234,7 @@ _LANE_OVERFLOW = (
 )
 
 
-def _mul_into(out: dict[int, Coeff], a: dict[int, Coeff], b: dict[int, Coeff]) -> None:
+def _mul_into(out: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
     """Add every term product of ``a`` and ``b`` into ``out``."""
     if len(a) > len(b):
         a, b = b, a
@@ -258,13 +246,13 @@ def _mul_into(out: dict[int, Coeff], a: dict[int, Coeff], b: dict[int, Coeff]) -
             out[k] = c1 * c2 if v is None else v + c1 * c2
 
 
-def _check_guards(out: dict[int, Coeff]) -> None:
+def _check_guards(out: dict[int, int]) -> None:
     """Reject keys of which one sets a guard bit: an exponent past ``MAX_ORDER``."""
     if out and functools.reduce(operator.or_, out) & _GUARD:
         raise ValueError(_LANE_OVERFLOW)
 
 
-def _finished(out: dict[int, Coeff]) -> "MultiPoly":
+def _finished(out: dict[int, int]) -> "MultiPoly":
     """A product's term dict, guard-checked, through :func:`_canonical`."""
     _check_guards(out)
     return _canonical(out)
@@ -318,9 +306,9 @@ def _packing(
     """How one sum of products runs packed: (lane shift, slot width, the
     group dicts of each pair, those of ``mid``), or None for the term
     dicts.  ``memo`` holds the stream's choice of lane ("lane", None
-    for none), each operand's l1 norm ("norms", None for a Fraction
-    coefficient) and its packs at the current slot width ("width",
-    "packs"); operands are keyed by ``id`` and kept alive there."""
+    for none), each operand's l1 norm ("norms") and its packs at the
+    current slot width ("width", "packs"); operands are keyed by ``id``
+    and kept alive there."""
     decided = "lane" in memo
     if decided and memo["lane"] is None:
         return None
@@ -332,26 +320,17 @@ def _packing(
             return None
     norms = memo.setdefault("norms", {})
 
-    def norm(p: MultiPoly) -> int | None:
+    def norm(p: MultiPoly) -> int:
         entry = norms.get(id(p))
         if entry is None:
-            l1 = sum(map(abs, p._terms.values()))
-            entry = norms[id(p)] = (p, l1 if type(l1) is int else None)
+            entry = norms[id(p)] = (p, sum(map(abs, p._terms.values())))
         return entry[1]
 
-    bound = 0
-    for a, b in pairs:
-        na, nb = norm(a), norm(b)
-        if na is None or nb is None:
-            return None
-        bound += na * nb
+    bound = sum(norm(a) * norm(b) for a, b in pairs)
     if doubled:
         bound += bound
     if mid is not None:
-        nm = norm(mid)
-        if nm is None:
-            return None
-        bound += nm * nm
+        bound += norm(mid) ** 2
     if not decided:
         memo["lane"] = _best_lane(pairs, mid, work)
         if memo["lane"] is None:
@@ -389,8 +368,8 @@ def _packing(
 def _unpacked(out: dict[int, int], shift: int, width: int) -> "MultiPoly":
     """The polynomial of packed group ints: each is read as balanced digits
     in -2**(width-1)..2**(width-1)-1, one per exponent of the lane at
-    ``shift``, keeping the nonzero ones.  Canonical by construction: the
-    digits are ints, and a zero group int unpacks to no term."""
+    ``shift``, keeping the nonzero ones.  Canonical by construction: a
+    zero group int unpacks to no term."""
     full = 1 << width
     half = full >> 1
     mask = full - 1
@@ -423,7 +402,7 @@ def _kernel(
         gm = None if mid is None else mid._terms
     else:
         shift, width, grouped, gm = plan
-    out: dict[int, Coeff] = {}
+    out: dict[int, int] = {}
     for ga, gb in grouped:
         _mul_into(out, ga, gb)
     if doubled:
@@ -458,9 +437,11 @@ class MultiPoly:
     """Sparse exact polynomial in the fixed variables p, q, x, y, u, v.
 
     Instances are immutable by convention; all operations return fresh
-    objects.  Every instance is canonical: no zero coefficient, every whole
-    value an ``int``, no exponent past ``MAX_ORDER``.  The raw constructor
-    trusts its dict to be so; every other result is canonical by
+    objects.  Every instance is canonical: every coefficient a nonzero
+    ``int``, no exponent past ``MAX_ORDER``.  Every coefficient a caller
+    gives passes :func:`~sepstats.numbers._check_int`, so a ``bool``, a
+    float or a fraction is a ``ValueError``.  The raw constructor trusts
+    its dict to be canonical; every other result is canonical by
     construction or returns through :func:`_canonical`.
 
     Each exponent lives in a ``LANE_BITS``-wide lane, so no exponent may
@@ -478,7 +459,7 @@ class MultiPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[int, Coeff]) -> None:
+    def __init__(self, terms: dict[int, int]) -> None:
         self._terms = terms
 
     # -- constructors ------------------------------------------------------
@@ -492,20 +473,21 @@ class MultiPoly:
         return cls({0: 1})
 
     @classmethod
-    def constant(cls, c: Coeff) -> "MultiPoly":
-        return _canonical({0: _exact(c)})
+    def constant(cls, c: int) -> "MultiPoly":
+        _check_int(c, "coefficient", None)
+        return _canonical({0: c})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         return cls({1 << _shift(name): 1})
 
     @classmethod
-    def from_exponents(cls, data: Mapping[Sequence[int], Coeff]) -> "MultiPoly":
+    def from_exponents(cls, data: Mapping[Sequence[int], int]) -> "MultiPoly":
         """Build from {exponent-vector: coefficient} with vectors over
         (p, q, x, y, u, v)."""
-        terms: dict[int, Coeff] = {}
+        terms: dict[int, int] = {}
         for exps, c in data.items():
-            c = _exact(c)
+            _check_int(c, "coefficient", None)
             if c:
                 key = _pack(tuple(exps))
                 terms[key] = terms.get(key, 0) + c
@@ -513,18 +495,18 @@ class MultiPoly:
 
     # -- inspection --------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[Exponents, Coeff]]:
+    def terms(self) -> Iterator[tuple[Exponents, int]]:
         """Iterate (exponent-vector, coefficient) in canonical order."""
         for key in sorted(self._terms):
             yield _unpack(key), self._terms[key]
 
-    def coefficient(self, exps: Sequence[int]) -> Coeff:
+    def coefficient(self, exps: Sequence[int]) -> int:
         return self._terms.get(_pack(tuple(exps)), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_term(self) -> Coeff:
+    def constant_term(self) -> int:
         return self._terms.get(0, 0)
 
     def is_constant(self) -> bool:
@@ -538,8 +520,8 @@ class MultiPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "MultiPoly | Coeff") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
+        if isinstance(other, int):
             other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -552,11 +534,11 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        # canonical by construction: each value keeps its type and stays nonzero
+        # canonical by construction: each value stays a nonzero int
         return MultiPoly({k: -c for k, c in self._terms.items()})
 
-    def __sub__(self, other: "MultiPoly | Coeff") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+    def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
+        if isinstance(other, int):
             other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -566,29 +548,29 @@ class MultiPoly:
             out[k] = get(k, 0) - c
         return _canonical(out)
 
-    def __rsub__(self, other: Coeff) -> "MultiPoly":
+    def __rsub__(self, other: int) -> "MultiPoly":
         return MultiPoly.constant(other) - self
 
-    def __mul__(self, other: "MultiPoly | Coeff") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            other = _exact(other)
-            return _canonical({k: c * other for k, c in self._terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        out: dict[int, Coeff] = {}
-        _mul_into(out, self._terms, other._terms)
-        return _finished(out)
+    def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
+        if isinstance(other, MultiPoly):
+            out: dict[int, int] = {}
+            _mul_into(out, self._terms, other._terms)
+            return _finished(out)
+        if isinstance(other, TruncSeries):
+            return NotImplemented  # the series scales each coefficient
+        _check_int(other, "coefficient", None)
+        return MultiPoly({k: c * other for k, c in self._terms.items()} if other else {})
 
     __rmul__ = __mul__
 
-    def specialize(self, var: str, value: Coeff = 1) -> "MultiPoly":
-        """Substitute ``value`` (default 1) for ``var``."""
+    def specialize(self, var: str, value: int = 1) -> "MultiPoly":
+        """Substitute the integer ``value`` (default 1) for ``var``."""
         shift = _shift(var)
         mask = MAX_ORDER << shift
-        value = _exact(value)
+        _check_int(value, "specialize value", None)
         if value == 1:
             return self._masked(~mask)
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         get = out.get
         for k, c in self._terms.items():
             e = (k & mask) >> shift
@@ -617,8 +599,8 @@ class MultiPoly:
     def _masked(self, mask: int) -> "MultiPoly":
         """Set to 1 every variable whose lane ``mask`` clears: the one
         projection loop behind :meth:`keep_only` and :meth:`specialize`
-        at 1.  Sums that cancel are dropped, and whole ones are ``int``."""
-        out: dict[int, Coeff] = {}
+        at 1.  Sums that cancel are dropped."""
+        out: dict[int, int] = {}
         get = out.get
         for k, c in self._terms.items():
             k &= mask
@@ -652,7 +634,7 @@ class MultiPoly:
         ]
         stay = ~sum(mask for mask, _, _ in moves)
         # Injective, onto free lanes: distinct keys stay distinct (canonical).
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         for k, c in self._terms.items():
             k2 = k & stay
             for mask, left, right in moves:
@@ -663,14 +645,14 @@ class MultiPoly:
     # -- comparison / hashing / display ------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = _canonical({0: other})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))  # n, Fraction(n) hash alike
+        return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
         if not self._terms:
@@ -731,7 +713,7 @@ def parse_poly(text: str) -> MultiPoly:
     ...
     ValueError: cannot parse factor at 't'
     """
-    data: dict[Exponents, Coeff] = {}
+    data: dict[Exponents, int] = {}
     pos = 0
     text = text.strip()
     if not text:
@@ -796,11 +778,11 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
-        return cls([MultiPoly.zero()] * (order + 1))
+        return cls.term(order, 0, MultiPoly.zero())
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
-        return cls([MultiPoly.one()] + [MultiPoly.zero()] * order)
+        return cls.term(order, 0, MultiPoly.one())
 
     @classmethod
     def t(cls, order: int) -> "TruncSeries":
@@ -808,13 +790,14 @@ class TruncSeries:
         return cls.term(order, 1, MultiPoly.one())
 
     @classmethod
-    def term(cls, order: int, power: int, poly: MultiPoly | Coeff) -> "TruncSeries":
-        """The single-term series poly * t^power."""
+    def term(cls, order: int, power: int, poly: MultiPoly | int) -> "TruncSeries":
+        """The single-term series poly * t^power, truncated at ``order``:
+        the one constructor that gates an order and a power of t."""
+        _check_int(order, "truncation order")
+        _check_int(power, "t power")
         if not isinstance(poly, MultiPoly):
             poly = MultiPoly.constant(poly)
         coeffs = [MultiPoly.zero()] * (order + 1)
-        if power < 0:
-            raise ValueError(f"negative t power: {power}")
         if power <= order:
             coeffs[power] = poly
         return cls(coeffs)
@@ -859,14 +842,14 @@ class TruncSeries:
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
-    def _coerce(value: "TruncSeries | MultiPoly | Coeff", order: int) -> "TruncSeries":
+    def _coerce(value: "TruncSeries | MultiPoly | int", order: int) -> "TruncSeries":
         if isinstance(value, TruncSeries):
             return value
-        if not isinstance(value, (int, Fraction, MultiPoly)):
+        if not isinstance(value, (int, MultiPoly)):
             raise TypeError(f"cannot combine a TruncSeries with {type(value).__name__}")
         return TruncSeries.term(order, 0, value)
 
-    def __add__(self, other: "TruncSeries | MultiPoly | Coeff") -> "TruncSeries":
+    def __add__(self, other: "TruncSeries | MultiPoly | int") -> "TruncSeries":
         other = self._coerce(other, self.order)
         n = min(self.order, other.order)
         return TruncSeries(
@@ -878,19 +861,19 @@ class TruncSeries:
     def __neg__(self) -> "TruncSeries":
         return TruncSeries([-c for c in self._coeffs])
 
-    def __sub__(self, other: "TruncSeries | MultiPoly | Coeff") -> "TruncSeries":
+    def __sub__(self, other: "TruncSeries | MultiPoly | int") -> "TruncSeries":
         other = self._coerce(other, self.order)
         n = min(self.order, other.order)
         return TruncSeries(
             [self._coeffs[k] - other._coeffs[k] for k in range(n + 1)]
         )
 
-    def __rsub__(self, other: "MultiPoly | Coeff") -> "TruncSeries":
+    def __rsub__(self, other: "MultiPoly | int") -> "TruncSeries":
         return self._coerce(other, self.order) - self
 
-    def __mul__(self, other: "TruncSeries | MultiPoly | Coeff") -> "TruncSeries":
-        # a scalar takes MultiPoly's scalar path, which keeps whole values int
-        if isinstance(other, (int, Fraction, MultiPoly)):
+    def __mul__(self, other: "TruncSeries | MultiPoly | int") -> "TruncSeries":
+        # a scalar takes MultiPoly's scalar path, which gates it
+        if isinstance(other, (int, MultiPoly)):
             return TruncSeries([c * other for c in self._coeffs])
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -909,7 +892,9 @@ class TruncSeries:
 
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse, the division of 1 by this series;
-        requires a nonzero constant t^0 coefficient.
+        requires a nonzero constant t^0 coefficient, and is exact over the
+        integers only where :meth:`divide` is (a constant term of 1 or -1
+        always is).
 
         >>> t = TruncSeries.t(4)
         >>> str((1 - t).invert().coefficient(3))
@@ -923,20 +908,27 @@ class TruncSeries:
             )
         return TruncSeries.one(self.order).divide(self)
 
-    def divide(self, divisor: "TruncSeries") -> "TruncSeries":
-        """Exact series division.
+    def divide(self, divisor: "TruncSeries | MultiPoly | int") -> "TruncSeries":
+        """Exact series division over the integers; a polynomial or ``int``
+        divisor is the constant series, as for ``+``, ``-`` and ``*``.
 
         Requires t-valuation(self) >= t-valuation(divisor); the shared
         power of t is cancelled, and the remaining divisor b must have a
         nonzero constant t^0 coefficient b_0.  The quotient q of the
         remaining numerator a solves b q = a order by order:
         q_n = (a_n - sum_{k=1..n} b_k q_{n-k}) / b_0, exact to order
-        min(orders) - valuation(divisor).
+        min(orders) - valuation(divisor).  A q_n that b_0 does not divide
+        is a ``ValueError`` naming t^n.
 
         >>> t = TruncSeries.t(4)
         >>> str((t * t - t).divide(t - t * t * 2).coefficient(2))
         '-2'
+        >>> (1 - 3 * t).divide(3)
+        Traceback (most recent call last):
+        ...
+        ValueError: not exact over the integers at t^0: 1 is not a multiple of 3
         """
+        divisor = self._coerce(divisor, self.order)
         vb = divisor.valuation()
         if vb is None:
             raise ZeroDivisionError("series division by the zero series")
@@ -962,12 +954,13 @@ class TruncSeries:
         memo: dict = {}
         for n in range(order + 1):
             acc = _sum_of_products(((b[k], q[n - k]) for k in range(1, n + 1)), memo)
-            q.append(_divide_exact(a[n] - acc, b0))
+            q.append(_divide_exact(a[n] - acc, b0, n))
         return TruncSeries(q)
 
     def sqrt(self) -> "TruncSeries":
         """Square root of a series with constant term exactly 1, by the
-        recurrence g_0 = 1, g_n = (f_n - sum_{k=1..n-1} g_k g_{n-k}) / 2.
+        recurrence g_0 = 1, g_n = (f_n - sum_{k=1..n-1} g_k g_{n-k}) / 2;
+        a g_n that is not integral is a ``ValueError`` naming t^n.
 
         >>> t = TruncSeries.t(6)
         >>> s = (1 - 6 * t + t * t).sqrt()
@@ -979,13 +972,14 @@ class TruncSeries:
         g = [MultiPoly.one()]
         memo: dict = {}
         for n in range(1, self.order + 1):
-            g.append(_divide_exact(self._coeffs[n] - _square_sum(g, n, 1, memo), 2))
+            g.append(_divide_exact(self._coeffs[n] - _square_sum(g, n, 1, memo), 2, n))
         return TruncSeries(g)
 
     # -- specialization ----------------------------------------------------
 
-    def specialize(self, var: str, value: Coeff = 1) -> "TruncSeries":
-        """Substitute ``value`` (default 1) for ``var`` in every coefficient."""
+    def specialize(self, var: str, value: int = 1) -> "TruncSeries":
+        """Substitute the integer ``value`` (default 1) for ``var`` in every
+        coefficient."""
         return TruncSeries([c.specialize(var, value) for c in self._coeffs])
 
     def keep_only(self, names: Iterable[str]) -> "TruncSeries":
@@ -1030,14 +1024,19 @@ class TruncSeries:
         return f"<TruncSeries order={self.order}: {self}>"
 
 
-def _divide_exact(poly: MultiPoly, d: Coeff) -> MultiPoly:
-    """``poly / d`` coefficientwise for a nonzero scalar ``d``: an ``int``
-    wherever the quotient is whole (``divmod``'s), a ``Fraction`` otherwise:
-    canonical by construction, as ``poly`` is and ``d`` is nonzero."""
-    out: dict[int, Coeff] = {}
+def _divide_exact(poly: MultiPoly, d: int, n: int) -> MultiPoly:
+    """``poly / d`` coefficientwise for a nonzero ``int`` ``d``, ``poly``
+    being the coefficient of t^n: a ``ValueError`` naming t^n unless ``d``
+    divides every coefficient.  Canonical by construction, as ``poly`` is
+    and ``d`` is nonzero."""
+    out: dict[int, int] = {}
     for k, c in poly._terms.items():
         q, r = divmod(c, d)
-        out[k] = Fraction(c) / d if r else q
+        if r:
+            raise ValueError(
+                f"not exact over the integers at t^{n}: {c} is not a multiple of {d}"
+            )
+        out[k] = q
     return MultiPoly(out)
 
 
@@ -1176,7 +1175,9 @@ def solve_master_fixpoint(order: int = 12) -> tuple[TruncSeries, TruncSeries]:
 #
 # A series document is {"coefficients": {"0": ..., str(order): ...},
 # "engine", "name", "order", "variables"}: the coefficient of t^n is a list
-# of [exponents, numerator, denominator] triples in ascending key order,
+# of [exponents, coefficient, 1] triples in ascending key order (the last
+# field, a denominator that is always 1, keeps the text earlier versions
+# wrote),
 # and the document's one text is json.dumps(doc, sort_keys=True,
 # separators=(",", ":")).  Both ends work one coefficient at a time, so
 # neither holds the document tree (two lists per term, about 200 B): the
@@ -1199,27 +1200,20 @@ class _HalfText(dict):
         return text
 
 
-def _coefficient_text(terms: dict[int, Coeff], halves: _HalfText) -> str:
+def _coefficient_text(terms: dict[int, int], halves: _HalfText) -> str:
     """The canonical JSON array of one coefficient's triples: the one way
     a coefficient is written.  ``halves`` caches the text of each half key
     across the coefficients of a document."""
     low, bits = _HALF_MASK, _HALF_BITS
-    parts = []
-    append = parts.append
-    for key in sorted(terms):
-        c = terms[key]
-        if type(c) is int:
-            append(f"[[{halves[key & low]},{halves[key >> bits]}],{c},1]")
-        else:
-            append(f"[[{halves[key & low]},{halves[key >> bits]}],{c.numerator},{c.denominator}]")
+    parts = [
+        f"[[{halves[key & low]},{halves[key >> bits]}],{terms[key]},1]" for key in sorted(terms)
+    ]
     return f"[{','.join(parts)}]"
 
 
 #: One triple of a coefficient's canonical text, in ASCII digits: the text
-#: of its two half keys, its numerator and its positive denominator.
-_TRIPLE = re.compile(
-    r"\[\[([0-9]+,[0-9]+,[0-9]+),([0-9]+,[0-9]+,[0-9]+)\],(-?[0-9]+),([1-9][0-9]*)\]"
-)
+#: of its two half keys, its coefficient and the denominator 1.
+_TRIPLE = re.compile(r"\[\[([0-9]+,[0-9]+,[0-9]+),([0-9]+,[0-9]+,[0-9]+)\],(-?[0-9]+),1\]")
 
 
 class _HalfKey(dict):
@@ -1259,7 +1253,7 @@ class _Coefficients(Mapping):
 def series_to_document(name: str, series: TruncSeries) -> Mapping:
     """Read-only document of a series: "order" and "coefficients", which
     maps "0".."order" to the coefficient's triples ``[exponents,
-    numerator, denominator]`` in ascending key order.  Nothing is written
+    coefficient, 1]`` in ascending key order.  Nothing is written
     until asked for: :func:`canonical_json` writes the document one
     coefficient at a time, and :func:`document_view` reads its text back
     the same way, which is why a cache file must be canonical."""
@@ -1324,16 +1318,17 @@ def document_view(text: str) -> Mapping:
 
 def document_to_series(doc: Mapping) -> TruncSeries:
     """Inverse of :func:`series_to_document` (bit-exact round trip: each
-    coefficient keeps its value and its ``int``/``Fraction`` type), and the
-    reader of a :func:`document_view`, one coefficient at a time.  Any
-    other document, a plain dict too, is a ``ValueError``.
+    coefficient keeps its ``int`` value), and the reader of a
+    :func:`document_view`, one coefficient at a time.  Any other document,
+    a plain dict too, is a ``ValueError``.
 
     So is a document of another series: other variables, an order that is
     not an ``int`` in 0..``MAX_ORDER``, or coefficient keys other than
     "0".."order".  Each coefficient is read by one triple pattern and kept
     only if re-encoding it gives back exactly its text: that one check
     rejects every other fault (a character no triple matches, a repeated
-    monomial, an exponent above ``MAX_ORDER``, a zero or unreduced fraction).
+    monomial, an exponent above ``MAX_ORDER``, a zero coefficient, any
+    denominator other than 1).
     """
     coefficients = doc.get("coefficients")
     if not isinstance(coefficients, _Coefficients):
@@ -1351,10 +1346,9 @@ def document_to_series(doc: Mapping) -> TruncSeries:
     coeffs: list[MultiPoly] = []
     for n, name in enumerate(keys):
         text = coefficients.text(name)
-        terms: dict[int, Coeff] = {}
-        for low, high, num, den in map(re.Match.groups, _TRIPLE.finditer(text)):
-            key = half_keys[low] | half_keys[high] << _HALF_BITS
-            terms[key] = int(num) if den == "1" else Fraction(int(num), int(den))
+        terms: dict[int, int] = {}
+        for low, high, c in map(re.Match.groups, _TRIPLE.finditer(text)):
+            terms[half_keys[low] | half_keys[high] << _HALF_BITS] = int(c)
         poly = _canonical(terms)
         if _coefficient_text(poly._terms, halves) != text:
             raise ValueError(f"the coefficient of t^{n} is not written canonically")

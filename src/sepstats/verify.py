@@ -29,7 +29,6 @@ import functools
 import itertools
 import time
 from collections import Counter
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -59,12 +58,12 @@ from .permutations import (
     reverse,
 )
 from .series import (
+    MAX_ORDER,
     STAT_NAMES,
     STAT_TO_VARIABLE,
     MultiPoly,
     TruncSeries,
     VARIABLES,
-    check_order,
     parse_poly,
     solve_fixpoint,
     stat_lanes,
@@ -336,9 +335,9 @@ def verify_counting_gfs(order: int = 12) -> str:
                 f"irreducible gf t^{n}: {got_i} != {count_irreducible(n)}",
                 first_fail=n,
             )
-    # I(t) = t + (S(t) - t)/2 as a series identity
+    # I(t) = t + (S(t) - t)/2 as a series identity, doubled
     t = TruncSeries.t(order)
-    _expect_zero(i_gf - t - (s_gf - t) * Fraction(1, 2), "half-shift relation")
+    _expect_zero((i_gf - t) * 2 - (s_gf - t), "half-shift relation")
     return f"radical gfs match counts to order {order}"
 
 
@@ -957,8 +956,7 @@ _MIN_CONJECTURE_N = max(spec["from_n"] for spec in _CONJECTURES.values())
 
 
 def _check_conjecture_n(max_n: int) -> None:
-    numbers._check_int(max_n, "conjecture evidence max_n", _MIN_CONJECTURE_N)
-    check_order(max_n)
+    numbers._check_int(max_n, "conjecture evidence max_n", _MIN_CONJECTURE_N, MAX_ORDER)
 
 
 def conjecture_rows(

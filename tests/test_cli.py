@@ -526,14 +526,15 @@ def test_cli_loads_verify_only_for_verify_and_conjectures():
 
 def test_package_import_leaves_out_dataclasses_and_inspect():
     # ``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and ``tokenize``,
-    # a start-up cost every interpreter importing the package would pay
+    # and ``fractions`` imports ``decimal`` and ``numbers``: a start-up cost
+    # every interpreter importing the package would pay
     src = Path(sepstats.__file__).resolve().parent.parent
     probe = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, sepstats.cli, sepstats.verify\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))",
         ],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
@@ -688,7 +689,7 @@ def test_conjectures_computes_each_conjectures_rows_once(capsys, monkeypatch):
         ("conjectures --max-n 300", "error:"),
         ("verify --max-n 2 conjectures", "error:"),
         # the depth is checked whatever the selection
-        ("verify --max-n 256 counting-identities", "error: series order 256 "),
+        ("verify --max-n 256 counting-identities", "error: conjecture evidence max_n is capped"),
         ("verify --max-n 2 counting-identities", "error:"),
         ("dist 0", "error:"),
         ("enumerate 0", "error:"),
@@ -723,7 +724,7 @@ def test_verify_rejects_a_too_deep_conjecture_range_before_any_check(
     code, out, err = run(capsys, "verify", "--max-n", "300")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: series order 300 exceeds 255")
+    assert err.startswith("error: conjecture evidence max_n is capped at 255, got 300")
 
 
 def test_version_flag(capsys):

@@ -117,9 +117,9 @@ def test_each_family_is_built_once_per_order(monkeypatch, cold_memos):
             closedforms.closed_form(8, stats, cls)
     # sqrt: the discriminant root and the root inside S(t,x)
     assert calls["sqrt"] == 2
-    # divide: S(t,x), the split's inverse, the set-2 and set-1 quotients;
-    # E and the triples are products of these
-    assert calls["divide"] == 4
+    # divide: S(t,x) and its inner radicand's /16, the split's inverse, the
+    # set-2 and set-1 quotients; E and the triples are products of these
+    assert calls["divide"] == 5
 
 
 def _typed(series: TruncSeries) -> list:

@@ -1,16 +1,18 @@
-"""One gate per input kind: every length, order and count an entry point
-takes is an ``int`` in range before any memo or ``range()`` sees it, and
-every memo is typed, so an unchecked key never meets a checked one."""
+"""One gate per input kind: every length, order, count and coefficient an
+entry point takes is an ``int`` in range before any memo or ``range()``
+sees it, and every memo is typed, so an unchecked key never meets a
+checked one."""
 
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import sepstats
 from sepstats import closedforms, distributions, enumeration, numbers, series, verify
 from sepstats.enumeration import FILTER_CAP, HARD_CAP
-from sepstats.series import MAX_ORDER
+from sepstats.series import MAX_ORDER, MultiPoly, TruncSeries
 
 #: What the message of a structural length names.
 LENGTH = "structural enumeration length"
@@ -54,8 +56,18 @@ GATES = [
     ("check_order", "series order", series.check_order, 1, MAX_ORDER),
     ("solve_fixpoint", "series order", lambda v: series.solve_fixpoint(v, "qu"), 1, MAX_ORDER),
     ("closed_form_S_single", "series order", closedforms.closed_form_S_single, 1, MAX_ORDER),
-    # above MAX_ORDER the order check names the lane width, not max_n
-    ("check_conjectures", "conjecture evidence max_n", verify.check_conjectures, 5, None),
+    ("check_conjectures", "conjecture evidence max_n", verify.check_conjectures, 5, MAX_ORDER),
+    ("TruncSeries.zero", "truncation order", TruncSeries.zero, 0, None),
+    ("TruncSeries.one", "truncation order", TruncSeries.one, 0, None),
+    ("TruncSeries.t", "truncation order", TruncSeries.t, 0, None),
+    ("TruncSeries.term(order)", "truncation order", lambda v: TruncSeries.term(v, 0, 1), 0, None),
+    ("TruncSeries.term(power)", "t power", lambda v: TruncSeries.term(3, v, 1), 0, None),
+    # a coefficient is any int, and nothing else
+    ("MultiPoly.constant", "coefficient", MultiPoly.constant, None, None),
+    ("from_exponents", "coefficient", lambda v: MultiPoly.from_exponents({(0,) * 6: v}), None, None),
+    ("scalar *", "coefficient", lambda v: MultiPoly.variable("x") * v, None, None),
+    ("specialize", "specialize value", lambda v: MultiPoly.variable("x").specialize("x", v), None, None),
+    ("TruncSeries.term(poly)", "coefficient", lambda v: TruncSeries.term(3, 1, v), None, None),
 ]
 
 #: Entry points whose memo answers a lower order by truncating the highest
@@ -69,6 +81,7 @@ CASES = [
         True,
         False,
         3.0,
+        Fraction(1, 2),
         *(() if low is None else (low - 1,)),
         *(() if high is None else (high + 1,)),
     )

@@ -600,7 +600,7 @@ def test_run_all_rejects_a_too_deep_conjecture_range_before_any_check(monkeypatc
         raise AssertionError("a check ran before the depth was rejected")
 
     monkeypatch.setitem(verify.ALL_CHECKS, "counting-identities", must_not_run)
-    with pytest.raises(ValueError, match="exceeds 255"):
+    with pytest.raises(ValueError, match="max_n is capped at 255, got 256"):
         verify.run_all(conjecture_n=256)
 
 
