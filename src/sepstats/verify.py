@@ -234,10 +234,12 @@ def _expect_agree(
 def unimodality(row: Mapping[int, int] | Sequence[int]) -> tuple[bool, int | None, bool]:
     """(weakly_unimodal, peak, strictly_unimodal) for a distribution row.
 
-    The row is restricted to its positive support; weak unimodality means
-    non-decreasing up to a peak then non-increasing, plateaus allowed; the
-    reported peak is the smallest statistic value attaining the maximum.
-    A sequence input is read as counts for k = 1, 2, ....
+    The row is read from its first to its last positive count, a missing
+    or zero count inside that span counting as 0, so an internal zero
+    breaks unimodality; weak unimodality means non-decreasing up to a peak
+    then non-increasing, plateaus allowed; the reported peak is the
+    smallest statistic value attaining the maximum.  A sequence input is
+    read as counts for k = 1, 2, ....
 
     >>> unimodality([22, 31, 26, 10, 1])
     (True, 2, True)
@@ -247,6 +249,8 @@ def unimodality(row: Mapping[int, int] | Sequence[int]) -> tuple[bool, int | Non
     False
     >>> unimodality([1, 3, 3, 2])
     (True, 2, False)
+    >>> unimodality({1: 3, 3: 3})
+    (False, 1, False)
     """
     if not isinstance(row, Mapping):
         row = {k: c for k, c in enumerate(row, start=1)}
@@ -255,7 +259,8 @@ def unimodality(row: Mapping[int, int] | Sequence[int]) -> tuple[bool, int | Non
         raise ValueError("distribution rows cannot contain negative counts")
     if not support:
         return True, None, True
-    seq = [row[k] for k in support]
+    span = range(support[0], support[-1] + 1)
+    seq = [row.get(k, 0) for k in span]
     peak_pos = seq.index(max(seq))
     weak = all(seq[i] <= seq[i + 1] for i in range(peak_pos)) and all(
         seq[i] >= seq[i + 1] for i in range(peak_pos, len(seq) - 1)
@@ -263,7 +268,7 @@ def unimodality(row: Mapping[int, int] | Sequence[int]) -> tuple[bool, int | Non
     strict = all(seq[i] < seq[i + 1] for i in range(peak_pos)) and all(
         seq[i] > seq[i + 1] for i in range(peak_pos, len(seq) - 1)
     )
-    return weak, support[peak_pos], strict
+    return weak, span[peak_pos], strict
 
 
 # ---------------------------------------------------------------------------
@@ -366,17 +371,6 @@ def verify_asc_des(order: int = 20) -> str:
 # Closed forms vs. fixpoint and census
 # ---------------------------------------------------------------------------
 
-def _master(order: int) -> dict[str, TruncSeries]:
-    s, i = solve_fixpoint(order, VARIABLES)
-    return {cls: class_part(cls, s, i) for cls in CLASSES}
-
-
-def _census(order: int) -> dict[str, TruncSeries]:
-    s = series_from_enumeration(order, "all")
-    i = series_from_enumeration(order, "irreducible")
-    return {cls: class_part(cls, s, i) for cls in CLASSES}
-
-
 #: The variables of lmax, rmax, lmin and rmin: every closed form lives in them.
 _EXTREME_LANES = ("x", "y", "u", "v")
 
@@ -388,30 +382,18 @@ def _exchange_identity(order: int) -> str:
     return "; exchange identity holds"
 
 
-def _project_extremes(parts: dict[str, TruncSeries]) -> tuple[TruncSeries, TruncSeries]:
-    """The irreducible and reducible series of ``parts`` projected onto the
-    four extreme lanes; their sum, the whole series, is not kept."""
-    return tuple(
-        parts[cls].keep_only(_EXTREME_LANES) for cls in ("irreducible", "reducible")
-    )
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _master_extremes(order: int) -> tuple[TruncSeries, TruncSeries]:
-    """The master fixpoint to ``order`` on the four extreme lanes, shared
-    by the closed-form checks, ``e-function-identities`` and
-    ``transfer-identity``."""
-    return _project_extremes(_master(order))
-
-
-@functools.lru_cache(maxsize=1, typed=True)
-def _extreme_projections(
-    order: int, census_order: int
-) -> tuple[tuple[TruncSeries, TruncSeries], tuple[TruncSeries, TruncSeries]]:
-    """The extreme-lane projections of the master fixpoint to ``order``
-    and of the census to ``census_order``.  The five closed-form checks
-    run at the same orders and share them."""
-    return _master_extremes(order), _project_extremes(_census(census_order))
+@functools.lru_cache(maxsize=None, typed=True)
+def _extremes(route: str, order: int) -> tuple[TruncSeries, TruncSeries]:
+    """The irreducible and reducible series to ``order`` of the master
+    fixpoint (``route="fixpoint"``) or of the census (``"census"``),
+    projected onto the four extreme lanes: what the closed-form checks,
+    ``e-function-identities``, ``transfer-identity`` and
+    ``series-snippets`` read."""
+    if route == "fixpoint":
+        s, i = solve_fixpoint(order, VARIABLES)
+    else:
+        s, i = (series_from_enumeration(order, cls) for cls in ("all", "irreducible"))
+    return i.keep_only(_EXTREME_LANES), (s - i).keep_only(_EXTREME_LANES)
 
 
 def _classes_in(
@@ -433,7 +415,7 @@ def _closed_form_detail(
     """Every class of each tuple's closed form against the fixpoint to
     ``order`` and the census to ``census_order``; ``label`` opens each
     witness."""
-    master, census = _extreme_projections(order, census_order)
+    master, census = _extremes("fixpoint", order), _extremes("census", census_order)
     for stats_tuple in tuples:
         name = "-".join(stats_tuple)
         lanes = stat_lanes(stats_tuple)
@@ -493,7 +475,7 @@ def verify_e_function_identities(order: int = 12) -> str:
     """E(t,z1,z2,z3) against the fixpoint: for (., rmax, lmin)-tailed
     triples E is the reducible series plus z1z2z3 t; for the
     (., rmin, lmax)-tailed ones E is the irreducible series itself."""
-    irreducible, reducible = _master_extremes(order)
+    irreducible, reducible = _extremes("fixpoint", order)
     for triple in cf.TRIPLES:
         lanes = stat_lanes(triple)
         e_ser = cf.e_function(order, lanes)
@@ -654,7 +636,7 @@ def verify_transfer(order: int = 12) -> str:
     its statistic, I - xyuv t = g(R) and R + xyuv t = g(I).  Setting lanes
     to 1 commutes with g (onto the image lanes), so every statistic tuple
     of the closed forms inherits both identities."""
-    irreducible, reducible = _master_extremes(order)
+    irreducible, reducible = _extremes("fixpoint", order)
     zt = cf._t_times(order, _EXTREME_LANES)
     names = []
     for op, stat_map, flips in _SYMMETRIES:
@@ -879,9 +861,9 @@ def verify_snippets() -> str:
     max_order = max(
         order for rows in _SNIPPETS.values() for order, _ in rows
     )
-    master = _master(max_order)
+    master = _extremes("fixpoint", max_order)
     for (stats_tuple, cls), rows in _SNIPPETS.items():
-        series = master[cls].keep_only(stat_lanes(stats_tuple))
+        series = _classes_in(master, stat_lanes(stats_tuple))[cls]
         for order, text in rows:
             want = parse_poly(text)
             got = series.coefficient(order)
@@ -915,15 +897,16 @@ def verify_tables_golden() -> str:
         got = render_table(which)
         want = _golden_table_text(which)
         if got != want:
+            # the rows with their line ends rebuild each text, so two
+            # texts that differ differ at some row, a missing one included
             first = next(
-                (
-                    k + 1
-                    for k, (a, b) in enumerate(
-                        zip(got.splitlines(), want.splitlines())
+                k + 1
+                for k, (a, b) in enumerate(
+                    itertools.zip_longest(
+                        got.splitlines(keepends=True), want.splitlines(keepends=True)
                     )
-                    if a != b
-                ),
-                None,
+                )
+                if a != b
             )
             raise CheckFailure(
                 f"table {which} differs at row n={first}", first_fail=first

@@ -7,11 +7,12 @@ from sepstats import closedforms, distributions, enumeration, verify
 
 @pytest.fixture
 def fresh_memos(monkeypatch):
-    """Empty enumeration tables, census memo and S_n profile memo for one
-    test; the real tables come back afterwards and nothing the test
-    computed stays cached."""
+    """Empty enumeration tables, census memo, S_n profile memo and
+    extreme-lane route memo for one test; the real tables come back
+    afterwards and nothing the test computed, a projection of a corrupted
+    route included, stays cached."""
     monkeypatch.setattr(enumeration, "_TABLES", {1: enumeration._TABLES[1]})
-    memos = (distributions._census, verify._sn_profiles)
+    memos = (distributions._census, verify._sn_profiles, verify._extremes)
     for memo in memos:
         memo.cache_clear()
     yield

@@ -150,9 +150,9 @@ def test_dist_of_an_empty_class_prints_no_rows(capsys, fmt, want):
 
 
 def test_dist_rejects_bad_stats(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["dist", "3", "--stats", "rmax,bogus"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "dist", "3", "--stats", "rmax,bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown statistics ['bogus']")
 
 
 def test_dist_cap(capsys):
@@ -692,6 +692,9 @@ def test_conjectures_computes_each_conjectures_rows_once(capsys, monkeypatch):
         ("verify --max-n 256 counting-identities", "error: conjecture evidence max_n is capped"),
         ("verify --max-n 2 counting-identities", "error:"),
         ("dist 0", "error:"),
+        ("dist 3 --stats rmax,bogus", "error: unknown statistics ['bogus']"),
+        ("dist 3 --stats rmax,rmax", "error: duplicate statistics"),
+        ("dist 3 --stats ,", "error: at least one statistic is required"),
         ("enumerate 0", "error:"),
         ("--threads 2 enumerate 3", "usage:"),  # the flag is gone
     ],

@@ -6,6 +6,7 @@ checked one."""
 import importlib
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -120,16 +121,23 @@ def test_an_entry_point_refuses_a_bad_length_cold_and_warm(
 
 
 def test_every_memo_is_typed():
+    # one policy for every memo: typed, unbounded, and named in the README
     memos = []
     for info in pkgutil.iter_modules(sepstats.__path__):
         module = importlib.import_module(f"sepstats.{info.name}")
         memos += [
-            (f"{module.__name__}.{name}", obj)
+            (info.name, name, obj)
             for name, obj in vars(module).items()
             if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__
         ]
-    assert len(memos) >= 15
-    assert [name for name, memo in memos if not memo.cache_parameters()["typed"]] == []
+    assert len(memos) >= 14
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [
+        f"{module}.{name}"
+        for module, name, memo in memos
+        if memo.cache_parameters() != {"maxsize": None, "typed": True}
+        or (f"`{module}.{name}`" not in readme and f"`{name}`" not in readme)
+    ] == []
 
 
 #: Every ``verify`` check made by ``_check``, with its body's parameters.

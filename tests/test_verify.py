@@ -81,6 +81,9 @@ def test_unimodality_cases():
     assert verify.unimodality([]) == (True, None, True)
     assert verify.unimodality({2: 0, 5: 0}) == (True, None, True)
     assert verify.unimodality([7]) == (True, 1, True)
+    # an internal zero, written or missing, breaks unimodality
+    assert verify.unimodality([5, 0, 5]) == (False, 1, False)
+    assert verify.unimodality({1: 3, 3: 3}) == (False, 1, False)
     with pytest.raises(ValueError):
         verify.unimodality({1: -2})
 
@@ -183,14 +186,13 @@ def test_every_closed_form_check_fails_on_a_bumped_coefficient(
     assert f"t^{k}" in report.witness
 
 
-def test_the_closed_form_checks_project_the_master_and_the_census_once():
-    verify._extreme_projections.cache_clear()
+def test_the_closed_form_checks_project_the_master_and_the_census_once(fresh_memos):
     check_ids = [cid for cid in verify.ALL_CHECKS if "closed-form" in cid]
     assert len(check_ids) == 5
     for check_id in check_ids:
         assert verify.ALL_CHECKS[check_id](order=6, census_order=5).verdict == "pass"
-    info = verify._extreme_projections.cache_info()
-    assert (info.misses, info.hits) == (1, len(check_ids) - 1)
+    info = verify._extremes.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * (len(check_ids) - 1))
 
 
 def test_counting_gf_check_fails_on_a_bumped_coefficient(monkeypatch):
@@ -283,6 +285,28 @@ def test_corrupted_table_fails(monkeypatch):
     report = verify.verify_tables_golden()
     assert report.verdict == "fail"
     assert "table 3" in report.witness
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [
+        lambda text: text[: text.rindex("\n", 0, -1) + 1],  # the last row
+        lambda text: text[:-1],  # the trailing newline
+    ],
+    ids=["last-row", "trailing-newline"],
+)
+def test_a_truncated_table_fails_at_its_last_row(monkeypatch, cut):
+    real = verify.render_table
+
+    def tampered(which, max_n=8):
+        text = real(which, max_n)
+        return cut(text) if which == 3 else text
+
+    monkeypatch.setattr(verify, "render_table", tampered)
+    report = verify.verify_tables_golden()
+    assert report.verdict == "fail"
+    assert report.witness == "table 3 differs at row n=8"
+    assert report.first_fail == 8
 
 
 def test_snippet_check_detects_coefficient_drift(monkeypatch):
@@ -390,29 +414,19 @@ def test_symmetry_check_fails_when_inverse_is_the_identity(monkeypatch):
     assert report.witness == "inverse(231) statistics (2, 2, 2, 1) != (1, 2, 2, 2)"
 
 
-@pytest.fixture
-def fresh_master_projection():
-    """No master projection memoized before or after the test, so a
-    tampered master is projected and does not outlive the test."""
-    verify._master_extremes.cache_clear()
-    yield
-    verify._master_extremes.cache_clear()
-
-
 def test_transfer_check_fails_on_a_bumped_irreducible_coefficient(
-    monkeypatch, fresh_master_projection
+    monkeypatch, fresh_memos
 ):
-    real = verify._master
+    real = verify.solve_fixpoint
     k = 4
 
-    def tampered(order):
-        master = dict(real(order))
-        master["irreducible"] = master["irreducible"] + TruncSeries.term(
-            order, k, MultiPoly.variable("x")
-        )
-        return master
+    def tampered(order, active=VARIABLES):
+        # S and I bumped alike: only the irreducible part moves
+        bump = TruncSeries.term(order, k, MultiPoly.variable("x"))
+        s, i = real(order, active)
+        return s + bump, i + bump
 
-    monkeypatch.setattr(verify, "_master", tampered)
+    monkeypatch.setattr(verify, "solve_fixpoint", tampered)
     report = verify.verify_transfer(order=6)
     assert report.verdict == "fail"
     assert report.first_fail == k
@@ -420,25 +434,24 @@ def test_transfer_check_fails_on_a_bumped_irreducible_coefficient(
 
 
 def test_transfer_check_fails_on_a_bump_no_three_lane_projection_sees(
-    monkeypatch, fresh_master_projection
+    monkeypatch, fresh_memos
 ):
     # (x-1)(y-1)(u-1)(v-1) vanishes once any extreme lane is set to 1, so
     # only the four-lane identity can see this bump
-    real = verify._master
+    real = verify.solve_fixpoint
     k = 4
     bump = MultiPoly.one()
     for lane in "xyuv":
         z = MultiPoly.variable(lane)
         bump = bump * (z - 1) * z
 
-    def tampered(order):
-        master = dict(real(order))
-        master["irreducible"] = master["irreducible"] + TruncSeries.term(
-            order, k, bump
-        )
-        return master
+    def tampered(order, active=VARIABLES):
+        # S and I bumped alike: only the irreducible part moves
+        term = TruncSeries.term(order, k, bump)
+        s, i = real(order, active)
+        return s + term, i + term
 
-    monkeypatch.setattr(verify, "_master", tampered)
+    monkeypatch.setattr(verify, "solve_fixpoint", tampered)
     report = verify.verify_transfer(order=6)
     assert report.verdict == "fail"
     assert report.first_fail == k
@@ -538,13 +551,12 @@ def test_specialized_systems_detail_counts_the_residuals_it_checks(monkeypatch):
 
 
 def test_transfer_reuses_the_master_projection_of_the_closed_form_checks(
-    fresh_master_projection,
+    fresh_memos,
 ):
-    verify._extreme_projections.cache_clear()
     assert verify.verify_single_stat_closed_forms(order=6, census_order=5).verdict == "pass"
-    before = verify._master_extremes.cache_info()
+    before = verify._extremes.cache_info()
     assert verify.verify_transfer(order=6).verdict == "pass"
-    after = verify._master_extremes.cache_info()
+    after = verify._extremes.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
 
