@@ -17,17 +17,17 @@ Conventions for multi-statistic forms:
   (rmax, rmin, lmax) with lanes z1, z2, z3 in listed order.
 
 Memos: the paper's equidistribution results make each family one series
-in different lanes, so each family is built once per order in canonical
-lanes and renamed (``TruncSeries.map_variables``) into every other tuple;
-a class is that renaming plus at most one sum or difference.  No builder
-uses the reverse or complement symmetry.  The memos, keyed by order unless
-said otherwise:
+in different lanes, so each family is built once in canonical lanes and
+renamed (``TruncSeries.map_variables``) into every other tuple; a class
+is that renaming plus at most one sum or difference.  No builder uses the
+reverse or complement symmetry.  Every piece lives in one prefix memo,
+``_longest``, under its key: each keeps its highest order built and
+truncates it for a lower one (``series._longest_prefix``).  The pieces:
 
-* the radical ``discriminant_root`` and S(t,z) in each lane
-  ``_single_gf_by_lane``, keyed by lane alone (``_longest``): each keeps
-  its highest order built and truncates it for a lower one;
-* the split S^2/(1+S), S/(1+S), keyed by (order, lane), as its one-lane
-  renamings are kept too: ``_single_split_by_lane``;
+* the radical ``discriminant_root`` and S(t,z) in each lane,
+  ``_single_gf_by_lane``;
+* the split S^2/(1+S), S/(1+S) in each lane, as its one-lane renamings
+  are kept too: ``_single_split_by_lane``;
 * the set-2 irreducible and reducible series in (x, y): ``_set2_parts``;
 * the set-1 quotient Q and its numerator K + T in (y, u), K = S(y) I(u)
   the core and T = t y u: ``_set1_parts``;
@@ -39,6 +39,13 @@ said otherwise:
 
 Renamed copies of multi-lane series are not kept.  One rule,
 :func:`_reading`, reads the classes of the singles, set-1 pairs and triples.
+
+One order short: the t^n coefficient of a product of two series without
+a t^0 term never reads either factor's t^n.  So every such factor, S and
+I in the pair quotients, the set-2 parts in E, E and Q in E Q, and E and
+the triples in the quadruple, is asked one order below its product
+(:func:`_short_product`), and is a truncation wherever a higher order
+was already built.
 
 E and the triples take no division of their own.  E's denominator
 (1 - S(x)S(u))(1 - S(x)S(y)) splits across two set-2 quotients, so
@@ -135,17 +142,55 @@ def _lanes(
     return stat_lanes(stats)
 
 
-#: ``_longest``'s key for the radical; S(t,z) is keyed by its lane.
+#: ``_longest``'s key for the radical; S(t,z) is keyed by its lane, the
+#: split by "split" and its lane, and every other piece by its name.
 _RADICAL = ""
 
 
 # typed, as every memo in the package
 @functools.lru_cache(maxsize=None, typed=True)
-def _longest(lane: str) -> list[TruncSeries]:
-    """The memo of the radical (``_RADICAL``) or of S(t,z) in one lane:
-    the series at the highest order built, in a list of at most one, read
-    through ``_longest_prefix``."""
+def _longest(key: str) -> list[TruncSeries]:
+    """The memo of one closed-form piece: its series at the highest order
+    built, in a list empty before the first build, read through
+    ``_longest_prefix``."""
     return []
+
+
+def _check_closed_order(order: int) -> None:
+    """The gate of every closed form: ``check_order``, and no order at
+    which S(t,z) would take its radical past ``MAX_ORDER``."""
+    check_order(order)
+    if order == MAX_ORDER:
+        raise ValueError(
+            f"closed-form order {order} takes its radical at order "
+            f"{order + 1}, which exceeds {MAX_ORDER}"
+        )
+
+
+def _one_short(order: int) -> int:
+    """The order a factor of :func:`_short_product` is asked at; at order
+    1, the pieces at 1, truncated by the product."""
+    return max(order - 1, 1)
+
+
+def _short_product(order: int, a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a b to ``order``, from factors without a t^0 term known to at least
+    ``order - 1``: each is cut there and given a zero t^order coefficient,
+    which no coefficient of the product reads, so the product is exact."""
+    zero = MultiPoly.zero()
+    padded = []
+    for factor in (a, b):
+        if factor.coefficient(0):
+            raise ValueError(
+                f"a factor one order short needs no t^0 term, got {factor.coefficient(0)}"
+            )
+        if factor.order < order - 1:
+            raise ValueError(
+                f"a factor known to order {factor.order} cannot give a product "
+                f"to order {order}"
+            )
+        padded.append(TruncSeries((*factor.coefficients()[:order], zero)))
+    return padded[0] * padded[1]
 
 
 def discriminant_root(order: int) -> TruncSeries:
@@ -229,15 +274,9 @@ def _reading(
 
 
 def _single_gf_by_lane(order: int, lane: str) -> TruncSeries:
-    # Every closed form but the counting series starts here, so this is
-    # where the caller's order is checked.  The final division cancels
-    # one power of t, so the work runs one order higher.
-    check_order(order)
-    if order == MAX_ORDER:
-        raise ValueError(
-            f"closed-form order {order} takes its radical at order "
-            f"{order + 1}, which exceeds {MAX_ORDER}"
-        )
+    # The final division cancels one power of t, so the work runs one
+    # order higher.
+    _check_closed_order(order)
     return _longest_prefix(
         _longest(lane), order, lambda: [_single_gf_built(order, lane)]
     )[0]
@@ -277,23 +316,30 @@ def closed_form_S_single(order: int, stat: str = "rmax") -> TruncSeries:
     return _single_gf_by_lane(order, lane)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _single_split_by_lane(order: int, lane: str) -> tuple[TruncSeries, TruncSeries]:
     """S^2/(1+S) and S/(1+S) for S = S(t,z) in the given lane; the class
     readings of the single form add or subtract zt to them.
 
     Both come from one inverse, taken in x: S/(1+S) = 1 - 1/(1+S), and
     S^2/(1+S) = S - S/(1+S)."""
-    if lane != "x":
-        square, linear = _single_split_by_lane(order, "x")
-        return square.map_variables({"x": lane}), linear.map_variables({"x": lane})
-    s = _single_gf_by_lane(order, "x")
-    linear = 1 - (s + 1).invert()
-    return s - linear, linear
+
+    def built() -> list[TruncSeries]:
+        if lane != "x":
+            return [
+                part.map_variables({"x": lane})
+                for part in _single_split_by_lane(order, "x")
+            ]
+        s = _single_gf_by_lane(order, "x")
+        linear = 1 - (s + 1).invert()
+        return [s - linear, linear]
+
+    square, linear = _longest_prefix(_longest("split " + lane), order, built)
+    return square, linear
 
 
 def _single_class(order: int, stat: str, cls: str) -> TruncSeries:
     """The ``cls`` series of the single statistic ``stat``."""
+    _check_closed_order(order)
     if cls == "all":
         return closed_form_S_single(order, stat)
     (lane,) = _lanes((stat,), SINGLES)
@@ -331,14 +377,22 @@ _SET1_LANES = ("y", "u")  # (rmax, lmin)
 _TRIPLE_LANES = ("x", "y", "u")  # (lmax, rmax, lmin)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _set2_parts(order: int) -> tuple[TruncSeries, TruncSeries]:
     """The irreducible and reducible set-2 series in (x, y), from one
     division: (S(y)+1) t x y / (1 - S(x)S(y)), and S(x) times it."""
-    s1 = _single_gf_by_lane(order, "x")
-    s2 = _single_gf_by_lane(order, "y")
-    irreducible = ((s2 + 1) * _t_times(order, _SET2_LANES)).divide(1 - s1 * s2)
-    return irreducible, s1 * irreducible
+
+    def built() -> list[TruncSeries]:
+        low = _one_short(order)
+        s1 = _single_gf_by_lane(low, "x")
+        s2 = _single_gf_by_lane(low, "y")
+        txy = _t_times(order, _SET2_LANES)
+        # (S(y)+1) t x y, as t x y + S(y) t x y
+        numerator = txy + _short_product(order, s2, txy)
+        irreducible = numerator.divide(1 - _short_product(order, s1, s2))
+        return [irreducible, _short_product(order, s1, irreducible)]
+
+    irreducible, reducible = _longest_prefix(_longest("set2"), order, built)
+    return irreducible, reducible
 
 
 def closed_form_pair_set2(
@@ -355,6 +409,7 @@ def closed_form_pair_set2(
     >>> c3 == parse_poly("x^3y + 2x^2y^2 + xy^3 + x^2y + xy^2")
     True
     """
+    _check_closed_order(order)
     cls = canonical_class(perm_class)
     lanes = _lanes(tuple(pair), SET2_PAIRS)
     irreducible, reducible = _set2_parts(order)
@@ -365,14 +420,20 @@ def closed_form_pair_set2(
     return _renamed(part, _SET2_LANES, lanes)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _set1_parts(order: int) -> tuple[TruncSeries, TruncSeries]:
     """Q = (K + T)/(1 - K - T), the (rmax, lmin) series in (y, u), and
     K + T, with K = S(y) I(u) the set-1 core and T = t y u.  K is also the
     triples' A-function, and 1 - K - T their divisor."""
-    core = _single_gf_by_lane(order, "y") * closed_form_I_single(order, "lmin")
-    core_tz = core + _t_times(order, _SET1_LANES)
-    return core_tz.divide(1 - core_tz), core_tz
+
+    def built() -> list[TruncSeries]:
+        low = _one_short(order)
+        s_y = _single_gf_by_lane(low, "y")
+        i_u = closed_form_I_single(low, "lmin")
+        core_tz = _short_product(order, s_y, i_u) + _t_times(order, _SET1_LANES)
+        return [core_tz.divide(1 - core_tz), core_tz]
+
+    quotient, core_tz = _longest_prefix(_longest("set1"), order, built)
+    return quotient, core_tz
 
 
 def closed_form_pair_set1(
@@ -390,6 +451,7 @@ def closed_form_pair_set1(
     >>> sum(c for _, c in c4.terms())
     11
     """
+    _check_closed_order(order)
     cls = canonical_class(perm_class)
     pair = tuple(pair)
     lanes = _lanes(pair, SET1_PAIRS)
@@ -402,12 +464,15 @@ def closed_form_pair_set1(
     return _renamed(part, _SET1_LANES, lanes)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _e_xyu(order: int) -> TruncSeries:
     """E(t, x, y, u); see :func:`e_function`."""
-    irreducible, reducible = _set2_parts(order)
-    s_xu = (irreducible + reducible).map_variables({"y": "u"})
-    return _t_times(order, _TRIPLE_LANES) + s_xu * irreducible
+
+    def built() -> list[TruncSeries]:
+        irreducible, reducible = _set2_parts(_one_short(order))
+        s_xu = (irreducible + reducible).map_variables({"y": "u"})
+        return [_t_times(order, _TRIPLE_LANES) + _short_product(order, s_xu, irreducible)]
+
+    return _longest_prefix(_longest("E"), order, built)[0]
 
 
 def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSeries:
@@ -422,6 +487,7 @@ def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSerie
     series of (z1, z3) times the irreducible one of (z1, z2), each of which
     carries one factor of the denominator.
     """
+    _check_closed_order(order)
     lanes = tuple(lanes)
     if len(lanes) != 3 or len(set(lanes)) != 3 or not set(lanes) <= set(VARIABLES):
         raise ValueError(
@@ -431,11 +497,15 @@ def e_function(order: int, lanes: Sequence[str] = ("x", "y", "u")) -> TruncSerie
     return _renamed(_e_xyu(order), _TRIPLE_LANES, lanes)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _triple_tail(order: int) -> TruncSeries:
     """E Q in (x, y, u), Q the set-1 series (A + t y u)/(1 - A - t y u):
     the triples' one product; see :func:`closed_form_triple`."""
-    return _e_xyu(order) * _set1_parts(order)[0]
+
+    def built() -> list[TruncSeries]:
+        low = _one_short(order)
+        return [_short_product(order, _e_xyu(low), _set1_parts(low)[0])]
+
+    return _longest_prefix(_longest("EQ"), order, built)[0]
 
 
 def closed_form_triple(
@@ -456,6 +526,7 @@ def closed_form_triple(
     Evaluated with Q = (A + t z2 z3)/(1 - A - t z2 z3), the set-1 series:
     S = E + E Q and the bracket is z1 z2 z3 t + E Q.
     """
+    _check_closed_order(order)
     cls = canonical_class(perm_class)
     triple = tuple(triple)
     lanes = _lanes(triple, TRIPLES)
@@ -467,20 +538,29 @@ def closed_form_triple(
     return _renamed(part, _TRIPLE_LANES, lanes)
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _quad_irreducible(order: int) -> TruncSeries:
     """I = xyuvt + E(t,x,y,u) S(t,y,u,v)."""
-    e_xyu = e_function(order, ("x", "y", "u"))
-    s_yuv = closed_form_triple(order, ("rmin", "rmax", "lmin"))
-    return _t_times(order, ("x", "y", "u", "v")) + e_xyu * s_yuv
+
+    def built() -> list[TruncSeries]:
+        low = _one_short(order)
+        e_xyu = e_function(low, ("x", "y", "u"))
+        s_yuv = closed_form_triple(low, ("rmin", "rmax", "lmin"))
+        xyuv = _t_times(order, ("x", "y", "u", "v"))
+        return [xyuv + _short_product(order, e_xyu, s_yuv)]
+
+    return _longest_prefix(_longest("quad I"), order, built)[0]
 
 
-@functools.lru_cache(maxsize=None, typed=True)
 def _quad_reducible(order: int) -> TruncSeries:
     """R = I(t,x,y,v) S(t,x,u,v)."""
-    i_xyv = closed_form_triple(order, ("rmax", "rmin", "lmax"), "irreducible")
-    s_xuv = closed_form_triple(order, ("lmin", "rmin", "lmax"))
-    return i_xyv * s_xuv
+
+    def built() -> list[TruncSeries]:
+        low = _one_short(order)
+        i_xyv = closed_form_triple(low, ("rmax", "rmin", "lmax"), "irreducible")
+        s_xuv = closed_form_triple(low, ("lmin", "rmin", "lmax"))
+        return [_short_product(order, i_xyv, s_xuv)]
+
+    return _longest_prefix(_longest("quad R"), order, built)[0]
 
 
 def closed_form_quad(order: int, perm_class: str = "all") -> TruncSeries:
@@ -504,6 +584,7 @@ def closed_form_quad(order: int, perm_class: str = "all") -> TruncSeries:
     >>> c1 == MultiPoly.from_exponents({(0, 0, 1, 1, 1, 1): 1})
     True
     """
+    _check_closed_order(order)
     cls = canonical_class(perm_class)
     if cls == "irreducible":
         return _quad_irreducible(order)
@@ -516,6 +597,7 @@ def closed_form(
     order: int, stats: Sequence[str], perm_class: str = "all"
 ) -> TruncSeries:
     """Dispatch to the closed form of a statistic tuple in ``FORMS``."""
+    _check_closed_order(order)
     stats = tuple(stats)
     _lanes(stats, FORMS)  # a tuple without a closed form is a ValueError
     if stats in SINGLES:

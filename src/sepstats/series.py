@@ -677,18 +677,24 @@ class MultiPoly:
             hi_degree, hi_order, hi_text = hi
             if hi_text:
                 factors = f"{factors}*{hi_text}" if factors else hi_text
+            # each piece carries its separator: " - " for a negative one
+            sep = " - " if c < 0 else " + "
+            c = abs(c)
             if not factors:
-                piece = str(c)
+                piece = f"{sep}{c}"
             elif c == 1:
-                piece = factors
-            elif c == -1:
-                piece = "-" + factors
+                piece = sep + factors
             else:
-                piece = f"{c}*{factors}"
+                piece = f"{sep}{c}*{factors}"
             degree = lo_degree + hi_degree
             pieces[degree << 2 * _HALF_BITS | lo_order << _HALF_BITS | hi_order] = piece
-        text = " + ".join([pieces[k] for k in sorted(pieces, reverse=True)])
-        return text.replace("+ -", "- ")
+        parts = [pieces[k] for k in sorted(pieces, reverse=True)]
+        # the tables are not live while the text is joined
+        del lows, highs, pieces
+        # the first piece keeps only its sign
+        lead = parts[0]
+        parts[0] = lead[3:] if lead[1] == "+" else "-" + lead[3:]
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"<MultiPoly {self}>"

@@ -50,50 +50,89 @@ def _memos() -> list:
     return [obj for obj in vars(closedforms).values() if hasattr(obj, "cache_clear")]
 
 
+#: ``_longest``'s key of every canonical piece: the radical, S(t,z) and
+#: its split in each lane, and each multi-lane piece.
+_PIECE_KEYS = (
+    closedforms._RADICAL,
+    *"xyuv",
+    *(f"split {lane}" for lane in "xyuv"),
+    "set2",
+    "set1",
+    "E",
+    "EQ",
+    "quad I",
+    "quad R",
+)
+
+
 def test_only_the_canonical_family_series_are_memoized(cold_memos):
-    # one memo per canonical piece, keyed by order; only the one-lane
-    # series also keep their renamings, keyed by (order, lane), and the
-    # radical and S(t,z) share one memo keyed by lane alone
-    assert {memo.__name__ for memo in _memos()} == {
-        "_longest",
-        "_single_split_by_lane",
-        "_set2_parts",
-        "_set1_parts",
-        "_e_xyu",
-        "_triple_tail",
-        "_quad_irreducible",
-        "_quad_reducible",
-    }
+    # one prefix memo, one entry per canonical piece; only the one-lane
+    # series also keep their renamings, each under its lane
+    assert [memo.__name__ for memo in _memos()] == ["_longest"]
     for stats in closedforms.FORMS:
         for cls in CLASSES:
             closedforms.closed_form(ORDER, stats, cls)
-    keys = {memo.__name__: memo.cache_info().currsize for memo in _memos()}
-    assert keys.pop("_longest") == 5  # the radical and S(t,z) in x, y, u, v
-    assert keys.pop("_single_split_by_lane") == 4
-    assert set(keys.values()) == {1}
+    assert all(closedforms._longest(key) for key in _PIECE_KEYS)
+    assert closedforms._longest.cache_info().currsize == len(_PIECE_KEYS)
 
 
-@pytest.mark.parametrize(
-    "lane", [closedforms._RADICAL, "x", "y", "u", "v"], ids=lambda lane: lane or "radical"
-)
-def test_the_radical_and_s_memos_truncate_their_longest_series(cold_memos, lane):
-    # keyed by lane alone: a lower order is the highest one built, truncated
-    def build(order):
-        if lane == closedforms._RADICAL:
-            return closedforms.discriminant_root(order)
-        return closedforms._single_gf_by_lane(order, lane)
+def _as_tuple(build):
+    """``build``, which returns one piece or a tuple of them, as a tuple."""
+
+    def pieces(order):
+        built = build(order)
+        return built if isinstance(built, tuple) else (built,)
+
+    return pieces
+
+
+#: Every prefix-memo piece, read at a lower and a higher order.
+_PREFIX_PIECES = [
+    pytest.param(_as_tuple(closedforms.discriminant_root), (14, 40), id="radical"),
+    *(
+        pytest.param(
+            _as_tuple(lambda order, lane=lane: closedforms._single_gf_by_lane(order, lane)),
+            (14, 40),
+            id=lane,
+        )
+        for lane in "xyuv"
+    ),
+    *(
+        pytest.param(
+            lambda order, lane=lane: closedforms._single_split_by_lane(order, lane),
+            (8, 13),
+            id=f"split-{lane}",
+        )
+        for lane in "xu"
+    ),
+    pytest.param(closedforms._set2_parts, (8, 13), id="set2"),
+    pytest.param(closedforms._set1_parts, (8, 13), id="set1"),
+    pytest.param(_as_tuple(closedforms._e_xyu), (8, 13), id="E"),
+    pytest.param(_as_tuple(closedforms._triple_tail), (8, 13), id="EQ"),
+    pytest.param(_as_tuple(closedforms._quad_irreducible), (8, 11), id="quad-I"),
+    pytest.param(_as_tuple(closedforms._quad_reducible), (8, 11), id="quad-R"),
+]
+
+
+@pytest.mark.parametrize("build, orders", _PREFIX_PIECES)
+def test_the_radical_and_s_memos_truncate_their_longest_series(cold_memos, build, orders):
+    # one memo entry per piece: a lower order is the highest one built,
+    # truncated, equal to a cold build in values, types and order
+    def built(order):
+        pieces = build(order)
+        assert type(pieces) is tuple and {s.order for s in pieces} == {order}
+        return [_typed(s) for s in pieces]
 
     cold = {}
-    for order in (14, 40):
+    for order in orders:
         for memo in _memos():
             memo.cache_clear()
-        cold[order] = _typed(build(order))
-    for orders in ((14, 40), (40, 14)):
+        cold[order] = built(order)
+    for ordered in (orders, orders[::-1]):
         for memo in _memos():
             memo.cache_clear()
-        for order in orders:
-            got = build(order)
-            assert got.order == order and _typed(got) == cold[order], (orders, order)
+        for order in ordered:
+            assert built(order) == cold[order], (ordered, order)
 
 
 def test_each_family_is_built_once_per_order(monkeypatch, cold_memos):
@@ -190,7 +229,7 @@ def test_closed_forms_match_their_recorded_coefficients():
         ),
     ],
 )
-def test_quad_builds_only_the_requested_class(monkeypatch, cls, triples):
+def test_quad_builds_only_the_requested_class(monkeypatch, cold_memos, cls, triples):
     real = closedforms.closed_form_triple
     calls = []
 
@@ -201,6 +240,34 @@ def test_quad_builds_only_the_requested_class(monkeypatch, cls, triples):
     monkeypatch.setattr(closedforms, "closed_form_triple", recording)
     closedforms.closed_form_quad(ORDER, cls)
     assert calls == triples
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_the_quad_asks_its_triples_and_e_one_order_short(monkeypatch, cold_memos, cls):
+    # both quad products have factors without a t^0 term, so neither reads
+    # a factor's top coefficient
+    asked = []
+    for name in ("closed_form_triple", "e_function"):
+        real = getattr(closedforms, name)
+
+        def recording(order, *args, real=real, name=name):
+            asked.append((name, order))
+            return real(order, *args)
+
+        monkeypatch.setattr(closedforms, name, recording)
+    closedforms.closed_form_quad(9, cls)
+    assert asked and {order for _, order in asked} == {8}
+
+
+def test_the_short_product_is_exact_and_refuses_what_it_cannot_be_exact_for():
+    s_x = closedforms._single_gf_by_lane(9, "x")
+    s_y = closedforms._single_gf_by_lane(9, "y")
+    short = [TruncSeries(s.coefficients()[:9]) for s in (s_x, s_y)]
+    assert _typed(closedforms._short_product(9, *short)) == _typed(s_x * s_y)
+    with pytest.raises(ValueError, match=r"needs no t\^0 term, got 1"):
+        closedforms._short_product(9, short[0] + 1, short[1])
+    with pytest.raises(ValueError, match="known to order 7 cannot give a product to order 9"):
+        closedforms._short_product(9, short[0], TruncSeries(s_y.coefficients()[:8]))
 
 
 @pytest.mark.parametrize("stat", ["asc", "des"])
@@ -232,8 +299,20 @@ def test_single_forms_refuse_ascents_and_descents(build, stat):
         (closedforms.closed_form_S_single, -1, "must be >= 1, got -1"),
         (closedforms.schroeder_gf, -1, "must be >= 1, got -1"),
         (closedforms.little_schroeder_gf, -1, "must be >= 1, got -1"),
-        # the radical would need order 256, one past the lane width
-        (closedforms.closed_form_quad, 255, "closed-form order 255 .* exceeds 255"),
+        # the radical would need order 256, one past the lane width; every
+        # closed form refuses that order before it asks a lower piece
+        *(
+            (build, 255, "closed-form order 255 .* exceeds 255")
+            for build in (
+                closedforms.closed_form_quad,
+                closedforms.closed_form_triple,
+                closedforms.e_function,
+                closedforms.closed_form_pair_set2,
+                closedforms.closed_form_pair_set1,
+                closedforms.closed_form_I_single,
+                closedforms.closed_form_R_single,
+            )
+        ),
     ],
 )
 def test_closed_forms_reject_an_order_as_given(build, order, message):
@@ -247,6 +326,9 @@ def test_closed_forms_reject_an_order_as_given(build, order, message):
         closedforms.discriminant_root,
         closedforms.closed_form_S_single,
         closedforms.closed_form_pair_set2,
+        closedforms.closed_form_pair_set1,
+        closedforms.closed_form_triple,
+        closedforms.e_function,
         closedforms.closed_form_quad,
     ],
 )

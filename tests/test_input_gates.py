@@ -130,7 +130,7 @@ def test_every_memo_is_typed():
             for name, obj in vars(module).items()
             if hasattr(obj, "cache_parameters") and obj.__module__ == module.__name__
         ]
-    assert len(memos) >= 14
+    assert len(memos) >= 7
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert [
         f"{module}.{name}"
