@@ -152,13 +152,6 @@ class DistTable(_Record):
 #: kernel.
 _SAMPLE_EVERY = 1021
 
-#: Census sides up to this length (and the memo cap) are read from their
-#: enumeration tables; a longer side is walked group by group in turn.  So
-#: a census fills only the small tables, and every group keeps one side
-#: within this length up to n = 2 * 8 + 1 > HARD_CAP.
-_TABLE_SIDES = 8
-
-
 def _check_key(word: bytes, key: int) -> None:
     """Anchor a composed statistic key to the kernel on its word."""
     want = _stats_of_sequence(word).monomial()
@@ -205,7 +198,7 @@ class _Walk:
         #: the census's length: only its own groups have their ends checked
         self.n = n
         #: the longest side read from its table
-        self.cap = min(_TABLE_SIDES, enumeration._MEMO_CAP)
+        self.cap = enumeration._KEY_CAP
         self.tally: Counter[int] = Counter()
         #: position in group order of the next word tallied
         self.pos = 0
@@ -325,9 +318,9 @@ def _census(n: int, cls: str) -> MultiPoly:
     permutations of the canonical class ``cls``: one walk per (n, class),
     tallying each word's key composed from its head's and its tail's.  The
     keys are the series' packed monomials, so the tally is the
-    polynomial's term dict.  The walk reads only the tables of lengths
-    up to ``_TABLE_SIDES`` and below n (length 1 is always there).  Its
-    callers check n."""
+    polynomial's term dict.  The walk reads only the tables of lengths up
+    to ``enumeration._KEY_CAP`` and below n (length 1 is always there).
+    Its callers check n."""
     walk = _Walk(n)
     if n == 1:
         walk.table(1, cls, _EVERY_LANE, 0, _whole, None)
@@ -390,7 +383,7 @@ def counts_by_variable(poly: MultiPoly, var: str) -> dict[int, int]:
     idx = VARIABLES.index(var)
     out = {exps[idx]: c for exps, c in marginal.terms()}
     for k, c in out.items():
-        if not isinstance(c, int) or c < 0:
+        if c < 0:
             raise AssertionError(
                 f"marginal count for {var}^{k} is {c}, expected a "
                 "non-negative integer"

@@ -23,15 +23,17 @@ or the singleton, whose class is all.
 
 Every structural word is built as head + tail, so its six statistics follow
 from its two summands' in O(1) (the composition rules ``_SUM_RULE`` and
-``_SKEW_RULE``).  The memo tables of lengths up to ``_MEMO_CAP`` hold them
-packed into one int per word, in a key column aligned word for word with
-:func:`iter_separable_bytes`, and one selector per class besides all.
+``_SKEW_RULE``).  The memo tables of lengths up to ``_MEMO_CAP`` hold the
+words and one selector per class besides all; those up to ``_KEY_CAP``
+also hold the statistics packed into one int per word, in a key column
+aligned word for word with :func:`iter_separable_bytes`.  The census is
+the one reader of key columns, so no longer table composes one.
 :func:`_composed` composes a column's keys into longer words' keys for the
 census; the tables extend their key arrays from a plain generator, which
 runs faster there.  The words of one composition rule and one
 head length form a group (:func:`_groups`); the census tallies a length
 group by group from the shorter tables, without the lex order, so it never
-tables its own length nor composes a key column above the cap.
+tables its own length nor reads a key column above ``_KEY_CAP``.
 
 Lexicographic order comes for free from a block decomposition of the output
 space: for two distinct (shifted) first summands, neither is a byte-prefix
@@ -78,6 +80,12 @@ HARD_CAP = 14
 FILTER_CAP = 9
 #: Lengths up to this value keep fully materialized memo tables.
 _MEMO_CAP = 11
+#: Lengths up to this value (at most ``_MEMO_CAP``) keep a key column in
+#: their memo table, and the census reads its sides up to this length from
+#: them; a longer side it walks group by group in turn.  So a census fills
+#: only the small tables, and every group keeps one side within this length
+#: up to n = 2 * 8 + 1 > HARD_CAP.
+_KEY_CAP = 8
 
 _ONE = bytes((1,))
 
@@ -157,15 +165,15 @@ _SKEW_RULE = (
 
 # Memo tables: length -> (words, keys, irreducible, reducible): the
 # separables of that length as a lex-sorted list of bytes, an array of their
-# keys aligned with it, and one 0/1 selector per word for each of the two
-# classes besides all.  The singleton is irreducible, and no word of length
-# 1 is reducible.
-_TABLES: dict[int, tuple[list[bytes], array, bytes, bytes]] = {
+# keys aligned with it (None above _KEY_CAP), and one 0/1 selector per word
+# for each of the two classes besides all.  The singleton is irreducible,
+# and no word of length 1 is reducible.
+_TABLES: dict[int, tuple[list[bytes], array | None, bytes, bytes]] = {
     1: ([_ONE], array("Q", [_pack((0, 0, 1, 1, 1, 1))]), b"\1", b"\0")
 }
 
 
-def _table(n: int) -> tuple[list[bytes], array, bytes, bytes]:
+def _table(n: int) -> tuple[list[bytes], array | None, bytes, bytes]:
     """The memo-table entry of length n (n <= _MEMO_CAP), filling it and
     every shorter length first."""
     entry = _TABLES.get(n)
@@ -191,11 +199,11 @@ def _composed(keys: Iterable[int], mask: int, offset: int) -> Iterator[int]:
     )
 
 
-def _build_table(n: int) -> tuple[list[bytes], array, bytes, bytes]:
-    """Words, keys and selectors of length n, block by block, from the
-    shorter tables."""
+def _build_table(n: int) -> tuple[list[bytes], array | None, bytes, bytes]:
+    """Words, keys (up to _KEY_CAP, else None) and selectors of length n,
+    block by block, from the shorter tables."""
     words: list[bytes] = []
-    keys = array("Q")
+    keys = array("Q") if n <= _KEY_CAP else None
     # at length >= 2 every separable is irreducible or reducible
     irreducible = bytearray()
     for head, head_key, mask, shift, cls in _blocks(n, "all"):
@@ -204,7 +212,8 @@ def _build_table(n: int) -> tuple[list[bytes], array, bytes, bytes]:
             words += [head + rho for rho in tail_words]
         else:
             words += [head + rho.translate(shift) for rho in tail_words]
-        keys.extend(head_key + (k & mask) for k in tail_keys)
+        if keys is not None:
+            keys.extend(head_key + (k & mask) for k in tail_keys)
         irreducible += (b"\1" if cls == "irreducible" else b"\0") * len(tail_words)
     selector = bytes(irreducible)
     return words, keys, selector, selector.translate(_FLIP)
@@ -242,9 +251,9 @@ def _block_words(n: int, cls: str) -> Iterator[bytes]:
 
 def _heads(n: int, cls: str) -> Iterator[tuple[bytes, int | None]]:
     """The words of a canonical class at length n with their keys, lex
-    order.  Keys exist only up to the cap: above it, only the census
+    order.  Keys exist only up to _KEY_CAP: above it, only the census
     composes them, on its own walk."""
-    keys = _from_table(n, cls, 1) if n <= _MEMO_CAP else itertools.repeat(None)
+    keys = _from_table(n, cls, 1) if n <= _KEY_CAP else itertools.repeat(None)
     return zip(_words(n, cls), keys)
 
 
@@ -288,8 +297,8 @@ def _blocks(n: int, cls: str) -> Iterator[tuple]:
     """The lex-ordered blocks of a canonical class at length n >= 2.
 
     A block is every word with one head (first summand): (head, the head's
-    key with its share of the composition rule applied, or None above the
-    cap, the tail key mask, the shift table for the tails or None, the
+    key with its share of the composition rule applied, or None above
+    _KEY_CAP, the tail key mask, the shift table for the tails or None, the
     class the block's words belong to besides all).  Its words are head +
     tail for every separable tail of length n - len(head), in the tails'
     lex order.  No head is a prefix of another, so each block spans a lex
@@ -338,8 +347,8 @@ def iter_separable_bytes(n: int, cls: str = "all") -> Iterator[bytes]:
 
 def _key_stream(n: int, cls: str = "all") -> Iterator[int]:
     """The packed statistic keys of :func:`iter_separable_bytes`, word for
-    word, at n <= _MEMO_CAP: the memo table's key column, each key composed
-    in O(1) from the keys of the word's two summands.  Above the cap no
+    word, at n <= _KEY_CAP: the memo table's key column, each key composed
+    in O(1) from the keys of the word's two summands.  Above the key cap no
     key column exists; the census composes those keys on its own walk.
 
     >>> from sepstats.series import _unpack
@@ -348,10 +357,8 @@ def _key_stream(n: int, cls: str = "all") -> Iterator[int]:
     """
     _check_structural_n(n)
     cls = canonical_class(cls)
-    if n > _MEMO_CAP:
-        raise ValueError(
-            f"key columns stop at the memo cap {_MEMO_CAP}, asked for {n}"
-        )
+    if n > _KEY_CAP:
+        raise ValueError(f"key columns stop at the key cap {_KEY_CAP}, asked for {n}")
     return _from_table(n, cls, 1)
 
 

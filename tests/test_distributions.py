@@ -176,7 +176,7 @@ def test_census_checks_every_word_at_stride_one(monkeypatch, cls):
 
 def _group_order(n: int) -> tuple[list[bytes], set[int]]:
     """The words of length n in the census's group order, while no side is
-    past the table sides, and the groups' first and last positions: the
+    past the key cap, and the groups' first and last positions: the
     side with fewer words (the heads on a tie) varies slowest."""
     words, ends = [], set()
     for _, i, head_cls, head_shift, tail_shift, _ in enumeration._groups(n, "all"):
@@ -206,9 +206,9 @@ def test_census_checks_words_at_the_sampling_stride(monkeypatch, n, stride):
 
 
 def test_census_walking_sides_past_the_table_sides_matches_the_fixpoint():
-    # at this length the sides one longer than _TABLE_SIDES are walked
+    # at this length the sides one longer than the key cap are walked
     # group by group, from the tables
-    n = distributions._TABLE_SIDES + 2
+    n = enumeration._KEY_CAP + 2
     S, I = solve_fixpoint(n)
     want = {
         "all": S.coefficient(n),
@@ -318,14 +318,15 @@ def test_census_rejects_a_swapped_key_in_a_hoisted_column(monkeypatch, fresh_mem
 def test_census_above_the_memo_cap_equals_the_default_census(
     monkeypatch, fresh_memos
 ):
-    # with the cap at 3, sides of length 4 to 6 are walked group by group
+    # with the key cap at 3, sides of length 4 to 6 are walked group by
+    # group
     want = {
         (n, cls): distributions._census(n, cls)
         for n in range(1, 8)
         for cls in ("all", "irreducible", "reducible")
     }
     distributions._census.cache_clear()
-    monkeypatch.setattr(enumeration, "_MEMO_CAP", 3)
+    monkeypatch.setattr(enumeration, "_KEY_CAP", 3)
     monkeypatch.setattr(enumeration, "_TABLES", {1: enumeration._TABLES[1]})
     for (n, cls), poly in want.items():
         assert distributions._census(n, cls) == poly, (n, cls)
@@ -336,9 +337,9 @@ def test_a_cold_census_never_tables_its_own_length(fresh_memos):
     for cls in ("all", "irreducible", "reducible"):
         distributions._census(7, cls)
     assert set(enumeration._TABLES) == {1, 2, 3, 4, 5, 6}
-    # nor any length past the table sides
-    distributions._census(distributions._TABLE_SIDES + 2, "all")
-    assert max(enumeration._TABLES) == distributions._TABLE_SIDES
+    # nor any length past the key cap
+    distributions._census(enumeration._KEY_CAP + 2, "all")
+    assert max(enumeration._TABLES) == enumeration._KEY_CAP
 
 
 def test_series_from_enumeration_cap():

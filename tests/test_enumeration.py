@@ -128,35 +128,50 @@ def test_reducible_stream_empty_at_n1(spelling):
 
 
 def test_composed_keys_match_the_kernel_on_every_word():
-    for n in range(1, 11):
+    for n in range(1, enumeration._KEY_CAP + 1):
         words = list(iter_separable_bytes(n, "all"))
         want = [series._pack(_stats_of_sequence(w).monomial()) for w in words]
         assert list(enumeration._key_stream(n, "all")) == want, n
-        if n <= 9:
-            # the class streams against the kernel's keys of their words
-            kernel = dict(zip(words, want))
-            for cls in ("irreducible", "reducible"):
-                got = list(enumeration._key_stream(n, cls))
-                want_cls = [kernel[w] for w in iter_separable_bytes(n, cls)]
-                assert got == want_cls, (n, cls)
+        # the class streams against the kernel's keys of their words
+        kernel = dict(zip(words, want))
+        for cls in ("irreducible", "reducible"):
+            got = list(enumeration._key_stream(n, cls))
+            want_cls = [kernel[w] for w in iter_separable_bytes(n, cls)]
+            assert got == want_cls, (n, cls)
+
+
+def test_no_key_column_above_the_key_cap(fresh_memos):
+    # only the census reads key columns, and only up to the key cap; the
+    # lex stream tables words and selectors further, without keys
+    cap = enumeration._KEY_CAP
+    assert cap <= enumeration._MEMO_CAP
+    words = list(iter_separable_bytes(cap + 1))
+    assert len(words) == count_separable(cap + 1)
+    assert enumeration._TABLES[cap + 1][1] is None
+    assert all(enumeration._TABLES[n][1] is not None for n in range(1, cap + 1))
+    with pytest.raises(ValueError, match=f"key cap {cap}, asked for {cap + 1}"):
+        enumeration._key_stream(cap + 1)
 
 
 def test_streams_above_the_memo_cap_equal_the_tables(monkeypatch):
-    # lengths above the cap compose words block by block, with heads and
-    # tails that are themselves above the cap; their keys exist only on
-    # the census's walk (see the census test with the same cap)
+    # lengths above the memo cap compose words block by block, with heads
+    # and tails that are themselves above the cap; tables above the key cap
+    # hold words and selectors only, and keys exist only on the census's
+    # walk (see the census test with the key cap at 3)
     want = {
         (n, cls): list(iter_separable_bytes(n, cls))
         for n in range(1, 8)
         for cls in CLASSES
     }
     monkeypatch.setattr(enumeration, "_MEMO_CAP", 3)
+    monkeypatch.setattr(enumeration, "_KEY_CAP", 2)
     monkeypatch.setattr(enumeration, "_TABLES", {1: enumeration._TABLES[1]})
     for (n, cls), words in want.items():
         assert list(iter_separable_bytes(n, cls)) == words, (n, cls)
     assert set(enumeration._TABLES) == {1, 2, 3}
-    with pytest.raises(ValueError, match="memo cap"):
-        enumeration._key_stream(4, "all")
+    assert enumeration._TABLES[3][1] is None
+    with pytest.raises(ValueError, match="key cap 2"):
+        enumeration._key_stream(3, "all")
 
 
 def test_class_streams_read_the_memo_table():

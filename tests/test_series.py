@@ -2,7 +2,6 @@
 
 import json
 import re
-from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -247,14 +246,10 @@ def test_counting_series_check_names_the_first_bad_term():
     from sepstats.series import assert_counting_series
 
     assert_counting_series(TruncSeries([MultiPoly.zero(), parse_poly("x + 2y")]))
-    for bad, shown in (
-        (parse_poly("x - y"), "(0, 0, 0, 1, 0, 0) is -1"),
-        (MultiPoly({0: Fraction(1, 2)}), "(0, 0, 0, 0, 0, 0) is 1/2"),
-        (MultiPoly({0: Fraction(3)}), "(0, 0, 0, 0, 0, 0) is 3"),
-    ):
-        message = re.escape(f"S: coefficient of t^1 monomial {shown}")
-        with pytest.raises(AssertionError, match=message):
-            assert_counting_series(TruncSeries([MultiPoly.one(), bad]), "S")
+    bad = TruncSeries([MultiPoly.one(), parse_poly("x - y")])
+    message = re.escape("S: coefficient of t^1 monomial (0, 0, 0, 1, 0, 0) is -1")
+    with pytest.raises(AssertionError, match=message):
+        assert_counting_series(bad, "S")
 
 
 @pytest.mark.parametrize(
