@@ -51,7 +51,6 @@ from .series import (
     TruncSeries,
     parse_poly,
     solve_fixpoint,
-    solve_master_fixpoint,
 )
 from .distributions import (
     DistTable,
@@ -86,7 +85,6 @@ __all__ = [
     "TruncSeries",
     "parse_poly",
     "solve_fixpoint",
-    "solve_master_fixpoint",
     "DistTable",
     "dist_from_enumeration",
     "series_from_enumeration",

@@ -37,7 +37,6 @@ from . import enumeration
 from .enumeration import (
     _EVERY_LANE,
     _check_structural_n,
-    _composed,
     _groups,
     _key_stream,
     canonical_class,
@@ -183,15 +182,22 @@ def _with_tail(wrap: _Wrap, head_shift, tail: bytes, head: bytes) -> bytes:
     return wrap(head.translate(head_shift) + tail)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _masked_keys(m: int, cls: str, mask: int) -> array:
+    """The key column of a class at a length with a table, each key
+    ``& mask``: one column for every walk and group that reads this side
+    under this mask."""
+    return array("Q", map(operator.and_, _key_stream(m, cls), itertools.repeat(mask)))
+
+
 class _Walk:
     """One census walk: every word's composed key, tallied group by group
     from the shorter tables, and the words sampled for the kernel check.
 
-    A word of a side is tallied as (its key & mask) + offset, and
-    ``wrap(word)`` is the census word it stands for: the masks, offsets
-    and wraps compose the side's words with the fixed summands around them.
-    Where a group loops over several words and maps a table, that table's
-    keys are masked once for the group and only the offset varies.
+    A word of a side is tallied as (its key & mask) + offset, read from
+    :func:`_masked_keys`, and ``wrap(word)`` is the census word it stands
+    for: the masks, offsets and wraps compose the side's words with the
+    fixed summands around them.
     """
 
     def __init__(self, n: int) -> None:
@@ -204,7 +210,7 @@ class _Walk:
         self.pos = 0
         #: the first and last positions of the groups not yet walked past
         self.ends: list[int] = []
-        #: (length, class) -> (index, mask, offset, wrap) for each sampled
+        #: (length, class) -> (index, key as tallied, wrap) for each sampled
         #: word of that column
         self.samples: dict[tuple[int, str], list[tuple]] = {}
 
@@ -223,93 +229,56 @@ class _Walk:
             if n == self.n:
                 self.ends += (self.pos, self.pos + heads * tails - 1)
             if n - i > cap or (i <= cap and heads <= tails):
-                side_mask = mask & tail_mask
-                masked = self.hoisted(n - i, "all", side_mask, heads)
                 for head, key in _column(i, head_cls):
                     share = ((key & head_mask) + junction) & mask
                     head = head.translate(head_shift)
                     fixed = functools.partial(_with_head, wrap, head, tail_shift)
-                    self.side(n - i, "all", side_mask, offset + share, fixed, masked)
+                    self.side(n - i, "all", mask & tail_mask, offset + share, fixed)
             else:
-                side_mask = mask & head_mask
-                masked = self.hoisted(i, head_cls, side_mask, tails)
                 for tail, key in _column(n - i, "all"):
                     share = ((key & tail_mask) + junction) & mask
                     tail = tail.translate(tail_shift)
                     fixed = functools.partial(_with_tail, wrap, head_shift, tail)
-                    self.side(i, head_cls, side_mask, offset + share, fixed, masked)
+                    self.side(i, head_cls, mask & head_mask, offset + share, fixed)
 
-    def hoisted(self, m: int, cls: str, mask: int, loops: int) -> array | None:
-        """The side's key column masked once for a group that loops over
-        ``loops`` words, when there are several and the side is a table;
-        else None.  For a single word the copy only adds work: hoisting
-        every group made a cold ``series_from_enumeration(10)`` about 15 %
-        slower."""
-        if loops > 1 and m <= self.cap:
-            return array("Q", _composed(_key_stream(m, cls), mask, 0))
-        return None
-
-    def side(
-        self,
-        m: int,
-        cls: str,
-        mask: int,
-        offset: int,
-        wrap: _Wrap,
-        masked: array | None,
-    ) -> None:
+    def side(self, m: int, cls: str, mask: int, offset: int, wrap: _Wrap) -> None:
         """Tally the words of a class at a side's length m: from its table
         within the cap, else group by group."""
         if m <= self.cap:
-            self.table(m, cls, mask, offset, wrap, masked)
+            self.table(m, cls, mask, offset, wrap)
         else:
             self.groups(m, cls, mask, offset, wrap)
 
-    def table(
-        self,
-        m: int,
-        cls: str,
-        mask: int,
-        offset: int,
-        wrap: _Wrap,
-        masked: array | None,
-    ) -> None:
-        """Tally a table's key column, or its group's ``masked`` column,
-        and note its sampled words."""
+    def table(self, m: int, cls: str, mask: int, offset: int, wrap: _Wrap) -> None:
+        """Tally a table's masked key column plus the offset, and note its
+        sampled words with their keys as tallied."""
+        masked = _masked_keys(m, cls, mask)
         start = self.pos
         self.pos += class_count(cls, m)
         picks = {p - start for p in self.ends if p < self.pos}
         self.ends = [p for p in self.ends if p >= self.pos]
         picks.update(range(-start % _SAMPLE_EVERY, self.pos - start, _SAMPLE_EVERY))
-        if masked is None:
-            self.tally.update(_composed(_key_stream(m, cls), mask, offset))
-            sampled = ((j, mask, offset, wrap) for j in picks)
-        else:
-            self.tally.update(map(operator.add, masked, itertools.repeat(offset)))
-            # a hoisted key is checked as it was tallied: mask 0 keeps none
-            # of the column's key, and the offset carries all of it.  A pick
-            # past a short column is left to the row total.
-            sampled = (
-                (j, 0, masked[j] + offset, wrap) for j in picks if j < len(masked)
-            )
-        self.samples.setdefault((m, cls), []).extend(sampled)
+        self.tally.update(map(operator.add, masked, itertools.repeat(offset)))
+        # a pick past a short column is left to the row total
+        self.samples.setdefault((m, cls), []).extend(
+            (j, masked[j] + offset, wrap) for j in picks if j < len(masked)
+        )
 
     def check(self) -> None:
-        """Check every sampled word's composed key against the kernel,
-        reading each column once."""
+        """Check every sampled word's key, as tallied, against the kernel,
+        reading each word column once."""
         for (m, cls), picks in self.samples.items():
-            column = _column(m, cls)
-            at, pair = -1, None
-            for j, mask, offset, wrap in sorted(picks, key=operator.itemgetter(0)):
+            words = iter_separable_bytes(m, cls)
+            at, word = -1, None
+            for j, key, wrap in sorted(picks, key=operator.itemgetter(0)):
                 if j != at:
-                    pair = next(itertools.islice(column, j - at - 1, None), None)
+                    word = next(itertools.islice(words, j - at - 1, None), None)
                     at = j
-                if pair is None:
+                if word is None:
                     raise ValueError(
                         f"the word and key columns of length {m} differ in length"
                     )
-                word, key = pair
-                _check_key(wrap(word), next(_composed((key,), mask, offset)))
+                _check_key(wrap(word), key)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -323,7 +292,7 @@ def _census(n: int, cls: str) -> MultiPoly:
     Its callers check n."""
     walk = _Walk(n)
     if n == 1:
-        walk.table(1, cls, _EVERY_LANE, 0, _whole, None)
+        walk.table(1, cls, _EVERY_LANE, 0, _whole)
     else:
         walk.groups(n, cls, _EVERY_LANE, 0, _whole)
     # a key column of the wrong length fails the total before any word is

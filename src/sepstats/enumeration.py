@@ -27,13 +27,13 @@ from its two summands' in O(1) (the composition rules ``_SUM_RULE`` and
 words and one selector per class besides all; those up to ``_KEY_CAP``
 also hold the statistics packed into one int per word, in a key column
 aligned word for word with :func:`iter_separable_bytes`.  The census is
-the one reader of key columns, so no longer table composes one.
-:func:`_composed` composes a column's keys into longer words' keys for the
-census; the tables extend their key arrays from a plain generator, which
-runs faster there.  The words of one composition rule and one
-head length form a group (:func:`_groups`); the census tallies a length
-group by group from the shorter tables, without the lex order, so it never
-tables its own length nor reads a key column above ``_KEY_CAP``.
+the one reader of key columns, so no longer table composes one.  A stream
+of a length above ``_KEY_CAP`` merges its words from the shorter tables
+and tables only those, unless its own table is already there.  The words
+of one composition rule and one head length form a group
+(:func:`_groups`); the census tallies a length group by group from the
+shorter tables, without the lex order, so it never tables its own length
+nor reads a key column above ``_KEY_CAP``.
 
 Lexicographic order comes for free from a block decomposition of the output
 space: for two distinct (shifted) first summands, neither is a byte-prefix
@@ -52,9 +52,8 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import operator
 from array import array
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterator, TypeVar
 
 from .numbers import _check_int
 from .permutations import Permutation, is_separable
@@ -78,7 +77,8 @@ __all__ = [
 HARD_CAP = 14
 #: Largest length accepted by the brute-force filter enumerator.
 FILTER_CAP = 9
-#: Lengths up to this value keep fully materialized memo tables.
+#: Lengths up to this value keep fully materialized memo tables: those above
+#: ``_KEY_CAP`` only once a longer stream reads them as tails.
 _MEMO_CAP = 11
 #: Lengths up to this value (at most ``_MEMO_CAP``) keep a key column in
 #: their memo table, and the census reads its sides up to this length from
@@ -188,17 +188,6 @@ def _table(n: int) -> tuple[list[bytes], array | None, bytes, bytes]:
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def _composed(keys: Iterable[int], mask: int, offset: int) -> Iterator[int]:
-    """(key & mask) + offset for each key: the keys of a column's words
-    composed into a longer word's.  (``operator`` functions map faster
-    than bound ``int`` methods.)"""
-    return map(
-        operator.add,
-        map(operator.and_, keys, itertools.repeat(mask)),
-        itertools.repeat(offset),
-    )
-
-
 def _build_table(n: int) -> tuple[list[bytes], array | None, bytes, bytes]:
     """Words, keys (up to _KEY_CAP, else None) and selectors of length n,
     block by block, from the shorter tables."""
@@ -230,14 +219,16 @@ def _from_table(n: int, cls: str, column: int) -> Iterator:
 
 
 def _words(n: int, cls: str) -> Iterator[bytes]:
-    """The words of a canonical class at length n, lex order."""
-    if n <= _MEMO_CAP:
+    """The words of a canonical class at length n, lex order: read from
+    the table up to the key cap or once it is there, else merged from the
+    shorter tables."""
+    if n <= _KEY_CAP or n in _TABLES:
         return _from_table(n, cls, 0)
     return _block_words(n, cls)
 
 
 def _block_words(n: int, cls: str) -> Iterator[bytes]:
-    _table(_MEMO_CAP)  # tails up to the cap come from the tables
+    _table(min(n - 1, _MEMO_CAP))  # tails up to the cap come from the tables
     for head, _, _, shift, _ in _blocks(n, cls):
         m = n - len(head)
         tails = _TABLES[m][0] if m <= _MEMO_CAP else _block_words(m, "all")

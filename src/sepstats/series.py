@@ -53,7 +53,6 @@ __all__ = [
     "TruncSeries",
     "parse_poly",
     "solve_fixpoint",
-    "solve_master_fixpoint",
     "series_to_document",
     "document_view",
     "document_to_series",
@@ -1163,15 +1162,6 @@ def solve_fixpoint(
     held = _solve_fixpoint_cached(active)
     s, i = _longest_prefix(held, order, lambda: _resumed(order, active, held))
     return s, i
-
-
-def solve_master_fixpoint(order: int = 12) -> tuple[TruncSeries, TruncSeries]:
-    """Solve the full six-variable master system (see module docstring).
-
-    The default order 12 is sized for desk-scale verification; lower it for
-    quick interactive use.
-    """
-    return solve_fixpoint(order, VARIABLES)
 
 
 # ---------------------------------------------------------------------------

@@ -293,26 +293,44 @@ def test_census_rejects_a_swapped_sampled_key(monkeypatch, fresh_memos):
         distributions._census(4, "all")
 
 
-def test_census_rejects_a_swapped_key_in_a_hoisted_column(monkeypatch, fresh_memos):
+def _swap_masked_keys(m: int, cls: str, mask: int) -> None:
+    """Swap the first two keys of the census's memoized masked column."""
+    masked = distributions._masked_keys(m, cls, mask)
+    assert masked[0] != masked[1]
+    masked[0], masked[1] = masked[1], masked[0]
+
+
+def test_census_rejects_a_swapped_key_in_a_masked_column(fresh_memos):
     # in the group of irreducible heads of length 3 and tails of length 2
-    # the census loops over the two tails and masks the heads' column once;
-    # a swap there leaves the tally's multiset and the key stream as they
-    # are, so only the check of the group's first word sees it
-    real = distributions._Walk.hoisted
-    swapped = []
-
-    def hoisted(walk, m, cls, mask, loops):
-        masked = real(walk, m, cls, mask, loops)
-        if (m, cls) == (3, "irreducible") and masked is not None:
-            assert masked[0] != masked[1]
-            masked[0], masked[1] = masked[1], masked[0]
-            swapped.append(loops)
-        return masked
-
-    monkeypatch.setattr(distributions._Walk, "hoisted", hoisted)
+    # the census loops over the two tails and reads the heads' column
+    # masked by the sum rule's head mask; a swap there leaves the tally's
+    # multiset and the key stream as they are, so only the check of the
+    # group's first word sees it
+    _swap_masked_keys(3, "irreducible", enumeration._SUM_RULE[0])
     with pytest.raises(AssertionError, match="differ from the kernel"):
         distributions._census(5, "all")
-    assert swapped == [2]
+
+
+def test_census_rejects_a_swapped_key_in_a_single_word_group(fresh_memos):
+    # the direct sums with head 1 loop over that one head and read the
+    # tails' column (3, all) masked by the sum rule's tail mask
+    _swap_masked_keys(3, "all", enumeration._SUM_RULE[1])
+    with pytest.raises(AssertionError, match="differ from the kernel"):
+        distributions._census(4, "all")
+
+
+@pytest.fixture
+def warm_census_memos():
+    """Fill the census's memos before a fixture that must empty them."""
+    distributions._census(2, "all")
+    distributions._masked_keys(2, "all", enumeration._EVERY_LANE)
+
+
+def test_fresh_memos_empties_every_memo(warm_census_memos, fresh_memos):
+    names = {memo.__name__ for memo in fresh_memos}
+    assert names >= {"_census", "_masked_keys", "_sn_profiles", "_extremes"}
+    for memo in fresh_memos:
+        assert memo.cache_info().currsize == 0, memo.__name__
 
 
 def test_census_above_the_memo_cap_equals_the_default_census(

@@ -144,13 +144,27 @@ def test_no_key_column_above_the_key_cap(fresh_memos):
     # only the census reads key columns, and only up to the key cap; the
     # lex stream tables words and selectors further, without keys
     cap = enumeration._KEY_CAP
-    assert cap <= enumeration._MEMO_CAP
-    words = list(iter_separable_bytes(cap + 1))
-    assert len(words) == count_separable(cap + 1)
+    assert cap + 1 <= enumeration._MEMO_CAP
+    words = list(iter_separable_bytes(cap + 2))
+    assert len(words) == count_separable(cap + 2)
     assert enumeration._TABLES[cap + 1][1] is None
     assert all(enumeration._TABLES[n][1] is not None for n in range(1, cap + 1))
     with pytest.raises(ValueError, match=f"key cap {cap}, asked for {cap + 1}"):
         enumeration._key_stream(cap + 1)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_a_cold_stream_above_the_key_cap_tables_only_its_tails(fresh_memos, cls):
+    # a stream within the memo cap but above the key cap merges its words
+    # from the shorter tables; once its table is there it reads that
+    n = enumeration._KEY_CAP + 1
+    assert n <= enumeration._MEMO_CAP
+    merged = list(iter_separable_bytes(n, cls))
+    assert set(enumeration._TABLES) == set(range(1, n))
+    table = {id(word) for word in enumeration._table(n)[0]}
+    tabled = list(iter_separable_bytes(n, cls))
+    assert tabled == merged
+    assert all(id(word) in table for word in tabled)
 
 
 def test_streams_above_the_memo_cap_equal_the_tables(monkeypatch):

@@ -23,7 +23,6 @@ from sepstats.series import (
     parse_poly,
     series_to_document,
     solve_fixpoint,
-    solve_master_fixpoint,
     stat_lanes,
 )
 
@@ -188,13 +187,10 @@ def test_fixpoint_known_low_order_coefficients():
     s_pq, i_pq = solve_fixpoint(3, ("p", "q"))
     assert s_pq.coefficient(3) == parse_poly("p^2 + 4pq + q^2")
     assert i_pq.coefficient(3) == parse_poly("2pq + q^2")
-
-
-def test_solve_master_fixpoint_default_order():
-    s, i = solve_master_fixpoint(4)
-    assert s.order == 4
-    total = sum(c for _, c in s.coefficient(4).terms())
-    assert total == 22
+    # all six variables by default
+    s6, _ = solve_fixpoint(4)
+    assert s6.order == 4
+    assert sum(c for _, c in s6.coefficient(4).terms()) == 22
 
 
 def test_fixpoint_rejects_bad_active_set():
